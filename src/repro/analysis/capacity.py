@@ -11,11 +11,6 @@ alongside (the paper's §7 pressure, measured request-side).
 The sweep document is deterministic: every point is a seeded run on a
 freshly booted simulator, and the renderer is a pure function of the
 document — ``repro capacity`` twice produces byte-identical output.
-
-``CAPACITY_POINT_FIELDS`` is a literal tuple on purpose: the
-observatory-closure lint pass reads it from the AST and checks that
-every dashboard column (``CAPACITY_COLUMNS`` of ``obs/report.py``) is
-a field the sweep actually records.
 """
 
 from __future__ import annotations
@@ -30,9 +25,7 @@ from repro.workloads.service import service_run
 #: Schema tag of the capacity document (bump on field changes).
 CAPACITY_SCHEMA = 1
 
-#: Every field a capacity point records.  Literal tuple — the
-#: observatory-closure pass checks the dashboard's CAPACITY_COLUMNS
-#: against it.
+#: Every field a capacity point records.
 CAPACITY_POINT_FIELDS = (
     "offered_per_s",
     "throughput_per_s",

@@ -15,34 +15,11 @@ from typing import Dict, Iterable, Optional
 
 
 class HardwareMonitor:
-    """Named event counters with snapshot/delta accounting."""
+    """Named event counters with snapshot/delta accounting.
 
-    #: Events every component reports into the monitor.
-    WELL_KNOWN = (
-        "itlb_miss",
-        "dtlb_miss",
-        "tlb_miss",
-        "htab_search",
-        "htab_hit",
-        "htab_miss",
-        "htab_reload",
-        "htab_evict",
-        "hash_miss_interrupt",
-        "sw_tlb_miss_interrupt",
-        "bat_translation",
-        "icache_miss",
-        "dcache_miss",
-        "page_fault_major",
-        "page_fault_minor",
-        "flush_range_search",
-        "flush_range_lazy",
-        "vsid_bump",
-        "zombie_reclaimed",
-        "pages_precleared",
-        "precleared_page_used",
-        "context_switch",
-        "syscall",
-    )
+    The counter names are the monitor-kind entries of the
+    ``EVENT_NAMES`` registry in :mod:`repro.obs.events`.
+    """
 
     def __init__(self):
         self._counters: Counter = Counter()

@@ -12,7 +12,8 @@ line that introduces a violation, on every line:
   contract, hook-guard discipline, error discipline;
 * closure passes — ledger categories vs the profiler taxonomy, event
   names vs the ``obs/events.py`` registry, invariants vs the
-  ``full_sweep`` suite.
+  ``full_sweep`` suite, experiment specs vs their benchmark consumers
+  and EXPERIMENTS.md rows.
 
 Run it with ``python -m repro lint`` (``--list-rules`` for the
 catalog).  Suppress a finding inline with

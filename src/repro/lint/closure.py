@@ -1,6 +1,6 @@
 """The cross-file closure rules.
 
-Five registries anchor runtime guarantees; these passes close them
+Four registries anchor runtime guarantees; these passes close them
 statically, so deleting a registry entry (or adding an unregistered
 publisher) fails lint instead of failing — or worse, silently skewing —
 a simulator run:
@@ -15,11 +15,10 @@ a simulator run:
   the ``full_sweep`` suite;
 * every experiment spec in the ``SPECS`` registry of
   ``analysis/specs.py`` has a benchmark consumer asserting its paper
-  shape and a row in the repo's EXPERIMENTS.md table;
-* every path category in the profiler taxonomy and every event name in
-  the ``EVENT_NAMES`` registry is consumed by at least one derivation
-  in ``obs/analytics.py`` — recorded-but-never-analyzed telemetry is
-  dead weight the observatory would silently ignore.
+  shape and a row in the repo's EXPERIMENTS.md table.
+
+The observatory's derived tables (analytics, flamegraph, trend) are
+built from those registries at import time, so they need no pass.
 """
 
 from __future__ import annotations
@@ -100,38 +99,6 @@ def _frozenset_literal(
         out = []
         for element in value.elts:
             literal = str_const(element)
-            if literal is not None:
-                out.append((literal, element))
-        return out
-    return None
-
-
-def _tuple_literal(
-    tree: ast.Module, name: str
-) -> Optional[List[Tuple[str, ast.AST]]]:
-    """String elements of a module-level ``NAME = (...)`` tuple literal.
-
-    For tuples of tuples (``KERNEL_GROUPS``-style pair tables), the
-    *first* string element of each inner tuple is yielded.
-    """
-    for node in tree.body:
-        target: Optional[ast.expr]
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if not isinstance(value, ast.Tuple):
-            return None
-        out: List[Tuple[str, ast.AST]] = []
-        for element in value.elts:
-            if isinstance(element, ast.Tuple) and element.elts:
-                literal = str_const(element.elts[0])
-            else:
-                literal = str_const(element)
             if literal is not None:
                 out.append((literal, element))
         return out
@@ -299,7 +266,7 @@ class EventRegistryRule(ProjectRule):
             report(
                 registry_ctx, registry_ctx.tree,
                 f"{self.REGISTRY_NAME} in {self.REGISTRY} must be a "
-                "literal dict of event-name -> description strings",
+                "literal dict keyed by event-name strings",
             )
             return
         exact = {key for key in keys if not key.endswith("*")}
@@ -500,373 +467,3 @@ class ExperimentRegistryRule(ProjectRule):
             if match is not None:
                 ids.add(match.group(1))
         return ids
-
-
-# -- analytics coverage ------------------------------------------------------
-
-
-def _dict_literal_values(
-    tree: ast.Module, name: str
-) -> Optional[List[Tuple[str, ast.AST]]]:
-    """String *values* of a module-level ``NAME = {...}`` dict literal."""
-    for node in tree.body:
-        target: Optional[ast.expr]
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        out: List[Tuple[str, ast.AST]] = []
-        for element in value.values:
-            literal = str_const(element)
-            if literal is not None:
-                out.append((literal, element))
-        return out
-    return None
-
-
-class AnalyticsCoverageRule(ProjectRule):
-    id = "analytics-coverage"
-    description = (
-        "every profiler path category and every EVENT_NAMES entry is "
-        "consumed by a derivation in obs/analytics.py"
-    )
-
-    TAXONOMY = "obs/profiler.py"
-    TAXONOMY_NAME = "PATH_CATEGORIES"
-    #: The profiler's catch-all category — part of the output taxonomy
-    #: even though it never appears as a dict value.
-    FALLBACK = "other"
-    EVENTS = "obs/events.py"
-    EVENTS_NAME = "EVENT_NAMES"
-    CONSUMER = "obs/analytics.py"
-
-    def check_project(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        taxonomy_ctx = _find_context(contexts, self.TAXONOMY)
-        events_ctx = _find_context(contexts, self.EVENTS)
-        if taxonomy_ctx is None and events_ctx is None:
-            return
-        consumer_ctx = _find_context(contexts, self.CONSUMER)
-        if consumer_ctx is None:
-            ctx = taxonomy_ctx if taxonomy_ctx is not None else events_ctx
-            if ctx is not None:
-                report(
-                    ctx, ctx.tree,
-                    f"telemetry registries exist but no {self.CONSUMER} "
-                    "derives anything from them",
-                )
-            return
-        consumed = self._consumer_literals(consumer_ctx)
-        if taxonomy_ctx is not None:
-            self._check_taxonomy(taxonomy_ctx, consumed, report)
-        if events_ctx is not None:
-            self._check_events(events_ctx, consumed, report)
-
-    def _consumer_literals(self, ctx: FileContext) -> Set[str]:
-        """Every string literal in the analytics module.
-
-        Same contract as the experiment-registry pass: any literal
-        mention counts — the rule polices that a derivation *exists*,
-        not how it computes.
-        """
-        literals: Set[str] = set()
-        for node in ast.walk(ctx.tree):
-            literal = str_const(node)
-            if literal is not None:
-                literals.add(literal)
-        return literals
-
-    def _check_taxonomy(
-        self, ctx: FileContext, consumed: Set[str], report: ProjectReport
-    ) -> None:
-        values = _dict_literal_values(ctx.tree, self.TAXONOMY_NAME)
-        if values is None:
-            return  # the ledger-taxonomy pass owns a malformed registry
-        seen: Set[str] = set()
-        for category, node in values + [(self.FALLBACK, ctx.tree)]:
-            if category in seen:
-                continue
-            seen.add(category)
-            if category not in consumed:
-                report(
-                    ctx, node,
-                    f"path category {category!r} has no derivation in "
-                    f"{self.CONSUMER}; its cycles would never surface "
-                    "in the observatory",
-                )
-
-    def _check_events(
-        self, ctx: FileContext, consumed: Set[str], report: ProjectReport
-    ) -> None:
-        keys = _dict_literal_keys(ctx.tree, self.EVENTS_NAME)
-        if keys is None:
-            return  # the event-registry pass owns a malformed registry
-        for name, node in keys.items():
-            if name in consumed:
-                continue
-            if name.endswith("*"):
-                stem = name[:-1]
-                if any(
-                    literal and literal.startswith(stem)
-                    for literal in sorted(consumed)
-                ):
-                    continue
-            report(
-                ctx, node,
-                f"event {name!r} is recorded but never consumed by a "
-                f"derivation in {self.CONSUMER}",
-            )
-
-
-# -- observatory closure -----------------------------------------------------
-
-
-class ObservatoryClosureRule(ProjectRule):
-    id = "observatory-closure"
-    description = (
-        "the trajectory layer's literal registries stay in sync: ledger "
-        "fields with the bench-record schema, trend/flame categories "
-        "with the profiler taxonomy and event registry, host-profile "
-        "groups with real package paths"
-    )
-
-    METRICS = "obs/metrics.py"
-    HISTORY = "obs/history.py"
-    TREND = "obs/trend.py"
-    FLAME = "obs/flame.py"
-    HOSTPROF = "obs/hostprof.py"
-    TAXONOMY = "obs/profiler.py"
-    EVENTS = "obs/events.py"
-    REPORT = "obs/report.py"
-    CAPACITY = "analysis/capacity.py"
-    FALLBACK = "other"
-
-    def check_project(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        categories = self._registered_categories(contexts)
-        event_names = self._registered_events(contexts)
-        self._check_history_fields(contexts, report)
-        self._check_trend(contexts, categories, report)
-        self._check_capacity(contexts, report)
-        self._check_flame(contexts, categories, event_names, report)
-        self._check_hostprof(contexts, report)
-
-    def _registered_categories(
-        self, contexts: List[FileContext]
-    ) -> Optional[Set[str]]:
-        ctx = _find_context(contexts, self.TAXONOMY)
-        if ctx is None:
-            return None
-        values = _dict_literal_values(ctx.tree, "PATH_CATEGORIES")
-        if values is None:
-            return None  # the ledger-taxonomy pass owns the malformation
-        return {category for category, _node in values} | {self.FALLBACK}
-
-    def _registered_events(
-        self, contexts: List[FileContext]
-    ) -> Optional[Dict[str, ast.AST]]:
-        ctx = _find_context(contexts, self.EVENTS)
-        if ctx is None:
-            return None
-        return _dict_literal_keys(ctx.tree, "EVENT_NAMES")
-
-    def _check_history_fields(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        history_ctx = _find_context(contexts, self.HISTORY)
-        metrics_ctx = _find_context(contexts, self.METRICS)
-        if history_ctx is None or metrics_ctx is None:
-            return
-        required = _tuple_literal(metrics_ctx.tree, "RECORD_REQUIRED")
-        fields = _tuple_literal(history_ctx.tree, "RECORD_FIELDS")
-        if required is None:
-            report(
-                metrics_ctx, metrics_ctx.tree,
-                "RECORD_REQUIRED in obs/metrics.py must be a literal "
-                "tuple of record field names",
-            )
-            return
-        if fields is None:
-            report(
-                history_ctx, history_ctx.tree,
-                "RECORD_FIELDS in obs/history.py must be a literal "
-                "tuple of record field names",
-            )
-            return
-        known = {name for name, _node in required}
-        for name, node in fields:
-            if name not in known:
-                report(
-                    history_ctx, node,
-                    f"ledger field {name!r} is not in RECORD_REQUIRED of "
-                    f"{self.METRICS}; entry_from_doc would KeyError on "
-                    "the first real record",
-                )
-
-    def _check_trend(
-        self, contexts: List[FileContext],
-        categories: Optional[Set[str]], report: ProjectReport,
-    ) -> None:
-        trend_ctx = _find_context(contexts, self.TREND)
-        if trend_ctx is None:
-            return
-        movers = _tuple_literal(trend_ctx.tree, "MOVER_CATEGORIES")
-        if movers is None:
-            report(
-                trend_ctx, trend_ctx.tree,
-                "MOVER_CATEGORIES in obs/trend.py must be a literal "
-                "tuple of path-category names",
-            )
-        elif categories is not None:
-            for name, node in movers:
-                if name not in categories:
-                    report(
-                        trend_ctx, node,
-                        f"trend mover category {name!r} is not a "
-                        f"registered path category of {self.TAXONOMY}",
-                    )
-        history_ctx = _find_context(contexts, self.HISTORY)
-        columns = _tuple_literal(trend_ctx.tree, "HEADLINE_COLUMNS")
-        if columns is None:
-            report(
-                trend_ctx, trend_ctx.tree,
-                "HEADLINE_COLUMNS in obs/trend.py must be a literal "
-                "tuple of headline metric names",
-            )
-            return
-        if history_ctx is None:
-            return
-        fields = _tuple_literal(history_ctx.tree, "HEADLINE_FIELDS")
-        if fields is None:
-            report(
-                history_ctx, history_ctx.tree,
-                "HEADLINE_FIELDS in obs/history.py must be a literal "
-                "tuple of headline metric names",
-            )
-            return
-        known = {name for name, _node in fields}
-        for name, node in columns:
-            if name not in known:
-                report(
-                    trend_ctx, node,
-                    f"trend headline column {name!r} is not in "
-                    f"HEADLINE_FIELDS of {self.HISTORY}; the ledger "
-                    "never records it",
-                )
-
-    def _check_capacity(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        """Dashboard capacity columns ⊆ recorded sweep point fields."""
-        report_ctx = _find_context(contexts, self.REPORT)
-        if report_ctx is None:
-            return
-        columns = _tuple_literal(report_ctx.tree, "CAPACITY_COLUMNS")
-        if columns is None:
-            report(
-                report_ctx, report_ctx.tree,
-                "CAPACITY_COLUMNS in obs/report.py must be a literal "
-                "tuple of capacity column names",
-            )
-            return
-        capacity_ctx = _find_context(contexts, self.CAPACITY)
-        if capacity_ctx is None:
-            return
-        fields = _tuple_literal(capacity_ctx.tree, "CAPACITY_POINT_FIELDS")
-        if fields is None:
-            report(
-                capacity_ctx, capacity_ctx.tree,
-                "CAPACITY_POINT_FIELDS in analysis/capacity.py must be "
-                "a literal tuple of sweep point field names",
-            )
-            return
-        known = {name for name, _node in fields}
-        for name, node in columns:
-            if name not in known:
-                report(
-                    report_ctx, node,
-                    f"capacity dashboard column {name!r} is not in "
-                    f"CAPACITY_POINT_FIELDS of {self.CAPACITY}; the "
-                    "sweep never records it",
-                )
-
-    def _check_flame(
-        self, contexts: List[FileContext],
-        categories: Optional[Set[str]],
-        event_names: Optional[Dict[str, ast.AST]],
-        report: ProjectReport,
-    ) -> None:
-        flame_ctx = _find_context(contexts, self.FLAME)
-        if flame_ctx is None:
-            return
-        span_keys = _dict_literal_keys(flame_ctx.tree, "SPAN_CATEGORY")
-        span_values = _dict_literal_values(flame_ctx.tree, "SPAN_CATEGORY")
-        if span_keys is None or span_values is None:
-            report(
-                flame_ctx, flame_ctx.tree,
-                "SPAN_CATEGORY in obs/flame.py must be a literal dict "
-                "of span-event-name -> path-category strings",
-            )
-            return
-        if event_names is not None:
-            exact = {k for k in event_names if not k.endswith("*")}
-            wildcards = [k[:-1] for k in event_names if k.endswith("*")]
-            for name, node in span_keys.items():
-                if name in exact or any(
-                    name.startswith(stem) for stem in wildcards
-                ):
-                    continue
-                report(
-                    flame_ctx, node,
-                    f"flamegraph span {name!r} is not in the EVENT_NAMES "
-                    f"registry of {self.EVENTS}; no tracer can ever "
-                    "publish it",
-                )
-        if categories is not None:
-            for category, node in span_values:
-                if category not in categories:
-                    report(
-                        flame_ctx, node,
-                        f"flamegraph category {category!r} is not a "
-                        f"registered path category of {self.TAXONOMY}",
-                    )
-
-    def _check_hostprof(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        ctx = _find_context(contexts, self.HOSTPROF)
-        if ctx is None:
-            return
-        groups = _tuple_literal(ctx.tree, "KERNEL_GROUPS")
-        if groups is None:
-            report(
-                ctx, ctx.tree,
-                "KERNEL_GROUPS in obs/hostprof.py must be a literal "
-                "tuple of (path fragment, group) pairs",
-            )
-            return
-        # hostprof.py sits at <package>/obs/hostprof.py; fragments are
-        # rooted one level above the package ("repro/hw/tlb.py").
-        package_dir = ctx.path.resolve().parent.parent
-        root = package_dir.parent
-        for fragment, node in groups:
-            target = root / fragment
-            if fragment.endswith("/"):
-                ok = target.is_dir()
-            else:
-                ok = target.is_file()
-            if not ok:
-                report(
-                    ctx, node,
-                    f"host-profile group path {fragment!r} does not "
-                    "exist under the package; the attribution would "
-                    "silently stop matching",
-                )

@@ -33,7 +33,6 @@ ALL_RULES: List[Rule] = [
     rules.WallClockRule(),
     rules.SetIterationRule(),
     rules.LayeringRule(),
-    rules.ShimImportRule(),
     rules.ZeroPerturbationRule(),
     rules.HookGuardRule(),
     rules.ErrorDisciplineRule(),
@@ -42,8 +41,6 @@ ALL_RULES: List[Rule] = [
     closure.EventRegistryRule(),
     closure.InvariantRegistrationRule(),
     closure.ExperimentRegistryRule(),
-    closure.AnalyticsCoverageRule(),
-    closure.ObservatoryClosureRule(),
 ]
 
 #: Ids a pragma may name: rules, the engine's pseudo-rules, and the

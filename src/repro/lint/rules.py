@@ -297,37 +297,6 @@ class LayeringRule(Rule):
                         yield node, target
 
 
-# -- deleted shims -----------------------------------------------------------
-
-#: Module paths that once existed as compatibility shims and were
-#: deleted.  Importing them would resurrect the indirection; the rule
-#: names the canonical home so the fix is mechanical.
-_SHIMMED_MODULES: Dict[str, str] = {
-    "repro.sim.clock": "repro.hw.clock",
-    "repro.analysis.experiments": "repro.analysis.specs",
-}
-
-
-class ShimImportRule(Rule):
-    id = "no-shim-import"
-    description = (
-        "deleted compat shims (repro.sim.clock, "
-        "repro.analysis.experiments) must not be imported; use the "
-        "canonical module"
-    )
-
-    def check_file(self, ctx: FileContext, report: Report) -> None:
-        package = ctx.module.split(".", 1)[0]
-        for node, target in LayeringRule._internal_imports(ctx, package):
-            canonical = _SHIMMED_MODULES.get(target)
-            if canonical is not None:
-                report(
-                    node,
-                    f"{target} is a deleted compat shim; import "
-                    f"{canonical} instead",
-                )
-
-
 # -- zero perturbation -------------------------------------------------------
 
 

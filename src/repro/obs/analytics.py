@@ -17,17 +17,26 @@ explicit, so the same run always produces the same block (the engine
 additionally JSON-round-trips it before attaching it to a result, so
 cached and fresh blocks compare equal).
 
-The module-level registries are *literal* tuples/dicts on purpose:
-``repro lint``'s analytics-coverage closure pass reads them from the
-AST and checks that every ``PATH_CATEGORIES`` path category and every
-``EVENT_NAMES`` entry is consumed by at least one derivation here.
+The name tables below are derived from the ``EVENT_NAMES`` registry of
+:mod:`repro.obs.events` and the profiler's ``DISPLAY_ORDER``, so every
+registered event and every path category is consumed by construction.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.events import PH_COMPLETE, PH_COUNTER, PH_INSTANT
+from repro.obs.events import (
+    INSTANT,
+    MONITOR,
+    PH_COMPLETE,
+    PH_COUNTER,
+    PH_INSTANT,
+    SPAN,
+    SPAN_CATEGORY,
+    TRACK,
+    names_of,
+)
 from repro.obs.profiler import DISPLAY_ORDER, merge_attributions
 from repro.perf.histogram import (
     Histogram,
@@ -40,114 +49,35 @@ from repro.perf.histogram import (
 #: workloads, fine enough for the timeline statistics to be meaningful.
 DERIVE_SAMPLE_US = 1000.0
 
-#: Tracer span names whose duration distributions are summarized, in
-#: display order.  Mirrors the span half of ``EVENT_NAMES``.
-SPAN_EVENTS: Tuple[str, ...] = (
-    "hw-walk",
-    "sw-refill",
-    "scavenge-burst",
-    "flush-page",
-    "flush-range",
-    "flush-mm",
-    "flush-everything",
-    "vsid-bump",
-    "reclaim-chunk",
-    "idle-window",
-    "page-fault",
-    "shootdown-drain",
-    "req-queue",
-    "req-run",
-)
+#: Tracer span names whose duration distributions are summarized.
+SPAN_EVENTS = names_of(SPAN)
 
 #: Tracer instant names whose occurrence counts are derived.  The
 #: ``syscall:*`` entry aggregates every suffixed syscall instant.
-INSTANT_EVENTS: Tuple[str, ...] = (
-    "syscall:*",
-    "ctxsw",
-    "wakeup",
-    "sleep",
-    "pipe-create",
-    "pipe-close",
-    "preclear-page",
-    "ipi",
-    "req-arrival",
-    "req-dispatch",
-    "req-complete",
-)
+INSTANT_EVENTS = names_of(INSTANT)
 
 #: Chrome counter tracks whose sample counts are derived.
-COUNTER_TRACKS: Tuple[str, ...] = (
-    "htab",
-    "occupancy",
-    "monitor",
-    "queue-depth",
-    "vsids",
-)
+COUNTER_TRACKS = names_of(TRACK)
 
 #: Hardware-monitor counters whose end-of-run totals feed the
 #: ``counters`` drift section (the numbers ``repro diff`` and the
-#: regression sentinel compare).  Mirrors the monitor half of
-#: ``EVENT_NAMES``.
-DRIFT_COUNTERS: Tuple[str, ...] = (
-    "itlb_miss",
-    "dtlb_miss",
-    "tlb_miss",
-    "htab_search",
-    "htab_hit",
-    "htab_miss",
-    "htab_reload",
-    "htab_evict",
-    "hash_miss_interrupt",
-    "sw_tlb_miss_interrupt",
-    "bat_translation",
-    "icache_miss",
-    "dcache_miss",
-    "page_fault_major",
-    "page_fault_minor",
-    "flush_range_search",
-    "flush_range_lazy",
-    "vsid_bump",
-    "zombie_reclaimed",
-    "pages_precleared",
-    "precleared_page_used",
-    "scavenge_burst",
-    "context_switch",
-    "syscall",
-    "ipi_sent",
-    "ipi_received",
-    "shootdown_deferred",
-    "shootdown_drained",
-    "flush_skipped_reuse",
-    "reuse_pool_hit",
-)
+#: regression sentinel compare).
+DRIFT_COUNTERS = names_of(MONITOR)
 
-#: Path category -> the tracer spans that time it.  Keys cover the full
-#: profiler taxonomy (every ``PATH_CATEGORIES`` value plus the
-#: ``"other"`` fallback); categories whose cost has no span
-#: representation (pure ledger charges like user compute) map to an
-#: empty tuple and are covered by the attribution shares instead.
+#: Path category -> the tracer spans that time it, over the full
+#: profiler taxonomy; categories whose cost has no span representation
+#: (pure ledger charges like user compute) map to an empty tuple and
+#: are covered by the attribution shares instead.
 CATEGORY_SPANS: Dict[str, Tuple[str, ...]] = {
-    "user-compute": (),
-    "memory": (),
-    "tlb-reload": ("hw-walk", "sw-refill", "scavenge-burst"),
-    "flush": (
-        "flush-page", "flush-range", "flush-mm", "flush-everything",
-        "vsid-bump",
-    ),
-    "shootdown": ("shootdown-drain",),
-    "idle": ("reclaim-chunk", "idle-window"),
-    "syscall": (),
-    "fault": ("page-fault",),
-    "scheduling": (),
-    "io": (),
-    "kernel-mm": (),
-    "service": ("req-queue", "req-run"),
-    "other": (),
+    category: tuple(
+        name for name in SPAN_EVENTS if SPAN_CATEGORY[name] == category
+    )
+    for category in DISPLAY_ORDER
 }
 
 #: The combined TLB/hash reload path (§4, Table 1): the tail of these
 #: spans is the paper's headline latency.
-RELOAD_SPANS: Tuple[str, ...] = ("hw-walk", "sw-refill", "scavenge-burst")
+RELOAD_SPANS = CATEGORY_SPANS["tlb-reload"]
 
 #: Percentiles reported for every span distribution.
 PERCENTILES: Tuple[int, ...] = (50, 90, 99)

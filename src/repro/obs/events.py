@@ -22,81 +22,145 @@ array), so any captured run opens directly in Perfetto or
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
-#: The closed registry of every event name this repo may publish —
-#: tracer spans/instants/counter tracks and hardware-monitor counters.
-#: ``repro lint``'s event-registry closure pass statically checks that
-#: every ``tracer.instant/complete/counter`` and ``monitor.count``
-#: callsite uses a name listed here (entries ending in ``*`` match by
-#: prefix, for names carrying a dynamic suffix).  Keep this a literal
-#: dict: the lint pass reads it from the AST, not at runtime.
-EVENT_NAMES: Dict[str, str] = {
+#: Event kinds: who publishes a name, and what the observatory derives.
+SPAN = "span"  # tracer "X" event; duration statistics per path category
+INSTANT = "instant"  # tracer "i" event; occurrence counts
+TRACK = "track"  # tracer "C" counter track; sample counts
+MONITOR = "monitor"  # hardware-monitor counter; end-of-run drift totals
+
+
+class Event(NamedTuple):
+    """One registered event: its kind, its meaning and, for spans, the
+    profiler path category (``PATH_CATEGORIES`` value) it times."""
+
+    kind: str
+    description: str
+    category: str = ""
+
+
+#: The closed registry of every event name this repo may publish, and
+#: the single source the observatory's derived tables are built from
+#: (in this order).  ``repro lint``'s event-registry closure pass
+#: statically checks that every ``tracer.instant/complete/counter`` and
+#: ``monitor.count`` callsite uses a name listed here (entries ending in
+#: ``*`` match by prefix, for names carrying a dynamic suffix), so the
+#: keys stay string literals.
+EVENT_NAMES: Dict[str, Event] = {
     # -- tracer spans (Chrome "X" events) -------------------------------
-    "hw-walk": "604 hardware hash walk resolved a TLB miss",
-    "sw-refill": "software TLB refill through the Linux page tables",
-    "scavenge-burst": "on-miss zombie scavenge burst over the hash table",
-    "flush-page": "single-page invalidate (hash search + tlbie)",
-    "flush-range": "range invalidate by per-page hash search",
-    "flush-mm": "whole-address-space invalidate by hash search",
-    "flush-everything": "global invalidate (counter wrap / reset)",
-    "vsid-bump": "lazy context invalidate by VSID bump (section 7)",
-    "reclaim-chunk": "idle-task zombie reclaim over one hash-table chunk",
-    "idle-window": "one scheduling of the idle task",
-    "page-fault": "demand fault handled (major or minor)",
-    "shootdown-drain": "deferred remote TLB invalidations drained at ctxsw",
-    "req-queue": "service request waiting in its CPU's dispatch queue",
-    "req-run": "service request executing (exec/map/touch/compute)",
+    "hw-walk": Event(SPAN, "604 hardware hash walk resolved a TLB miss",
+                     "tlb-reload"),
+    "sw-refill": Event(
+        SPAN, "software TLB refill through the Linux page tables",
+        "tlb-reload"),
+    "scavenge-burst": Event(
+        SPAN, "on-miss zombie scavenge burst over the hash table",
+        "tlb-reload"),
+    "flush-page": Event(
+        SPAN, "single-page invalidate (hash search + tlbie)", "flush"),
+    "flush-range": Event(
+        SPAN, "range invalidate by per-page hash search", "flush"),
+    "flush-mm": Event(
+        SPAN, "whole-address-space invalidate by hash search", "flush"),
+    "flush-everything": Event(
+        SPAN, "global invalidate (counter wrap / reset)", "flush"),
+    "vsid-bump": Event(
+        SPAN, "lazy context invalidate by VSID bump (section 7)", "flush"),
+    "reclaim-chunk": Event(
+        SPAN, "idle-task zombie reclaim over one hash-table chunk", "idle"),
+    "idle-window": Event(SPAN, "one scheduling of the idle task", "idle"),
+    "page-fault": Event(
+        SPAN, "demand fault handled (major or minor)", "fault"),
+    "shootdown-drain": Event(
+        SPAN, "deferred remote TLB invalidations drained at ctxsw",
+        "shootdown"),
+    "req-queue": Event(
+        SPAN, "service request waiting in its CPU's dispatch queue",
+        "service"),
+    "req-run": Event(
+        SPAN, "service request executing (exec/map/touch/compute)",
+        "service"),
     # -- tracer instants (Chrome "i" events) ----------------------------
-    "syscall:*": "syscall entry, suffixed with the syscall name",
-    "ctxsw": "context switch committed to a task",
-    "wakeup": "sleeping task woken",
-    "sleep": "task put to sleep until a simulated deadline",
-    "pipe-create": "pipe created",
-    "pipe-close": "pipe endpoint closed",
-    "preclear-page": "idle task pre-cleared one free page (section 9)",
-    "ipi": "inter-processor interrupt round for a TLB shootdown",
-    "req-arrival": "open-loop request accepted onto a dispatch queue",
-    "req-dispatch": "service request picked up by a worker",
-    "req-complete": "service request finished, open-loop latency known",
+    "syscall:*": Event(
+        INSTANT, "syscall entry, suffixed with the syscall name"),
+    "ctxsw": Event(INSTANT, "context switch committed to a task"),
+    "wakeup": Event(INSTANT, "sleeping task woken"),
+    "sleep": Event(INSTANT, "task put to sleep until a simulated deadline"),
+    "pipe-create": Event(INSTANT, "pipe created"),
+    "pipe-close": Event(INSTANT, "pipe endpoint closed"),
+    "preclear-page": Event(
+        INSTANT, "idle task pre-cleared one free page (section 9)"),
+    "ipi": Event(
+        INSTANT, "inter-processor interrupt round for a TLB shootdown"),
+    "req-arrival": Event(
+        INSTANT, "open-loop request accepted onto a dispatch queue"),
+    "req-dispatch": Event(INSTANT, "service request picked up by a worker"),
+    "req-complete": Event(
+        INSTANT, "service request finished, open-loop latency known"),
     # -- tracer counter tracks (Chrome "C" events) ----------------------
-    "htab": "hash-table live/zombie occupancy curve",
-    "occupancy": "hash-table valid-entry curve",
-    "monitor": "selected hardware-monitor counter curves",
-    "queue-depth": "pending service requests per dispatch queue",
-    "vsids": "bounded top-K per-VSID hash-table population summary",
+    "htab": Event(TRACK, "hash-table live/zombie occupancy curve"),
+    "occupancy": Event(TRACK, "hash-table valid-entry curve"),
+    "monitor": Event(TRACK, "selected hardware-monitor counter curves"),
+    "queue-depth": Event(
+        TRACK, "pending service requests per dispatch queue"),
+    "vsids": Event(
+        TRACK, "bounded top-K per-VSID hash-table population summary"),
     # -- hardware-monitor counters (republished as instants when the
     # -- tracer's monitor filter selects them) --------------------------
-    "itlb_miss": "instruction TLB miss",
-    "dtlb_miss": "data TLB miss",
-    "tlb_miss": "TLB miss (either side)",
-    "htab_search": "hash-table search started",
-    "htab_hit": "hash-table search found the PTE",
-    "htab_miss": "hash-table search missed",
-    "htab_reload": "PTE installed into the hash table",
-    "htab_evict": "valid PTE evicted to make room",
-    "hash_miss_interrupt": "604 hash-miss trap to the kernel",
-    "sw_tlb_miss_interrupt": "603 software TLB-miss trap",
-    "bat_translation": "access translated by a BAT register",
-    "icache_miss": "instruction-cache miss",
-    "dcache_miss": "data-cache miss",
-    "page_fault_major": "major page fault (backing store)",
-    "page_fault_minor": "minor page fault (mapping only)",
-    "flush_range_search": "flush took the per-page search path",
-    "flush_range_lazy": "flush took the lazy VSID-bump path",
-    "vsid_bump": "context moved onto fresh VSIDs",
-    "zombie_reclaimed": "zombie PTE invalidated (idle task or scavenge)",
-    "pages_precleared": "free page pre-cleared onto the section-9 list",
-    "precleared_page_used": "get_free_page served a pre-cleared page",
-    "scavenge_burst": "on-miss scavenge burst ran",
-    "context_switch": "context switch",
-    "syscall": "syscall entered",
-    "ipi_sent": "shootdown IPI dispatched to a remote CPU",
-    "ipi_received": "shootdown IPI delivered on a remote CPU",
-    "shootdown_deferred": "remote invalidation queued instead of IPI'd",
-    "shootdown_drained": "deferred invalidation applied at context switch",
-    "flush_skipped_reuse": "munmap flush skipped by pooling the region",
-    "reuse_pool_hit": "mmap revived a pooled region without faulting",
+    "itlb_miss": Event(MONITOR, "instruction TLB miss"),
+    "dtlb_miss": Event(MONITOR, "data TLB miss"),
+    "tlb_miss": Event(MONITOR, "TLB miss (either side)"),
+    "htab_search": Event(MONITOR, "hash-table search started"),
+    "htab_hit": Event(MONITOR, "hash-table search found the PTE"),
+    "htab_miss": Event(MONITOR, "hash-table search missed"),
+    "htab_reload": Event(MONITOR, "PTE installed into the hash table"),
+    "htab_evict": Event(MONITOR, "valid PTE evicted to make room"),
+    "hash_miss_interrupt": Event(MONITOR, "604 hash-miss trap to the kernel"),
+    "sw_tlb_miss_interrupt": Event(MONITOR, "603 software TLB-miss trap"),
+    "bat_translation": Event(MONITOR, "access translated by a BAT register"),
+    "icache_miss": Event(MONITOR, "instruction-cache miss"),
+    "dcache_miss": Event(MONITOR, "data-cache miss"),
+    "page_fault_major": Event(MONITOR, "major page fault (backing store)"),
+    "page_fault_minor": Event(MONITOR, "minor page fault (mapping only)"),
+    "flush_range_search": Event(
+        MONITOR, "flush took the per-page search path"),
+    "flush_range_lazy": Event(MONITOR, "flush took the lazy VSID-bump path"),
+    "vsid_bump": Event(MONITOR, "context moved onto fresh VSIDs"),
+    "zombie_reclaimed": Event(
+        MONITOR, "zombie PTE invalidated (idle task or scavenge)"),
+    "pages_precleared": Event(
+        MONITOR, "free page pre-cleared onto the section-9 list"),
+    "precleared_page_used": Event(
+        MONITOR, "get_free_page served a pre-cleared page"),
+    "scavenge_burst": Event(MONITOR, "on-miss scavenge burst ran"),
+    "context_switch": Event(MONITOR, "context switch"),
+    "syscall": Event(MONITOR, "syscall entered"),
+    "ipi_sent": Event(MONITOR, "shootdown IPI dispatched to a remote CPU"),
+    "ipi_received": Event(MONITOR, "shootdown IPI delivered on a remote CPU"),
+    "shootdown_deferred": Event(
+        MONITOR, "remote invalidation queued instead of IPI'd"),
+    "shootdown_drained": Event(
+        MONITOR, "deferred invalidation applied at context switch"),
+    "flush_skipped_reuse": Event(
+        MONITOR, "munmap flush skipped by pooling the region"),
+    "reuse_pool_hit": Event(
+        MONITOR, "mmap revived a pooled region without faulting"),
+}
+
+
+def names_of(kind: str) -> Tuple[str, ...]:
+    """Registered event names of one kind, in registry order."""
+    return tuple(
+        name for name, event in EVENT_NAMES.items() if event.kind == kind
+    )
+
+
+#: Span name -> the path category whose cycles it times.
+SPAN_CATEGORY: Dict[str, str] = {
+    name: EVENT_NAMES[name].category for name in names_of(SPAN)
 }
 
 #: Monitor events republished as trace instants by default.  The cache

@@ -15,11 +15,6 @@ every field of an entry is byte-deterministic for a given bench doc
 ``timings`` and measures the host, not the simulation.  Entries are
 serialized as one compact, key-sorted JSON line each, so the ledger
 diffs line-per-run in review.
-
-``RECORD_FIELDS`` below names the bench-record fields an entry copies
-per experiment; ``repro lint``'s observatory-closure pass checks it
-stays a subset of :data:`repro.obs.metrics.RECORD_REQUIRED`, so the
-ledger can never silently drift from the record schema.
 """
 
 from __future__ import annotations
@@ -35,9 +30,7 @@ from repro.obs import metrics
 HISTORY_SCHEMA = 1
 
 #: Bench-record fields copied verbatim into each entry's per-experiment
-#: sub-record.  A literal tuple on purpose: the observatory-closure
-#: lint pass reads it from the AST and checks every name is in
-#: ``RECORD_REQUIRED`` of ``obs/metrics.py``.
+#: sub-record (each one of :data:`repro.obs.metrics.RECORD_REQUIRED`).
 RECORD_FIELDS = ("total_cycles", "shape_holds", "attribution")
 
 #: Derived headline metrics summarized per experiment (the trend

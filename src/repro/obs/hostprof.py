@@ -15,11 +15,10 @@ determinism contract in this package: two runs of ``repro profile
 numbers.  Nothing here is ever fed into a bench doc's deterministic
 sections.
 
-``KERNEL_GROUPS`` is ordered, first match wins, and is a literal
-tuple on purpose: the observatory-closure lint pass reads it from the
-AST and checks every path suffix names a real module (or package
-directory) of the ``repro`` package, so the attribution can never
-silently rot when files move.
+``KERNEL_GROUPS`` is ordered and first match wins; a unit test checks
+every path fragment names a real module (or package directory) of
+the ``repro`` package, so the attribution cannot silently rot when
+files move.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 #: ``(path fragment, group)`` — a profiled function whose filename
 #: contains the fragment lands in the group; first match wins, so the
-#: specific hot kernels come before their packages.  Checked by
-#: ``repro lint`` against the package tree.
+#: specific hot kernels come before their packages.
 KERNEL_GROUPS: Tuple[Tuple[str, str], ...] = (
     ("repro/hw/tlb.py", "hw.tlb"),
     ("repro/hw/hashtable.py", "hw.hashtable"),

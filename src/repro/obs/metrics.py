@@ -170,9 +170,7 @@ def bench_doc(
 
 #: Keys every bench record must carry — every producer funnels through
 #: :func:`experiment_record`, and :func:`validate_bench_doc` rejects a
-#: record missing any of them.  A literal tuple on purpose: ``repro
-#: lint``'s observatory-closure pass reads it from the AST and checks
-#: the history ledger's ``RECORD_FIELDS`` stay a subset of it.
+#: record missing any of them.
 RECORD_REQUIRED = ("id", "title", "machines", "total_cycles",
                    "shape_holds", "measured", "paper", "attribution",
                    "derived")

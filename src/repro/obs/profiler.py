@@ -51,13 +51,10 @@ PATH_CATEGORIES: Dict[str, str] = {
     "service": "service",
 }
 
-#: Stable display order for rendered breakdowns (largest concerns of the
-#: paper first); categories absent from a run are skipped.
-DISPLAY_ORDER = (
-    "user-compute", "memory", "tlb-reload", "flush", "shootdown", "idle",
-    "syscall", "fault", "scheduling", "io", "kernel-mm", "service",
-    "other",
-)
+#: Every path category in stable display order: first appearance in
+#: ``PATH_CATEGORIES`` (largest concerns of the paper first), then the
+#: "other" fallback.  Categories absent from a run are skipped.
+DISPLAY_ORDER = tuple(dict.fromkeys(PATH_CATEGORIES.values())) + ("other",)
 
 
 class AttributionError(AssertionError):

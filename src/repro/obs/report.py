@@ -43,19 +43,18 @@ CATEGORY_COLORS = {
     "other": "#d4d4d4",
 }
 
-#: Columns of the capacity-curve table, in display order.  Literal
-#: tuple — the observatory-closure pass checks every column is a
-#: recorded CAPACITY_POINT_FIELDS field of ``analysis/capacity.py``.
-CAPACITY_COLUMNS = (
-    "offered_per_s",
-    "throughput_per_s",
-    "latency_p50_us",
-    "latency_p99_us",
-    "latency_p999_us",
-    "queue_depth_max",
-    "zombie_peak",
-    "zombie_queue_correlation",
-)
+#: Capacity-curve table columns in display order: recorded
+#: ``CAPACITY_POINT_FIELDS`` field -> column title.
+CAPACITY_COLUMNS: Dict[str, str] = {
+    "offered_per_s": "offered/s",
+    "throughput_per_s": "throughput/s",
+    "latency_p50_us": "p50 (µs)",
+    "latency_p99_us": "p99 (µs)",
+    "latency_p999_us": "p99.9 (µs)",
+    "queue_depth_max": "queue max",
+    "zombie_peak": "zombie peak",
+    "zombie_queue_correlation": "zombie↔queue r",
+}
 
 _CSS = """
 body { font: 14px/1.5 system-ui, sans-serif; margin: 2em auto;
@@ -465,18 +464,6 @@ def _trend_section(trend: Dict) -> str:
     return "".join(parts)
 
 
-_CAPACITY_TITLES = {
-    "offered_per_s": "offered/s",
-    "throughput_per_s": "throughput/s",
-    "latency_p50_us": "p50 (µs)",
-    "latency_p99_us": "p99 (µs)",
-    "latency_p999_us": "p99.9 (µs)",
-    "queue_depth_max": "queue max",
-    "zombie_peak": "zombie peak",
-    "zombie_queue_correlation": "zombie↔queue r",
-}
-
-
 def _capacity_section(capacity: Dict) -> str:
     """The request-level capacity curves: one table + p99 sparklines.
 
@@ -499,10 +486,7 @@ def _capacity_section(capacity: Dict) -> str:
         "coordinated omission)</p>",
     ]
     rows = ["<table><tr><th>strategy</th>"]
-    rows += [
-        f"<th>{_esc(_CAPACITY_TITLES.get(column, column))}</th>"
-        for column in CAPACITY_COLUMNS
-    ]
+    rows += [f"<th>{_esc(title)}</th>" for title in CAPACITY_COLUMNS.values()]
     rows.append("</tr>")
     for curve in curves:
         for point in curve.get("points", []):

@@ -14,12 +14,8 @@ entries, :func:`trend_doc` returns the same document and
 :func:`render_trend` the same text, byte for byte.  The dashboard's
 trend section (``repro report --history``) builds on the same doc.
 
-``MOVER_CATEGORIES`` is a literal tuple on purpose: the
-observatory-closure lint pass reads it from the AST and checks every
-name is a registered path category of ``obs/profiler.py`` (or its
-``other`` fallback), so the trend table can never rank a category the
-profiler does not produce.  Same for ``HEADLINE_COLUMNS`` against the
-ledger's ``HEADLINE_FIELDS``.
+Category movers tie-break in the profiler's ``DISPLAY_ORDER``, and the
+headline columns are the ledger's ``HEADLINE_FIELDS``.
 """
 
 from __future__ import annotations
@@ -27,19 +23,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.obs import baseline
-
-#: Path categories the per-category movers table ranks, in display
-#: order.  Checked by ``repro lint`` against the profiler's registered
-#: PATH_CATEGORIES values (plus the "other" fallback).
-MOVER_CATEGORIES = (
-    "user-compute", "memory", "tlb-reload", "flush", "shootdown", "idle",
-    "syscall", "fault", "scheduling", "io", "kernel-mm", "other",
-)
-
-#: Headline metrics carried through per step, in display order.
-#: Checked by ``repro lint`` against ``HEADLINE_FIELDS`` of
-#: ``obs/history.py``.
-HEADLINE_COLUMNS = ("top_category", "top_share", "reload_p99", "tlb_miss")
+from repro.obs.history import HEADLINE_FIELDS
+from repro.obs.profiler import DISPLAY_ORDER
 
 #: Longest sparkline series the trend doc carries per experiment (and
 #: for the total); older entries beyond the cap are dropped from the
@@ -127,7 +112,7 @@ def step(
                     "old": before["headline"].get(column),
                     "new": after["headline"].get(column),
                 }
-                for column in HEADLINE_COLUMNS
+                for column in HEADLINE_FIELDS
             },
         }
         experiments[key] = entry
@@ -191,7 +176,7 @@ def _category_movers(old_exp: Dict, new_exp: Dict,
             for category, cycles in exp[key]["attribution"].items():
                 totals.setdefault(category, [0, 0])[side] += cycles
     ranked = []
-    order = {name: rank for rank, name in enumerate(MOVER_CATEGORIES)}
+    order = {name: rank for rank, name in enumerate(DISPLAY_ORDER)}
     for category in sorted(
         totals,
         key=lambda c: (

@@ -1,12 +1,8 @@
-"""Performance-analysis helpers: histograms and summary statistics."""
+"""Performance-analysis helpers: hash-table histograms."""
 
 from repro.perf.histogram import Histogram, occupancy_histogram
-from repro.perf.stats import RunStats, geometric_mean, summarize
 
 __all__ = [
     "Histogram",
-    "RunStats",
-    "geometric_mean",
     "occupancy_histogram",
-    "summarize",
 ]

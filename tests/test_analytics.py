@@ -3,16 +3,20 @@
 Two tiers: pure-function units (percentile, downsampling, histogram
 reduction) and a real observed run of a registry experiment, asserting
 the shape and internal consistency of every section of the derived
-block.  The module's literal registries are also pinned against the
-live taxonomies they mirror, so drift fails here before it fails in
-the lint closure.
+block.  The name tables the module derives from the event registry
+are also pinned against the live taxonomies.
 """
 
 from __future__ import annotations
 
 from repro.obs import analytics
 from repro.obs import session as obs_session
-from repro.obs.events import EVENT_NAMES
+from repro.obs.events import (
+    DEFAULT_MONITOR_EVENTS,
+    EVENT_NAMES,
+    MONITOR,
+    SPAN_CATEGORY,
+)
 from repro.obs.profiler import DISPLAY_ORDER, PATH_CATEGORIES
 from repro.perf.histogram import Histogram
 
@@ -116,7 +120,7 @@ class TestMergedCounts:
 
 
 class TestRegistryMirrors:
-    """The literal registries must track the live taxonomies."""
+    """The derived tables must track the live taxonomies."""
 
     def test_category_spans_cover_the_full_taxonomy(self):
         expected = set(PATH_CATEGORIES.values()) | {"other"}
@@ -141,6 +145,18 @@ class TestRegistryMirrors:
                 assert name in analytics.SPAN_EVENTS
         for name in analytics.RELOAD_SPANS:
             assert name in analytics.SPAN_EVENTS
+
+    def test_every_event_lands_in_one_derived_table(self):
+        derived = (analytics.SPAN_EVENTS + analytics.INSTANT_EVENTS
+                   + analytics.COUNTER_TRACKS + analytics.DRIFT_COUNTERS)
+        assert sorted(derived) == sorted(EVENT_NAMES)
+
+    def test_every_span_category_is_displayed(self):
+        assert set(SPAN_CATEGORY.values()) <= set(DISPLAY_ORDER)
+
+    def test_default_monitor_events_are_monitor_counters(self):
+        for name in DEFAULT_MONITOR_EVENTS:
+            assert EVENT_NAMES[name].kind == MONITOR, name
 
 
 class TestDerive:

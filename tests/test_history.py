@@ -32,6 +32,11 @@ def bench_doc(records, timings=None):
     return metrics.bench_doc(records, timings=timings)
 
 
+class TestRecordFields:
+    def test_copied_fields_are_required_record_keys(self):
+        assert set(history.RECORD_FIELDS) <= set(metrics.RECORD_REQUIRED)
+
+
 class TestHeadline:
     def test_pulls_derived_metrics(self):
         head = history.headline(bench_record())

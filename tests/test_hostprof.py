@@ -8,6 +8,8 @@ rows into the breakdown document, and the rendering — plus one real
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro import __main__ as cli
 from repro.obs import hostprof
 
@@ -43,6 +45,14 @@ class TestGroupFor:
             assert hostprof.group_for(f"/x/{fragment}tail.py"
                                       if fragment.endswith("/")
                                       else f"/x/{fragment}") == group, fragment
+
+    def test_every_group_fragment_exists_in_the_package(self):
+        root = Path(hostprof.__file__).resolve().parents[2]
+        for fragment, _group in hostprof.KERNEL_GROUPS:
+            target = root / fragment
+            exists = target.is_dir() if fragment.endswith("/") \
+                else target.is_file()
+            assert exists, fragment
 
 
 class TestBreakdown:

@@ -1,9 +1,8 @@
-"""Histogram and statistics helpers."""
+"""Histogram helpers."""
 
 import pytest
 
 from repro.perf.histogram import Histogram, miss_histogram, occupancy_histogram
-from repro.perf.stats import RunStats, geometric_mean, summarize
 from repro.hw.hashtable import HashedPageTable
 from repro.hw.pte import HashPte
 
@@ -39,32 +38,3 @@ class TestHistogram:
         misses = miss_histogram(htab)
         assert misses.total == 1
 
-
-class TestStats:
-    def test_summarize_basic(self):
-        stats = summarize([1.0, 2.0, 3.0, 4.0])
-        assert stats.n == 4
-        assert stats.mean == 2.5
-        assert stats.median == 2.5
-        assert stats.minimum == 1.0 and stats.maximum == 4.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_sporadic_outlier_dropped(self):
-        values = [10.0] * 10 + [1000.0]
-        kept = summarize(values, drop_sporadic=True)
-        assert kept.maximum == 10.0
-        raw = summarize(values, drop_sporadic=False)
-        assert raw.maximum == 1000.0
-
-    def test_cv(self):
-        assert summarize([5.0, 5.0]).cv == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])

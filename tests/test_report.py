@@ -220,9 +220,13 @@ class TestCapacitySection:
         html = report.render_report(
             fixture_doc(), capacity=fixture_capacity()
         )
-        for column in report.CAPACITY_COLUMNS:
-            title = report._CAPACITY_TITLES[column]
+        for title in report.CAPACITY_COLUMNS.values():
             assert title in html or title.replace("↔", "&harr;") in html
+
+    def test_every_column_is_a_recorded_point_field(self):
+        from repro.analysis.capacity import CAPACITY_POINT_FIELDS
+
+        assert set(report.CAPACITY_COLUMNS) <= set(CAPACITY_POINT_FIELDS)
 
     def test_capacity_report_is_deterministic(self):
         capacity = fixture_capacity()

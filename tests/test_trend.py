@@ -91,6 +91,13 @@ class TestStep:
             {"category": "tlb-reload", "old": 600, "new": 400, "delta": -200},
         ]
 
+    def test_category_mover_ties_break_in_display_order(self):
+        old = {"E1": {"attribution": {"other": 100, "service": 100}}}
+        new = {"E1": {"attribution": {"other": 150, "service": 50}}}
+        movers = trend._category_movers(old, new, ["E1"])
+        assert [m["category"] for m in movers] == ["service", "other"]
+        assert [m["delta"] for m in movers] == [-50, 50]
+
     def test_movers_ranked_by_magnitude_then_id(self, entries):
         change = trend.step(entries[1], entries[2])
         assert change["movers"] == [{"id": "E2", "delta": 200}]
@@ -127,7 +134,7 @@ class TestStep:
     def test_headline_columns_carried(self, entries):
         change = trend.step(entries[0], entries[1])
         headline = change["experiments"]["E1"]["headline"]
-        assert set(headline) == set(trend.HEADLINE_COLUMNS)
+        assert set(headline) == set(history.HEADLINE_FIELDS)
         assert headline["top_category"] == {
             "old": "tlb-reload", "new": "tlb-reload",
         }
