@@ -26,6 +26,8 @@ from repro.params import BAT_MAX_BLOCK, BAT_MIN_BLOCK, NUM_DBATS, NUM_IBATS
 
 #: EAs are compared against BEPI above this bit.
 _BEPI_SHIFT = 17
+#: Offset bits within the smallest (128 KB) block.
+_LOW_MASK = (1 << _BEPI_SHIFT) - 1
 _BL_FIELD_BITS = 11
 
 
@@ -97,12 +99,8 @@ class BatRegister:
 
     def translate(self, ea: int) -> int:
         """Physical address for a matching EA (caller checks ``matches``)."""
-        block_offset = ea & ((self.bl << _BEPI_SHIFT) | (_low_mask()))
+        block_offset = ea & ((self.bl << _BEPI_SHIFT) | _LOW_MASK)
         return ((self.brpn & ~self.bl) << _BEPI_SHIFT) | block_offset
-
-
-def _low_mask() -> int:
-    return (1 << _BEPI_SHIFT) - 1
 
 
 class BatArray:

@@ -164,10 +164,6 @@ class Cache:
             self._dirty.add(line_addr)
         return cycles
 
-    def touch_line(self, line_addr: int, write: bool = False) -> int:
-        """Access by line address (used by the page-visit fast path)."""
-        return self.access(line_addr * self.line_size, write=write)
-
     # -- batched kernels ---------------------------------------------------
 
     def access_page_lines(
@@ -177,12 +173,11 @@ class Cache:
         lines: int,
         write: bool = False,
         inhibited: bool = False,
-        page_size: int = PAGE_SIZE,
     ) -> tuple:
         """A page visit's worth of line accesses in one call.
 
         Touches line indices ``first_line .. first_line + lines - 1``
-        within the page at ``page_base``, wrapping at ``page_size`` the
+        within the page at ``page_base``, wrapping at ``PAGE_SIZE`` the
         way :meth:`~repro.hw.machine.MachineModel.access_page` staggers
         hot pages.  Equivalent to ``lines`` scalar :meth:`access` calls
         in the same order — same LRU transitions, statistics, writeback
@@ -242,7 +237,7 @@ class Cache:
         evictions = 0
         miss_events = 0
         pure = True
-        lines_per_page = page_size // line_size
+        lines_per_page = PAGE_SIZE // line_size
         base_line = page_base // line_size
         index = first_line
         remaining = lines

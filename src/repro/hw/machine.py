@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from repro.errors import ConfigError, TranslationError
 from repro.hw.access import AccessKind
 from repro.hw.addr import ea_page_index, physical_address
-from repro.hw.cache import Cache
 from repro.hw.cpu import CpuState
 from repro.hw.hashtable import HashedPageTable
 from repro.hw.tlb import Tlb, TlbEntry
@@ -159,50 +158,36 @@ class MachineModel:
         """The kernel installs its TLB/hash-miss handler here."""
         self.refill_handler = handler
 
-    def tlb_for(self, kind: AccessKind) -> Tlb:
-        return self.itlb if kind is AccessKind.INSTRUCTION else self.dtlb
-
-    def cache_for(self, kind: AccessKind) -> Cache:
-        return self.icache if kind is AccessKind.INSTRUCTION else self.dcache
-
     # -- the translation datapath ----------------------------------------------
 
     def translate(
         self, ea: int, kind: AccessKind = AccessKind.DATA, write: bool = False
     ) -> TranslationResult:
         """Translate one EA, charging all miss costs to the ledger."""
-        result = self._translate(ea, kind, write)
+        result = TranslationResult(*self._translate(ea, kind, write))
         if self.sanitizer is not None:
             self.sanitizer.check_translation(ea, kind, write, result)
         return result
 
-    def _translate(
-        self, ea: int, kind: AccessKind, write: bool
-    ) -> TranslationResult:
+    # The private paths below return plain ``(pa, cycles, path,
+    # cache_inhibited)`` tuples, the fields of a TranslationResult, so
+    # the per-visit hot path builds no result object.
+
+    def _translate(self, ea: int, kind: AccessKind, write: bool) -> tuple:
         # Block address translation proceeds in parallel with the page
         # lookup and wins if it matches (§3) — zero added latency.
         bat = self.bats.lookup(ea, instruction=kind is AccessKind.INSTRUCTION)
         if bat is not None:
             self.monitor.count("bat_translation")
-            return TranslationResult(
-                pa=bat.translate(ea),
-                cycles=0,
-                path="bat",
-                cache_inhibited=bool(bat.wimg & 0b0100),
-            )
+            return bat.translate(ea), 0, "bat", bool(bat.wimg & 0b0100)
 
         vsid = self.segments.vsid_for(ea)
         page_index = ea_page_index(ea)
-        tlb = self.tlb_for(kind)
+        tlb = self.itlb if kind is AccessKind.INSTRUCTION else self.dtlb
         entry = tlb.lookup(vsid, page_index)
         if entry is not None:
             pa = physical_address(entry.ppn, ea & PAGE_OFFSET_MASK)
-            return TranslationResult(
-                pa=pa,
-                cycles=0,
-                path="tlb",
-                cache_inhibited=entry.cache_inhibited,
-            )
+            return pa, 0, "tlb", entry.cache_inhibited
         return self._tlb_miss(ea, kind, write, vsid, page_index, tlb)
 
     def _tlb_miss(
@@ -213,7 +198,7 @@ class MachineModel:
         vsid: int,
         page_index: int,
         tlb: Tlb,
-    ) -> TranslationResult:
+    ) -> tuple:
         self.monitor.count(
             "itlb_miss" if kind is AccessKind.INSTRUCTION else "dtlb_miss"
         )
@@ -247,12 +232,7 @@ class MachineModel:
                     "hw-walk", "mmu", cycles, {"ea": hex(ea)}
                 )
             pa = physical_address(entry.ppn, ea & PAGE_OFFSET_MASK)
-            return TranslationResult(
-                pa=pa,
-                cycles=cycles,
-                path="hw_walk",
-                cache_inhibited=entry.cache_inhibited,
-            )
+            return pa, cycles, "hw_walk", entry.cache_inhibited
         # Hash-table miss: trap to the kernel.
         self.monitor.count("htab_miss")
         self.monitor.count("hash_miss_interrupt")
@@ -276,12 +256,7 @@ class MachineModel:
             raise TranslationError(ea, "refill handler could not map address")
         tlb.insert(refill.entry)
         pa = physical_address(refill.entry.ppn, ea & PAGE_OFFSET_MASK)
-        return TranslationResult(
-            pa=pa,
-            cycles=cycles,
-            path="handler",
-            cache_inhibited=refill.entry.cache_inhibited,
-        )
+        return pa, cycles, "handler", refill.entry.cache_inhibited
 
     # -- memory accesses ---------------------------------------------------------
 
@@ -321,23 +296,23 @@ class MachineModel:
         starting at ``first_line`` (callers stagger this so different hot
         pages do not artificially alias into the same cache sets).
         """
-        result = self.translate(ea, kind, write)
-        cache = self.cache_for(kind)
-        page_base = result.pa & ~PAGE_OFFSET_MASK
-        mem_cycles, misses = cache.access_page_lines(
-            page_base,
-            first_line,
-            lines,
-            write=write,
-            inhibited=result.cache_inhibited,
-        )
-        if misses and not result.cache_inhibited:
-            miss_event = (
-                "icache_miss" if kind is AccessKind.INSTRUCTION else "dcache_miss"
+        outcome = self._translate(ea, kind, write)
+        if self.sanitizer is not None:
+            self.sanitizer.check_translation(
+                ea, kind, write, TranslationResult(*outcome)
             )
+        pa, cycles, _path, inhibited = outcome
+        if kind is AccessKind.INSTRUCTION:
+            cache, miss_event = self.icache, "icache_miss"
+        else:
+            cache, miss_event = self.dcache, "dcache_miss"
+        mem_cycles, misses = cache.access_page_lines(
+            pa & ~PAGE_OFFSET_MASK, first_line, lines, write, inhibited
+        )
+        if misses and not inhibited:
             self._count_misses(miss_event, misses)
         self.clock.add(mem_cycles, "mem")
-        return result.cycles + mem_cycles
+        return cycles + mem_cycles
 
     def _count_misses(self, miss_event: str, misses: int) -> None:
         """Count a batch of cache-miss events, trace-exactly.

@@ -23,15 +23,17 @@ class HardwareMonitor:
 
     def __init__(self):
         self._counters: Counter = Counter()
-        #: Optional event tracer; when attached, every counted event is
-        #: republished on the trace bus (the tracer filters for itself).
+        #: Optional event tracer; when attached, counted events its
+        #: ``monitor_events`` filter selects are republished on the
+        #: trace bus.
         self.tracer = None
 
     def count(self, event: str, amount: int = 1) -> None:
         """Increment a named event counter."""
         self._counters[event] += amount
-        if self.tracer is not None:
-            self.tracer.on_monitor_event(event, amount)
+        tracer = self.tracer
+        if tracer is not None and event in tracer.config.monitor_events:
+            tracer.on_monitor_event(event, amount)
 
     def __getitem__(self, event: str) -> int:
         return self._counters.get(event, 0)

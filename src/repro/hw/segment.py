@@ -40,8 +40,11 @@ class SegmentRegisterFile:
             raise ConfigError(
                 f"expected {NUM_SEGMENT_REGISTERS} VSIDs, got {len(vsids)}"
             )
-        for index, vsid in enumerate(vsids):
-            self.write(index, vsid)
+        for vsid in vsids:
+            if not 0 <= vsid <= VSID_MASK:
+                raise ConfigError(f"VSID out of range: {vsid:#x}")
+        # All-or-nothing: a bad VSID leaves every register unchanged.
+        self._vsids[:] = vsids
 
     def vsid_for(self, ea: int) -> int:
         """The VSID the hardware selects for an effective address."""

@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import ConfigError
 from repro.hw.cache import Cache
 from repro.hw.hashtable import HashedPageTable
 from repro.hw.pte import HashPte
-from repro.params import PTE_BYTES, PTES_PER_GROUP
+from repro.params import PAGE_SIZE, PTE_BYTES, PTES_PER_GROUP
 
 #: Bytes per PTEG at the architected default geometry.  Instances use
 #: ``self.pteg_bytes``, derived from their table's actual group size.
@@ -66,6 +67,12 @@ class HardwareWalker:
         htab_base_pa: int,
         cache_ptes: bool = True,
     ):
+        if dcache.line_size % PTE_BYTES:
+            # Probe and scan charging count whole PTEs per cache line.
+            raise ConfigError(
+                f"cache line of {dcache.line_size}B does not hold a whole "
+                f"number of {PTE_BYTES}B PTEs"
+            )
         self.htab = htab
         self.dcache = dcache
         self.htab_base_pa = htab_base_pa
@@ -77,17 +84,6 @@ class HardwareWalker:
     def pte_physical_address(self, group_index: int, slot: int) -> int:
         """Physical address of one PTE slot in the in-memory table."""
         return self.htab_base_pa + group_index * self.pteg_bytes + slot * PTE_BYTES
-
-    def _probe_charger(self, charges: list, write: bool = False):
-        def probe(group_index: int, slot: int) -> None:
-            charges[0] += WALK_CYCLES_PER_REF
-            charges[0] += self.dcache.access(
-                self.pte_physical_address(group_index, slot),
-                write=write,
-                inhibited=not self.cache_ptes,
-            )
-
-        return probe
 
     def charge_probe_run(
         self, group_index: int, count: int, inhibited: bool
@@ -102,16 +98,7 @@ class HardwareWalker:
         if inhibited:
             dcache.stats.bypasses += count
             return dcache.word_cycles * count
-        line_size = dcache.line_size
-        slots_per_line = line_size // PTE_BYTES
-        if slots_per_line <= 0 or line_size % PTE_BYTES:
-            # Degenerate geometry (lines smaller than a PTE): no two
-            # probes share a line, fall back to per-slot accesses.
-            base = self.pte_physical_address(group_index, 0)
-            return sum(
-                dcache.access(base + slot * PTE_BYTES)
-                for slot in range(count)
-            )
+        slots_per_line = dcache.line_size // PTE_BYTES
         base = self.pte_physical_address(group_index, 0)
         cycles = 0
         slot = 0
@@ -129,14 +116,17 @@ class HardwareWalker:
         The idle reclaim and on-demand scavenge scans stream PTE tag
         words; one memory access covers a cache line's worth of slots,
         charged at every line-aligned flat slot index the window crosses
-        (wrapping at the table size).  Equivalent to the old per-slot
-        loop testing ``flat % slots_per_line == 0``, with the geometry
-        derived from ``PTE_BYTES`` and the table's actual group size
-        rather than hard-coded eights.
+        (wrapping at the table size).  Those slots sit one line apart,
+        so each stretch of the window up to the table's end is a run of
+        consecutive cache lines, charged page by page through
+        :meth:`Cache.access_page_lines` — the same accesses, in the same
+        order, as one scalar ``dcache.access`` per line-aligned slot.
         """
         dcache = self.dcache
         slots = self.htab.slots
-        slots_per_line = max(dcache.line_size // PTE_BYTES, 1)
+        line_size = dcache.line_size
+        slots_per_line = line_size // PTE_BYTES
+        lines_per_page = PAGE_SIZE // line_size
         base = self.htab_base_pa
         cycles = 0
         position = start % slots
@@ -144,10 +134,17 @@ class HardwareWalker:
         while remaining > 0:
             run = min(remaining, slots - position)
             first = position + (-position) % slots_per_line
-            for flat in range(first, position + run, slots_per_line):
-                cycles += dcache.access(
-                    base + flat * PTE_BYTES, write=False, inhibited=inhibited
-                )
+            lines = len(range(first, position + run, slots_per_line))
+            line = (base + first * PTE_BYTES) // line_size
+            while lines > 0:
+                offset = line % lines_per_page
+                chunk = min(lines, lines_per_page - offset)
+                cycles += dcache.access_page_lines(
+                    (line - offset) * line_size, offset, chunk,
+                    inhibited=inhibited,
+                )[0]
+                line += chunk
+                lines -= chunk
             remaining -= run
             position = 0
         return cycles

@@ -85,6 +85,26 @@ DYNLINK_REMAP_PAGES = 48
 LIBC_IMAGE = "lib:libc.so"
 LIBC_PAGES = 64
 
+#: ``KERNEL_FOOTPRINT`` resolved once into each operation's page visits,
+#: ``(ea, lines, write, kind, first_line)`` in touch order: text pages,
+#: then data pages, each staggered so hot pages do not alias one set.
+_KERNEL_VISITS: Dict[str, Tuple[tuple, ...]] = {
+    op: tuple(
+        [
+            (KERNELBASE + page * PAGE_SIZE, text_lines, False,
+             AccessKind.INSTRUCTION, (page * 37) % 96)
+            for page in text_pages
+        ]
+        + [
+            (KERNELBASE + KERNEL_DATA_OFFSET + page * PAGE_SIZE, data_lines,
+             True, AccessKind.DATA, (page * 53) % 96)
+            for page in data_pages
+        ]
+    )
+    for op, (text_pages, text_lines, data_pages, data_lines)
+    in KERNEL_FOOTPRINT.items()
+}
+
 
 class _KernelMm:
     """The kernel's own address space: just the direct-map page table."""
@@ -272,25 +292,9 @@ class Kernel:
         With the BAT map these accesses translate for free; without it
         they occupy TLB entries like any other page.
         """
-        footprint = KERNEL_FOOTPRINT.get(op)
-        if footprint is None:
-            return
-        text_pages, text_lines, data_pages, data_lines = footprint
-        machine = self.machine
-        for page in text_pages:
-            machine.access_page(
-                KERNELBASE + page * PAGE_SIZE,
-                lines=text_lines,
-                kind=AccessKind.INSTRUCTION,
-                first_line=(page * 37) % 96,
-            )
-        for page in data_pages:
-            machine.access_page(
-                KERNELBASE + KERNEL_DATA_OFFSET + page * PAGE_SIZE,
-                lines=data_lines,
-                write=True,
-                first_line=(page * 53) % 96,
-            )
+        access_page = self.machine.access_page
+        for ea, lines, write, kind, first_line in _KERNEL_VISITS.get(op, ()):
+            access_page(ea, lines, write, kind, first_line)
 
     def _syscall_entry(self, name: str) -> None:
         if self.config.syscall_entry_cycles is not None:
@@ -422,15 +426,11 @@ class Kernel:
         if self.config.cache_preloads:
             # §10.2: touch the switch path's data ahead of using it; the
             # fills hide under the register save/restore below.
-            from repro.kernel.syscall import KERNEL_FOOTPRINT
-
-            _text, _tl, data_pages, data_lines = KERNEL_FOOTPRINT["ctxsw"]
-            for page in data_pages:
-                machine.prefetch_page_lines(
-                    KERNELBASE + KERNEL_DATA_OFFSET + page * PAGE_SIZE,
-                    lines=data_lines,
-                    first_line=(page * 53) % 96,
-                )
+            for ea, lines, _write, kind, first_line in _KERNEL_VISITS["ctxsw"]:
+                if kind is AccessKind.DATA:
+                    machine.prefetch_page_lines(
+                        ea, lines=lines, first_line=first_line
+                    )
             machine.prefetch_page_lines(
                 KERNELBASE + self.task_struct_pa, lines=4
             )

@@ -279,10 +279,13 @@ class EventTracer:
         )
 
     def on_monitor_event(self, event: str, amount: int = 1) -> None:
-        """Hardware-monitor hook: republish counted events as instants."""
-        if event in self.config.monitor_events:
-            args = None if amount == 1 else {"count": amount}
-            self.instant(event, "monitor", args)
+        """Hardware-monitor hook: republish a counted event as an instant.
+
+        The monitor calls it only for events ``config.monitor_events``
+        selects.
+        """
+        args = None if amount == 1 else {"count": amount}
+        self.instant(event, "monitor", args)
 
     @property
     def dropped(self) -> int:

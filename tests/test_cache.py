@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.hw.cache import Cache
-from repro.params import L1_HIT_CYCLES
+from repro.hw.cpu import CpuState
+from repro.hw.hashtable import HashedPageTable
+from repro.params import L1_HIT_CYCLES, LINES_PER_PAGE, M604_185, PAGE_SIZE
 
 
 def l1(mem=50, word=10, next_level=None):
@@ -148,3 +150,134 @@ class TestProperties:
         for address, write in operations:
             cache.access(address, write=write)
         assert cache.stats.hits + cache.stats.misses == len(operations)
+
+
+# -- the page kernel against the scalar loop -----------------------------------
+
+def hierarchy_604():
+    """The 604's L1 D-cache over its board-level L2, as booted."""
+    htab = HashedPageTable(groups=64)
+    return CpuState(0, M604_185, htab, htab_base_pa=0x100000).dcache
+
+
+def hierarchy_small(l2_line=32):
+    """A tiny L1 over a tiny L2: visits evict at both levels."""
+    l2 = Cache(4096, 4, mem_cycles=60, line_size=l2_line, word_cycles=9,
+               hit_cycles=12)
+    return Cache(1024, 2, mem_cycles=50, line_size=32, word_cycles=10,
+                 next_level=l2)
+
+
+HIERARCHIES = {
+    "604": hierarchy_604,
+    "small": hierarchy_small,
+    "small-l2-64B-lines": lambda: hierarchy_small(l2_line=64),
+}
+
+
+def scalar_page_visit(cache, page_base, first_line, lines, write, inhibited):
+    """The reference: one scalar access per line, wrapping in the page."""
+    lines_per_page = PAGE_SIZE // cache.line_size
+    cycles = misses = 0
+    for index in range(first_line, first_line + lines):
+        cost = cache.access(
+            page_base + (index % lines_per_page) * cache.line_size,
+            write=write,
+            inhibited=inhibited,
+        )
+        cycles += cost
+        if cost > 1 and not inhibited:
+            misses += 1
+    return cycles, misses
+
+
+def cache_state(cache):
+    """Statistics, tags and dirty lines of every level, top first."""
+    levels = []
+    while cache is not None:
+        levels.append((cache.stats, cache._sets, cache._dirty))
+        cache = cache.next_level
+    return levels
+
+
+_visit = st.tuples(
+    st.just("visit"),
+    st.integers(0, 11),                      # page
+    st.integers(0, LINES_PER_PAGE - 1),      # first line
+    st.integers(1, LINES_PER_PAGE),          # lines (may wrap the page)
+    st.booleans(),                           # write
+    st.sampled_from((False, False, False, True)),  # inhibited
+)
+_operations = st.lists(
+    st.one_of(
+        _visit,
+        st.just(("repeat",)),
+        st.tuples(st.just("invalidate"), st.integers(0, 1),
+                  st.integers(0, 11)),
+        st.tuples(st.just("flush"), st.integers(0, 1)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestPageKernelDifferential:
+    """``access_page_lines`` equals the scalar ``access`` loop exactly."""
+
+    @pytest.mark.parametrize("geometry", sorted(HIERARCHIES))
+    @settings(max_examples=60, deadline=None)
+    @given(operations=_operations)
+    def test_matches_scalar_loop(self, geometry, operations):
+        batched = HIERARCHIES[geometry]()
+        scalar = HIERARCHIES[geometry]()
+        last = None
+        for operation in operations:
+            if operation[0] == "repeat":
+                if last is None:
+                    continue
+                operation = last
+            kind = operation[0]
+            if kind == "visit":
+                _, page, first_line, lines, write, inhibited = operation
+                page_base = (0x40 + page) * PAGE_SIZE
+                got = batched.access_page_lines(
+                    page_base, first_line, lines, write, inhibited
+                )
+                want = scalar_page_visit(
+                    scalar, page_base, first_line, lines, write, inhibited
+                )
+                assert got == want, operation
+                last = operation
+            else:
+                targets = (batched, scalar) if operation[1] == 0 else (
+                    batched.next_level, scalar.next_level)
+                if kind == "invalidate":
+                    got, want = (cache.invalidate_page(0x40 + operation[2])
+                                 for cache in targets)
+                else:
+                    got, want = (cache.flush_all() for cache in targets)
+                assert got == want
+            assert cache_state(batched) == cache_state(scalar), operation
+
+    def test_exact_repeat_replays_from_memo(self):
+        batched, scalar = hierarchy_small(), hierarchy_small()
+        visit = (0x40 * PAGE_SIZE, 3, 8, True, False)
+        for repeat in range(3):
+            if repeat == 2:
+                # The second visit changed nothing, so this one replays.
+                assert batched._pure_visits
+            got = batched.access_page_lines(*visit)
+            assert got == scalar_page_visit(scalar, *visit)
+            assert cache_state(batched) == cache_state(scalar)
+
+    def test_dirty_victims_written_back_into_l2(self):
+        batched, scalar = hierarchy_small(), hierarchy_small()
+        # 1 KB 2-way L1 with 16 sets: three pages' first 16 lines
+        # collide in every set, so the third visit evicts dirty lines.
+        for page in range(3):
+            visit = ((0x40 + page) * PAGE_SIZE, 0, 16, True, False)
+            assert batched.access_page_lines(*visit) == scalar_page_visit(
+                scalar, *visit)
+        assert batched.stats.writebacks == 16
+        assert batched.next_level._dirty
+        assert cache_state(batched) == cache_state(scalar)

@@ -41,6 +41,18 @@ class TestContextLoad:
         with pytest.raises(ConfigError):
             srf.load_context([1, 2, 3])
 
+    @pytest.mark.parametrize("position", range(NUM_SEGMENT_REGISTERS))
+    @pytest.mark.parametrize("bad", [VSID_MASK + 1, -1])
+    def test_load_context_bad_vsid_changes_nothing(self, position, bad):
+        srf = SegmentRegisterFile()
+        before = tuple(range(200, 216))
+        srf.load_context(before)
+        vsids = list(range(100, 116))
+        vsids[position] = bad
+        with pytest.raises(ConfigError):
+            srf.load_context(vsids)
+        assert srf.snapshot() == before
+
     def test_vsid_for_uses_top_bits(self):
         srf = SegmentRegisterFile()
         srf.load_context(list(range(16)))
