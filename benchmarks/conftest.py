@@ -7,33 +7,22 @@ repetition only wastes time), asserts the paper's qualitative shape,
 and archives the human-readable report under ``benchmarks/reports/``
 for EXPERIMENTS.md.
 
-Each run also happens under the flight recorder's cycle profiler (zero
-perturbation, see ``repro.obs``), so ``record_report`` can write a
-machine-readable ``reports/<id>.json`` record next to the text report
-and keep the repo-root ``BENCH_results.json`` aggregate current.  The
-result cache is deliberately not consulted: a benchmark that returned
-a cached result would time nothing and observe nothing.
+The suite writes text reports only.  The machine-readable bench doc
+has one producer, ``python -m repro run --all --bench-out FILE``, and
+host time is measured by ``perfbench/``.  The result cache is
+deliberately not consulted: a benchmark that returned a cached result
+would run nothing.
 """
 
 from __future__ import annotations
 
 import pathlib
-import time
-from typing import Dict
 
 import pytest
 
-from repro import obs
 from repro.analysis import engine, specs
-from repro.obs import metrics
 
 REPORTS_DIR = pathlib.Path(__file__).parent / "reports"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-BENCH_RESULTS = REPO_ROOT / "BENCH_results.json"
-
-#: Wall seconds per experiment, accumulated across the session and
-#: written into BENCH_results.json's (nondeterministic) timings section.
-_TIMINGS: Dict[str, float] = {}
 
 
 @pytest.fixture(scope="session")
@@ -42,19 +31,9 @@ def report_dir() -> pathlib.Path:
     return REPORTS_DIR
 
 
-@pytest.fixture(autouse=True)
-def _observe_experiments():
-    """Profile every Simulator the benchmark's experiment boots."""
-    obs.enable_global_observability(profile=True)
-    try:
-        yield
-    finally:
-        obs.disable_global_observability()
-
-
 @pytest.fixture
 def record_report(report_dir):
-    """Save an experiment's report (text + JSON) and echo it."""
+    """Save an experiment's text report and echo it."""
 
     def _record(result):
         path = report_dir / f"{result.experiment}.txt"
@@ -63,14 +42,6 @@ def record_report(report_dir):
             body += f"\n  notes: {result.notes}"
         body += f"\n  shape_holds: {result.shape_holds}\n"
         path.write_text(body)
-        observed = obs.drain_global_observed()
-        record = metrics.experiment_record(
-            result, observed, spec=specs.SPECS[result.experiment]
-        )
-        metrics.write_experiment_record(record, report_dir)
-        metrics.write_bench_results(
-            report_dir, BENCH_RESULTS, timings=dict(_TIMINGS)
-        )
         print()
         print(body)
         return result
@@ -81,9 +52,6 @@ def record_report(report_dir):
 def run_spec(benchmark, experiment_id: str):
     """Execute one spec through the engine under pytest-benchmark."""
     spec = specs.SPECS[experiment_id]
-    start = time.monotonic()
-    result = benchmark.pedantic(
+    return benchmark.pedantic(
         engine.execute, args=(spec,), rounds=1, iterations=1
     )
-    _TIMINGS[experiment_id] = time.monotonic() - start
-    return result

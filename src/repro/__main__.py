@@ -8,28 +8,28 @@ Subcommands:
   registry, ``--jobs N`` fans it out across processes (output is
   byte-identical to serial), ``--no-cache``/``--rerun`` control the
   on-disk result cache, ``--matrix NAME`` runs a config-matrix sweep,
-  and ``--bench-out FILE`` writes a BENCH_results.json-style artifact
-  with per-experiment wall times.
+  and ``--bench-out FILE`` writes the bench doc (the one producer of
+  ``BENCH_baseline.json``-style artifacts; byte-identical across
+  ``--jobs``).
 * ``check [E6 ...|--all]`` — run experiments under the shadow-MMU
   coherence sanitizer and report invariant violations.
 * ``trace E7 --out e7.trace.json`` — run one experiment under the flight
   recorder and write a Chrome trace (open it in Perfetto).
   ``--folded``/``--speedscope`` additionally export flamegraphs
   (collapsed stacks / speedscope JSON) and print the critical path.
-* ``profile E6 ...`` — run experiments and print where the cycles went.
-  ``--host`` instead profiles the *host* CPU seconds under cProfile,
-  folded onto the simulator's hot kernels.
+* ``profile E6 ...`` — run experiments and print where the cycles went
+  (every CPU's ledger; host time is ``perfbench/``'s to measure).
 * ``diff A.json B.json`` / ``diff E7 --variant "no reclaim,idle
   reclaim"`` — structural comparison of two bench artifacts, or of two
   config variants of one experiment run under the recorder.
 * ``bench compare BASELINE NEW`` — the regression sentinel: compare a
-  fresh bench artifact against the committed baseline under the
-  tolerance policy; nonzero exit on regression.
+  fresh bench artifact against the committed baseline leaf for leaf;
+  exit 1 on any changed, missing or extra leaf.
 * ``bench append RESULTS`` — append a run (with git provenance and an
   optional sentinel verdict) to the BENCH_history.jsonl ledger.
 * ``trend`` — per-PR deltas over the history ledger: exact cycle
-  movers, per-category movers, policy-banded wall times
-  (``--json`` for the machine-readable trend document).
+  movers and per-category movers (``--json`` for the machine-readable
+  trend document).
 * ``capacity`` — sweep offered load across flush/shootdown strategies
   with the open-loop service workload and print the throughput-vs-p99
   capacity table (``--json``/``--out`` for the machine-readable
@@ -127,9 +127,7 @@ def _write_bench_artifact(out_path, run) -> None:
     from repro.obs import metrics
 
     doc = metrics.bench_doc(
-        [engine.result_record(result) for result in run.results],
-        source="python -m repro run --bench-out",
-        timings=run.timings,
+        [engine.result_record(result) for result in run.results]
     )
     metrics.validate_bench_doc(doc)
     with open(out_path, "w") as handle:
@@ -249,8 +247,6 @@ def _cmd_profile(args) -> int:
     from repro.obs import session as obs_session
     from repro.obs.profiler import render_attribution
 
-    if args.host:
-        return _cmd_profile_host(args)
     records = []
     for experiment_id in args.ids:
         key = experiment_id.upper()
@@ -258,36 +254,16 @@ def _cmd_profile(args) -> int:
             print(f"unknown experiment {experiment_id!r} "
                   f"(try: python -m repro list)", file=sys.stderr)
             return 2
-        observed = obs_session.run_observed(key)
+        record = obs_session.run_observed(key).record()
         if args.json:
-            records.append(observed.record())
+            records.append(record)
             continue
-        title = (f"{key} — {observed.result.title} "
-                 f"[{', '.join(observed.machines())}]")
-        print(render_attribution(observed.attribution(), title))
+        title = f"{key} — {record['title']} [{record['machine']}]"
+        print(render_attribution(record["attribution"], title))
         print()
     if args.json:
         doc = records[0] if len(records) == 1 else records
         print(metrics.dumps(doc), end="")
-    return 0
-
-
-def _cmd_profile_host(args) -> int:
-    from repro.obs import hostprof, metrics
-
-    ids = []
-    for experiment_id in args.ids:
-        key = experiment_id.upper()
-        if key not in specs.SPECS:
-            print(f"unknown experiment {experiment_id!r} "
-                  f"(try: python -m repro list)", file=sys.stderr)
-            return 2
-        ids.append(key)
-    doc = hostprof.profile_experiments(ids)
-    if args.json:
-        print(metrics.dumps(doc), end="")
-    else:
-        print(hostprof.render_host_profile(doc), end="")
     return 0
 
 
@@ -321,13 +297,8 @@ def _cmd_diff(args) -> int:
         if args.json:
             print(metrics.dumps(per_experiment), end="")
             return 0
-        for key, entry in per_experiment.items():
-            if not (entry["changed"] or entry["only_a"] or entry["only_b"]):
-                continue
-            print(obs_diff.render_diff(
-                entry, f"{args.a}:{key}", f"{args.b}:{key}",
-            ))
-            print()
+        for line in obs_diff.render_doc_diff(per_experiment, args.a, args.b):
+            print(line)
         print(f"{len(per_experiment)} experiments compared")
         return 0
     entry = obs_diff.diff_records(docs[0], docs[1])
@@ -436,38 +407,35 @@ def _cmd_bench_append(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.obs import baseline as obs_baseline
+    from repro.obs import diff as obs_diff
     from repro.obs import metrics
 
     if args.bench_command == "append":
         return _cmd_bench_append(args)
     try:
-        policy = obs_baseline.load_policy(args.policy)
         baseline_doc = metrics.load_bench_doc(args.baseline)
         new_doc = metrics.load_bench_doc(args.new)
     except (OSError, ValueError) as exc:
         print(f"bench compare: {exc}", file=sys.stderr)
         return 2
-    verdict = obs_baseline.compare_docs(baseline_doc, new_doc, policy)
+    verdict = obs_diff.compare_docs(baseline_doc, new_doc)
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(metrics.dumps(verdict.to_record()))
+            handle.write(metrics.dumps(verdict))
         print(f"verdict -> {args.out}", file=sys.stderr)
     if args.json:
-        print(metrics.dumps(verdict.to_record()), end="")
+        print(metrics.dumps(verdict), end="")
     else:
-        print(obs_baseline.render_verdict(verdict, args.baseline, args.new))
-    return 0 if verdict.ok else 1
+        print(obs_diff.render_verdict(verdict, args.baseline, args.new))
+    return 0 if verdict["ok"] else 1
 
 
 def _cmd_trend(args) -> int:
-    from repro.obs import baseline as obs_baseline
     from repro.obs import history, metrics, trend
 
     try:
-        policy = obs_baseline.load_policy(args.policy)
         entries = history.load_history(args.history)
-        doc = trend.trend_doc(entries, policy)
+        doc = trend.trend_doc(entries)
     except (OSError, ValueError) as exc:
         print(f"trend: {exc}", file=sys.stderr)
         return 2
@@ -536,8 +504,6 @@ def _cmd_report(args) -> int:
             rerun=args.rerun,
             progress=progress,
         )
-        # No timings section: the report is deterministic by contract
-        # (byte-identical across repeated runs and across --jobs).
         doc = metrics.bench_doc(
             [engine.result_record(result) for result in run.results],
             source="python -m repro report",
@@ -634,8 +600,7 @@ def main(argv=None) -> int:
     )
     run.add_argument(
         "--bench-out", default=None, metavar="FILE",
-        help="write a BENCH_results.json-style artifact with "
-             "per-experiment wall times",
+        help="write the bench doc (BENCH_baseline.json format)",
     )
     run.add_argument(
         "--json", action="store_true",
@@ -690,11 +655,6 @@ def main(argv=None) -> int:
     )
     prf.add_argument("ids", nargs="+", metavar="EXPERIMENT")
     prf.add_argument(
-        "--host", action="store_true",
-        help="profile host CPU seconds (cProfile) instead of simulated "
-             "cycles, aggregated onto the simulator's hot kernels",
-    )
-    prf.add_argument(
         "--json", action="store_true",
         help="print machine-readable records instead of tables",
     )
@@ -732,7 +692,7 @@ def main(argv=None) -> int:
     )
     app_parser.add_argument(
         "results", metavar="RESULTS",
-        help="bench artifact to record (BENCH_results.json)",
+        help="bench artifact to record (from run --bench-out)",
     )
     app_parser.add_argument(
         "--history", default="BENCH_history.jsonl", metavar="FILE",
@@ -757,18 +717,13 @@ def main(argv=None) -> int:
     )
     cmp_parser = bench_sub.add_parser(
         "compare",
-        help="compare a fresh bench artifact against a baseline under "
-             "the tolerance policy",
+        help="compare a fresh bench artifact against a baseline, leaf "
+             "for leaf",
     )
     cmp_parser.add_argument("baseline", metavar="BASELINE",
                             help="baseline artifact (BENCH_baseline.json)")
     cmp_parser.add_argument("new", metavar="NEW",
                             help="freshly generated artifact to gate")
-    cmp_parser.add_argument(
-        "--policy", default=None, metavar="FILE",
-        help="tolerance policy JSON (default: built-in policy — exact "
-             "for deterministic values, ratio band for wall times)",
-    )
     cmp_parser.add_argument(
         "--json", action="store_true",
         help="print the machine-readable verdict instead of prose",
@@ -783,11 +738,6 @@ def main(argv=None) -> int:
     trd.add_argument(
         "--history", default="BENCH_history.jsonl", metavar="FILE",
         help="ledger file to read (default BENCH_history.jsonl)",
-    )
-    trd.add_argument(
-        "--policy", default=None, metavar="FILE",
-        help="tolerance policy for wall-time banding (default: the "
-             "built-in sentinel policy)",
     )
     trd.add_argument(
         "--limit", type=int, default=5, metavar="N",

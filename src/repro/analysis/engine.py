@@ -11,17 +11,15 @@ the *same value*, so callers never need to care which they got.
 :func:`run_ids` adds the scheduling: a multiprocessing fan-out
 (``--jobs N``) whose workers are deterministic (the experiments seed
 their own RNGs; no wall-clock feeds the measured numbers) and whose
-results merge back in the caller's id order — so parallel output is
-byte-identical to serial output.  Wall-clock timings are collected
-per experiment for the BENCH artifact but are explicitly outside the
-determinism guarantee.
+results merge back in the caller's id order — so parallel output, and
+the bench doc built from it, is byte-identical to serial output.  The
+engine reads no clock: host time is ``perfbench/``'s to measure.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,7 +51,7 @@ def execute(
     workload under the flight recorder and attaches the observatory's
     ``derived`` block to the result; it is a no-op when a global
     recorder is already active (the outer caller owns the handles then,
-    e.g. the benchmark suite or ``repro trace``).  Deriving never
+    e.g. ``repro trace`` or ``repro profile``).  Deriving never
     changes the measured numbers — the recorder is zero-perturbation.
     """
     if derive and not obs.global_obs_active():
@@ -115,10 +113,10 @@ def run_cached(
     use_cache: bool = True,
     rerun: bool = False,
     derive: bool = True,
-) -> Tuple[ExperimentResult, float, bool]:
+) -> Tuple[ExperimentResult, bool]:
     """Execute one spec through the cache.
 
-    Returns ``(result, wall_seconds, cache_hit)``.  ``use_cache=False``
+    Returns ``(result, cache_hit)``.  ``use_cache=False``
     disables the cache entirely (no read, no write); ``rerun=True``
     forces execution but still refreshes the stored entry.  Results
     carry the observatory's ``derived`` block by default, so every
@@ -131,15 +129,11 @@ def run_cached(
         if not rerun:
             cached = cache.load(spec.id, fingerprint)
             if cached is not None:
-                return cached, 0.0, True
-    # Engine timing is bookkeeping for the BENCH artifact, not part of
-    # any measured value (those come from the simulated clock).
-    start = time.monotonic()  # repro-lint: disable=wall-clock -- wall time feeds the timings artifact, never a measured number
+                return cached, True
     result = execute(spec, params, derive=derive)
-    wall = time.monotonic() - start  # repro-lint: disable=wall-clock -- wall time feeds the timings artifact, never a measured number
     if use_cache and cache is not None:
         cache.store(spec.id, fingerprint, result)
-    return result, wall, False
+    return result, False
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +147,6 @@ class EngineRun:
 
     #: Results in the caller's id order (parallel or not).
     results: List[ExperimentResult] = field(default_factory=list)
-    #: Wall seconds per experiment (0.0 on a cache hit).  Explicitly
-    #: outside the determinism guarantee.
-    timings: Dict[str, float] = field(default_factory=dict)
     #: Whether each experiment came from the cache.
     cache_hits: Dict[str, bool] = field(default_factory=dict)
 
@@ -167,12 +158,12 @@ class EngineRun:
         return [r.experiment for r in self.results if not r.shape_holds]
 
 
-def _run_one_job(job: Tuple[str, bool, bool]) -> Tuple[str, ExperimentResult, float, bool]:
+def _run_one_job(job: Tuple[str, bool, bool]) -> Tuple[str, ExperimentResult, bool]:
     """Worker body: must be module-level so the pool can pickle it."""
     experiment_id, use_cache, rerun = job
     spec = specs.SPECS[experiment_id]
-    result, wall, hit = run_cached(spec, use_cache=use_cache, rerun=rerun)
-    return experiment_id, result, wall, hit
+    result, hit = run_cached(spec, use_cache=use_cache, rerun=rerun)
+    return experiment_id, result, hit
 
 
 def run_ids(
@@ -199,9 +190,8 @@ def run_ids(
             _run_one_job, [(key, use_cache, rerun) for key in ids]
         )
         by_id: Dict[str, ExperimentResult] = {}
-        for key, result, wall, hit in outcomes:
+        for key, result, hit in outcomes:
             by_id[key] = result
-            run.timings[key] = wall
             run.cache_hits[key] = hit
             if progress is not None:
                 progress(key, hit)
@@ -209,11 +199,10 @@ def run_ids(
         context = multiprocessing.get_context()
         by_id = {}
         with context.Pool(processes=jobs) as pool:
-            for key, result, wall, hit in pool.imap_unordered(
+            for key, result, hit in pool.imap_unordered(
                 _run_one_job, [(key, use_cache, rerun) for key in ids]
             ):
                 by_id[key] = result
-                run.timings[key] = wall
                 run.cache_hits[key] = hit
                 if progress is not None:
                     progress(key, hit)
@@ -222,19 +211,18 @@ def run_ids(
 
 
 # ---------------------------------------------------------------------------
-# BENCH records (the deterministic half of BENCH_results.json)
+# Bench records
 # ---------------------------------------------------------------------------
 
 
 def result_record(result: ExperimentResult) -> Dict[str, object]:
-    """A deterministic BENCH record built from the result alone.
+    """A deterministic bench record built from the result alone.
 
     A thin wrapper over the one record builder
-    (:func:`repro.obs.metrics.experiment_record`): with no live
-    recorder handles, total cycles / machines / attribution are lifted
-    from the result's ``derived`` block, which the engine always
-    attaches — so cold-cache and warm-cache runs emit byte-identical
-    records with the same field set as the benchmark suite's.
+    (:func:`repro.obs.metrics.experiment_record`), which lifts total
+    cycles / machines / attribution from the ``derived`` block the
+    engine always attaches — so cold-cache and warm-cache runs emit
+    byte-identical records.
     """
     from repro.obs.metrics import experiment_record
 

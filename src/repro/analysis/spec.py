@@ -103,14 +103,6 @@ class ExperimentSpec:
     #: Static reproduction caveats, carried into every result.
     notes: str = ""
 
-    def machine_names(self) -> List[str]:
-        """Distinct machine names across the variants, in boot order."""
-        names: List[str] = []
-        for variant in self.variants:
-            if variant.machine.name not in names:
-                names.append(variant.machine.name)
-        return names
-
 
 @dataclass
 class MatrixSpec:

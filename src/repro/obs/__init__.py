@@ -111,10 +111,6 @@ class Observability:
 
     # -- counter-free reads --------------------------------------------------
 
-    @property
-    def cycles(self) -> int:
-        return self.machine.clock.total
-
     def counters(self) -> Any:
         return self.machine.monitor.snapshot()
 

@@ -5,7 +5,9 @@ reload (Table 1), flush strategies (Table 2), reclaim on vs off (§8).
 This module makes that comparison mechanical: flatten two records (or
 the derived blocks of two :class:`ConfigVariant` cells of one
 experiment) into dotted-path leaves, then report what changed, by how
-much, and what exists on only one side.
+much, and what exists on only one side.  The regression sentinel
+(``repro bench compare``) is the same per-leaf comparison held to
+exactness: bench docs carry no host time, so any differing leaf fails.
 
 Like :mod:`repro.obs.session`, this module imports the experiment
 registry and therefore stays out of ``repro.obs.__init__``.
@@ -117,6 +119,29 @@ def diff_docs(a: Dict, b: Dict) -> Dict[str, Dict]:
     return out
 
 
+def differing_leaves(diff: Dict) -> int:
+    """How many leaves of one diff changed, went missing or appeared."""
+    return len(diff["changed"]) + len(diff["only_a"]) + len(diff["only_b"])
+
+
+def compare_docs(baseline: Dict, new: Dict) -> Dict[str, object]:
+    """The regression sentinel's verdict over two validated bench docs.
+
+    Bench docs are deterministic end to end, so the comparison is
+    exact: every changed, missing or extra record leaf is a
+    regression.  ``summary`` needs no comparison of its own — the
+    validator already ties it to the records.
+    """
+    experiments = diff_docs(baseline, new)
+    regressions = sum(differing_leaves(diff) for diff in experiments.values())
+    return {
+        "ok": regressions == 0,
+        "regressions": regressions,
+        "equal": sum(diff["equal"] for diff in experiments.values()),
+        "experiments": experiments,
+    }
+
+
 # -- variant splitting -------------------------------------------------------
 
 
@@ -219,6 +244,39 @@ def render_diff(
             lines.append(f"  {label}: {key}")
         if len(keys) > 8:
             lines.append(f"  {label}: ... {len(keys) - 8} more")
+    return "\n".join(lines)
+
+
+def render_doc_diff(
+    per_experiment: Dict[str, Dict], name_a: str, name_b: str,
+    limit: Optional[int] = 24,
+) -> List[str]:
+    """One :func:`render_diff` block per experiment that differs."""
+    lines: List[str] = []
+    for key, diff in per_experiment.items():
+        if differing_leaves(diff):
+            lines.append(render_diff(
+                diff, f"{name_a}:{key}", f"{name_b}:{key}", limit=limit
+            ))
+            lines.append("")
+    return lines
+
+
+def render_verdict(verdict: Dict, baseline_name: str, new_name: str,
+                   limit: Optional[int] = 24) -> str:
+    """The prose verdict (``--json`` prints the record instead)."""
+    lines = render_doc_diff(verdict["experiments"], baseline_name,
+                            new_name, limit=limit)
+    lines.append(
+        f"bench compare: {baseline_name} (baseline) vs {new_name} (new): "
+        f"{verdict['equal']} leaves equal, {verdict['regressions']} "
+        "changed, missing or extra"
+    )
+    lines.append("VERDICT: " + (
+        "ok — the benchmark trajectory matches the baseline"
+        if verdict["ok"] else
+        "REGRESSION — deterministic results diverged from the baseline"
+    ))
     return "\n".join(lines)
 
 

@@ -5,16 +5,16 @@ optimization at a time and attribute every win against the run before
 it.  This module gives the reproduction the same memory: an
 append-only JSON-lines ledger where each line is one schema-validated
 run record (git provenance, per-experiment total cycles and
-attribution, derived headline metrics, the sentinel's verdict, wall
-seconds), written by ``repro bench append`` after a run and read back
-by ``repro trend`` to compute per-PR deltas.
+attribution, derived headline metrics, the sentinel's verdict),
+written by ``repro bench append`` after a run and read back by
+``repro trend`` to compute per-PR deltas.
 
-Determinism contract (the same split the regression sentinel applies):
-every field of an entry is byte-deterministic for a given bench doc
-*except* the ``wall`` section, which mirrors the doc's wall-clock
-``timings`` and measures the host, not the simulation.  Entries are
-serialized as one compact, key-sorted JSON line each, so the ledger
-diffs line-per-run in review.
+Every field of an entry is byte-deterministic for a given bench doc:
+host time is ``perfbench/``'s to measure.  Entries appended before
+bench schema 5 carry a ``wall`` section of host seconds; the
+validator still type-checks it so those lines load, but nothing reads
+it.  Entries are serialized as one compact, key-sorted JSON line each,
+so the ledger diffs line-per-run in review.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ def entry_from_doc(
                 sub["total_cycles"] for sub in experiments.values()
             ),
         },
-        "wall": {
-            key: value
-            for key, value in sorted(doc.get("timings", {}).items())
-        },
         "verdict": _verdict_summary(verdict),
     }
     validate_history_entry(entry)
@@ -112,7 +108,6 @@ def _verdict_summary(verdict: Optional[Dict]) -> Optional[Dict]:
     return {
         "ok": bool(verdict.get("ok")),
         "regressions": int(verdict.get("regressions", 0)),
-        "warnings": int(verdict.get("warnings", 0)),
     }
 
 
@@ -180,9 +175,10 @@ def validate_history_entry(entry: Any) -> Dict[str, int]:
                 f"summary.{field} = {summary.get(field)!r} does not "
                 f"match the experiments ({expected})"
             )
-    wall = entry.get("wall")
+    # Legacy (pre-schema-5) entries carry host seconds; check, never read.
+    wall = entry.get("wall", {})
     if not isinstance(wall, dict):
-        raise ValueError("history entry needs a 'wall' object (may be {})")
+        raise ValueError("a legacy 'wall' section must be an object")
     for key in sorted(wall):
         value = wall[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
@@ -201,11 +197,6 @@ def dumps_entry(entry: Dict) -> str:
     return json.dumps(
         entry, sort_keys=True, separators=(",", ":")
     ) + "\n"
-
-
-def deterministic_view(entry: Dict) -> Dict:
-    """The entry minus its wall-time section — the byte-stable part."""
-    return {key: entry[key] for key in sorted(entry) if key != "wall"}
 
 
 def append_entry(path: Any, entry: Dict) -> int:

@@ -1,10 +1,10 @@
 """Machine-readable metrics: one serialization for every consumer.
 
-``repro run --json``, ``repro check --json``, the benchmark suite's
-per-experiment records and the repo-root ``BENCH_results.json``
-aggregate all flow through here, so a run is diffable mechanically —
-the ISSUE's "perf trajectory" artifact.  Records are deterministic:
-no wall-clock timestamps, keys sorted at serialization time.
+``repro run --json``, ``repro check --json`` and the bench doc that
+``repro run --bench-out`` writes all flow through here, so a run is
+diffable mechanically.  Records and bench docs are deterministic end
+to end: no wall-clock values anywhere, keys sorted at serialization
+time — host time is measured by ``perfbench/`` alone.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 import pathlib
 import re
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.obs import analytics
-
-#: Schema version for BENCH_results.json consumers.  v2: records are
+#: Schema version for bench-doc consumers.  v2: records are
 #: emitted in sorted_ids() order under a ``schema_version`` field, and
 #: an optional ``timings`` section carries wall seconds per experiment
 #: (the one part of the document exempt from determinism — two
@@ -28,8 +26,11 @@ from repro.obs import analytics
 #: (previously dropped by the engine's builder, which made
 #: ``summary.total_cycles`` always 0) plus the spec's ``section`` and
 #: ``variants``, and the validator rejects records whose
-#: ``total_cycles`` is missing or non-positive.
-BENCH_SCHEMA = 4
+#: ``total_cycles`` is missing or non-positive.  v5: no ``timings``
+#: section — the document is deterministic end to end, so the sentinel
+#: compares every leaf exactly — and every record's ``total_cycles``
+#: must equal its ``derived.total_cycles`` and its attribution's sum.
+BENCH_SCHEMA = 5
 
 
 def json_safe(value: Any) -> Any:
@@ -48,62 +49,36 @@ def json_safe(value: Any) -> Any:
     return str(value)
 
 
-def experiment_record(result: Any, observed: Sequence[Any] = (),
-                      spec: Any = None) -> Dict:
+def experiment_record(result: Any, spec: Any = None,
+                      derived: Optional[Dict] = None) -> Dict:
     """One structured record for an :class:`ExperimentResult`.
 
-    The *only* bench-record builder: the benchmark suite (live
-    ``observed`` handles), the engine's cached path (``spec`` only) and
-    the obs session all funnel through here, so every record carries
-    the same field set (:data:`RECORD_REQUIRED`) and
-    ``summary.total_cycles`` aggregates something real on every path.
+    The *only* bench-record builder: the engine (``repro run
+    --bench-out``, ``repro report``) and the obs session (``repro run
+    --json``, ``repro profile``) both funnel through here, so every
+    record carries the same field set (:data:`RECORD_REQUIRED`).
 
-    ``observed`` is the list of :class:`~repro.obs.Observability`
-    handles drained from the run (one per machine the experiment
-    booted); when absent, total cycles, machines, simulator count and
-    the cycle attribution are lifted from the result's ``derived``
-    block (the engine always attaches one).  ``spec`` supplies the
+    Total cycles, machines, simulator count and the cycle attribution
+    are lifted from the ``derived`` block — the result's own, or the
+    one the caller derived from its drained recorder handles — which
+    sums every CPU's ledger and profiler.  ``spec`` supplies the
     registry metadata (section, variants) the result itself does not
     carry; callers that can reach the registry pass it.
     """
-    observed = list(observed)
-    derived = json_safe(
-        result.derived if getattr(result, "derived", None)
-        else analytics.derive(observed)
-    )
-    if observed:
-        machines: List[str] = []
-        for obs in observed:
-            name = obs.machine.spec.name
-            if name not in machines:
-                machines.append(name)
-        total_cycles = sum(obs.machine.clock.total for obs in observed)
-        simulators = len(observed)
-        attribution: Dict[str, int] = {}
-        for obs in observed:
-            if obs.profiler is None:
-                continue
-            for category, cycles in obs.profiler.attribution().items():
-                attribution[category] = attribution.get(category, 0) + cycles
-    else:
-        machines = list(derived.get("machines", []))
-        if not machines and spec is not None:
-            machines = spec.machine_names()
-        total_cycles = derived.get("total_cycles", 0)
-        simulators = derived.get("simulators", 0)
-        attribution = dict(derived.get("attribution", {}).get("cycles", {}))
+    block = json_safe(result.derived if derived is None else derived)
+    machines = list(block.get("machines", []))
     record = {
         "id": result.experiment,
         "title": result.title,
         "machine": ", ".join(machines),
         "machines": machines,
-        "simulators": simulators,
-        "total_cycles": total_cycles,
+        "simulators": block.get("simulators", 0),
+        "total_cycles": block.get("total_cycles", 0),
         "shape_holds": result.shape_holds,
         "measured": json_safe(result.measured),
         "paper": json_safe(result.paper),
-        "attribution": attribution,
-        "derived": derived,
+        "attribution": dict(block.get("attribution", {}).get("cycles", {})),
+        "derived": block,
     }
     if spec is not None:
         record["section"] = spec.section
@@ -118,36 +93,15 @@ def dumps(record: Any) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-# -- BENCH_results.json aggregation ----------------------------------------
-
-_RECORD_NAME = re.compile(r"^E(\d+)\.json$")
-
-
-def collect_bench_records(reports_dir: Any) -> List[Dict]:
-    """Load every per-experiment JSON record under ``reports_dir``."""
-    reports_dir = pathlib.Path(reports_dir)
-    found = []
-    for path in reports_dir.glob("E*.json"):
-        match = _RECORD_NAME.match(path.name)
-        if match is None:
-            continue
-        found.append((int(match.group(1)), json.loads(path.read_text())))
-    return [record for _number, record in sorted(found, key=lambda x: x[0])]
+# -- the bench doc ----------------------------------------------------------
 
 
 def bench_doc(
     records: List[Dict],
-    source: str = "benchmarks/reports/*.json "
-                  "(regenerated by the benchmark suite)",
-    timings: Optional[Dict[str, float]] = None,
+    source: str = "python -m repro run --bench-out",
 ) -> Dict:
-    """The BENCH_results.json document for a list of records.
-
-    ``records`` must already be in registry order; ``timings`` maps
-    experiment id to wall seconds and is the only nondeterministic
-    section of the document.
-    """
-    doc = {
+    """The bench document for a list of records in registry order."""
+    return {
         "schema_version": BENCH_SCHEMA,
         "source": source,
         "experiments": records,
@@ -161,11 +115,6 @@ def bench_doc(
             ),
         },
     }
-    if timings is not None:
-        doc["timings"] = {
-            key: round(value, 3) for key, value in sorted(timings.items())
-        }
-    return doc
 
 
 #: Keys every bench record must carry — every producer funnels through
@@ -179,7 +128,7 @@ _RECORD_ID = re.compile(r"^E\d+$")
 
 
 def validate_bench_doc(doc: Any) -> Dict[str, int]:
-    """Check a document is a well-formed BENCH_results.json.
+    """Check a document is a well-formed bench doc.
 
     The bench-doc counterpart of
     :func:`repro.obs.events.validate_chrome_trace`: raises
@@ -236,6 +185,17 @@ def validate_bench_doc(doc: Any) -> Dict[str, int]:
                 raise ValueError(f"{record_id}: {key!r} must be an object")
         if not isinstance(record["machines"], list):
             raise ValueError(f"{record_id}: 'machines' must be a list")
+        attributed = list(record["attribution"].values())
+        if not all(isinstance(value, int) for value in attributed):
+            raise ValueError(f"{record_id}: attribution values must be ints")
+        derived_cycles = record["derived"].get("total_cycles")
+        if not cycles == derived_cycles == sum(attributed):
+            raise ValueError(
+                f"{record_id}: total_cycles {cycles} must equal "
+                f"derived.total_cycles {derived_cycles!r} and the "
+                f"attribution's sum {sum(attributed)} (a total that "
+                "misses a CPU's ledger is a producer bug)"
+            )
         counts["experiments"] += 1
         counts["shapes_holding"] += 1 if record["shape_holds"] else 0
         counts["derived"] += 1 if record["derived"] else 0
@@ -257,27 +217,7 @@ def validate_bench_doc(doc: Any) -> Dict[str, int]:
             f"summary.total_cycles = {summary.get('total_cycles')!r} "
             f"does not match the records ({total})"
         )
-    timings = doc.get("timings")
-    if timings is not None:
-        if not isinstance(timings, dict):
-            raise ValueError("'timings' must be an object")
-        for key, value in sorted(timings.items()):
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or value < 0:
-                raise ValueError(f"timings[{key!r}] is not a wall time: "
-                                 f"{value!r}")
     return counts
-
-
-def write_bench_results(
-    reports_dir: Any, out_path: Any,
-    timings: Optional[Dict[str, float]] = None
-) -> Dict:
-    """Aggregate per-experiment records into one BENCH_results.json."""
-    doc = bench_doc(collect_bench_records(reports_dir), timings=timings)
-    validate_bench_doc(doc)
-    pathlib.Path(out_path).write_text(dumps(doc))
-    return doc
 
 
 def load_bench_doc(path: Any) -> Dict:
@@ -291,11 +231,3 @@ def load_bench_doc(path: Any) -> Dict:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return doc
-
-
-def write_experiment_record(record: Dict, reports_dir: Any) -> pathlib.Path:
-    """Save one experiment record as ``reports_dir/<id>.json``."""
-    reports_dir = pathlib.Path(reports_dir)
-    path = reports_dir / f"{record['id']}.json"
-    path.write_text(dumps(record))
-    return path

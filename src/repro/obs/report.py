@@ -1,13 +1,13 @@
 """The observatory dashboard: one self-contained, deterministic HTML.
 
-``repro report`` renders a bench doc (schema v3, every record carrying
-a ``derived`` block) into a single HTML file with no external assets —
+``repro report`` renders a bench doc (every record carrying a
+``derived`` block) into a single HTML file with no external assets —
 inline CSS and inline SVG only, so the artifact opens anywhere and can
 be diffed byte-for-byte.  Determinism is a contract: the renderer is a
 pure function of the input document, never consults the clock or the
-environment, and the CLI builds its input without the wall-clock
-``timings`` section — so repeated runs (and ``--jobs 1`` vs
-``--jobs 4``) produce byte-identical files.
+environment, and the bench doc itself holds no host time — so
+repeated runs (and ``--jobs 1`` vs ``--jobs 4``) produce
+byte-identical files.
 
 The per-experiment sections visualize the derived analytics: a stacked
 cycle-attribution bar, latency percentile tables for the traced path
@@ -370,9 +370,8 @@ def _trend_section(trend: Dict) -> str:
     """The longitudinal section: ledger table, sparklines, latest deltas.
 
     ``trend`` is a :func:`repro.obs.trend.trend_doc` document.  The
-    section is a pure function of it — wall times appear, but they come
-    from the fixed ledger, so the dashboard stays byte-deterministic
-    for a given history file.
+    section is a pure function of it, so the dashboard stays
+    byte-deterministic for a given history file.
     """
     entries = trend.get("entries", [])
     if not entries:
@@ -380,7 +379,7 @@ def _trend_section(trend: Dict) -> str:
     parts = ['<h2 id="trend">perf trajectory '
              f'({len(entries)} recorded runs)</h2>']
     rows = ["<table><tr><th>run</th><th>sha</th><th>total cycles</th>"
-            "<th>shapes</th><th>wall (s)</th><th>sentinel</th></tr>"]
+            "<th>shapes</th><th>sentinel</th></tr>"]
     for entry in entries:
         verdict = entry.get("verdict")
         verdict_cell = "&mdash;" if verdict is None else (
@@ -392,7 +391,6 @@ def _trend_section(trend: Dict) -> str:
             f"<td>{_fmt(entry['total_cycles'])}</td>"
             f"<td>{_fmt(entry['shapes_holding'])}/"
             f"{_fmt(entry['experiments'])}</td>"
-            f"<td>{_fmt(entry.get('wall_total') or '')}</td>"
             f"<td>{verdict_cell}</td></tr>"
         )
     rows.append("</table>")
@@ -430,23 +428,15 @@ def _trend_section(trend: Dict) -> str:
             f"{_esc(change['to']['name'])}</h4>"
         )
         rows = ["<table><tr><th>experiment</th><th>cycles before</th>"
-                "<th>cycles after</th><th>&Delta; cycles</th>"
-                "<th>wall</th></tr>"]
+                "<th>cycles after</th><th>&Delta; cycles</th></tr>"]
         for key in sorted(change["experiments"],
                           key=lambda k: int(k[1:])):
             entry = change["experiments"][key]
             cycles = entry["cycles"]
-            wall = entry["wall"]
-            if wall.get("status") == "missing":
-                wall_cell = "&mdash;"
-            else:
-                wall_cell = (f"{_fmt(wall['old'])} &rarr; "
-                             f"{_fmt(wall['new'])} ({_esc(wall['status'])})")
             rows.append(
                 f"<tr><td>{_esc(key)}</td><td>{_fmt(cycles['old'])}</td>"
                 f"<td>{_fmt(cycles['new'])}</td>"
-                + _trend_delta_cell(cycles["delta"])
-                + f"<td>{wall_cell}</td></tr>"
+                + _trend_delta_cell(cycles["delta"]) + "</tr>"
             )
         rows.append("</table>")
         parts.append("".join(rows))

@@ -19,11 +19,11 @@ from repro.analysis.spec import ExperimentResult
 from repro.obs import (
     Observability,
     TraceConfig,
+    analytics,
     chrome_trace,
     disable_global_observability,
     drain_global_observed,
     enable_global_observability,
-    merge_attributions,
 )
 from repro.obs.metrics import experiment_record
 
@@ -36,28 +36,16 @@ class ObservedExperiment:
     result: ExperimentResult
     observed: List[Observability] = field(default_factory=list)
 
-    @property
-    def total_cycles(self) -> int:
-        return sum(obs.machine.clock.total for obs in self.observed)
-
-    def machines(self) -> List[str]:
-        names: List[str] = []
-        for obs in self.observed:
-            name = obs.machine.spec.name
-            if name not in names:
-                names.append(name)
-        return names
-
-    def attribution(self) -> Dict[str, int]:
-        return merge_attributions(
-            obs.profiler.attribution()
-            for obs in self.observed
-            if obs.profiler is not None
-        )
-
     def record(self) -> Dict:
+        """The bench record, with every CPU's cycles counted.
+
+        Totals, machines and attribution come from the result's
+        ``derived`` block, or — for a run the engine did not derive —
+        from :func:`analytics.derive` over the drained handles.
+        """
         return experiment_record(
-            self.result, self.observed, spec=specs.SPECS[self.experiment]
+            self.result, specs.SPECS[self.experiment],
+            derived=self.result.derived or analytics.derive(self.observed),
         )
 
     def chrome_trace(self) -> Dict:

@@ -4,10 +4,9 @@
 :mod:`repro.obs.history`) and answers the trajectory questions the
 paper answers table-by-table: which experiments moved between two
 runs, by how many cycles (exact — the simulation is deterministic, so
-any nonzero delta is a real change, not noise), where the cycles went
-(per path-category movers), and what the wall clock did (banded
-through the same ``timings.`` tolerance rules the regression sentinel
-uses, because wall time measures the host).
+any nonzero delta is a real change, not noise) and where the cycles
+went (per path-category movers).  Host time is not tracked here;
+``perfbench/`` measures it under a fixed protocol.
 
 Everything here is a pure function of the ledger: given the same
 entries, :func:`trend_doc` returns the same document and
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs import baseline
 from repro.obs.history import HEADLINE_FIELDS
 from repro.obs.profiler import DISPLAY_ORDER
 
@@ -42,46 +40,12 @@ def _entry_name(entry: Dict, index: int) -> str:
     return f"#{index + 1}"
 
 
-def _wall_total(entry: Dict) -> Optional[float]:
-    wall = entry.get("wall", {})
-    if not wall:
-        return None
-    return round(sum(wall.values()), 3)
-
-
-def _wall_delta(
-    key: str, old: Optional[float], new: Optional[float],
-    policy: Dict[str, object],
-) -> Dict[str, object]:
-    """One wall-time movement, banded like the sentinel bands it.
-
-    ``key`` is the leaf path the sentinel would use (``timings.E7``),
-    so the same committed policy file governs both the gate and the
-    trend report's wording.
-    """
-    if old is None or new is None:
-        return {"old": old, "new": new, "status": "missing"}
-    rule = baseline.rule_for(key, policy)
-    finding = baseline.check_leaf(key, old, new, policy)
-    out: Dict[str, object] = {
-        "old": old,
-        "new": new,
-        "status": "outside-band" if finding is not None else "within-band",
-        "kind": rule["kind"],
-    }
-    if old > 0:
-        out["ratio"] = round(new / old, 4)
-    return out
-
-
 def step(
     old: Dict, new: Dict,
-    policy: Optional[Dict[str, object]] = None,
     old_name: str = "old", new_name: str = "new",
     movers_limit: int = 5,
 ) -> Dict:
     """The delta document between two consecutive ledger entries."""
-    policy = policy if policy is not None else baseline.DEFAULT_POLICY
     old_exp = old["experiments"]
     new_exp = new["experiments"]
     shared = [key for key in new_exp if key in old_exp]
@@ -101,12 +65,6 @@ def step(
                 "old": before["shape_holds"],
                 "new": after["shape_holds"],
             },
-            "wall": _wall_delta(
-                f"timings.{key}",
-                old.get("wall", {}).get(key),
-                new.get("wall", {}).get(key),
-                policy,
-            ),
             "headline": {
                 column: {
                     "old": before["headline"].get(column),
@@ -160,9 +118,6 @@ def step(
                 "old": sum(old_exp[k]["total_cycles"] for k in shared),
                 "new": sum(new_exp[k]["total_cycles"] for k in shared),
             },
-            "wall_total": _wall_delta(
-                "timings.total", _wall_total(old), _wall_total(new), policy
-            ),
         },
     }
 
@@ -198,18 +153,14 @@ def _category_movers(old_exp: Dict, new_exp: Dict,
     return ranked
 
 
-def trend_doc(
-    entries: List[Dict],
-    policy: Optional[Dict[str, object]] = None,
-) -> Dict:
+def trend_doc(entries: List[Dict]) -> Dict:
     """The full trend document for a ledger (oldest entry first)."""
     if not entries:
         raise ValueError("trend needs at least one history entry")
-    policy = policy if policy is not None else baseline.DEFAULT_POLICY
     names = [_entry_name(entry, index)
              for index, entry in enumerate(entries)]
     steps = [
-        step(entries[index - 1], entries[index], policy,
+        step(entries[index - 1], entries[index],
              old_name=names[index - 1], new_name=names[index])
         for index in range(1, len(entries))
     ]
@@ -237,7 +188,6 @@ def trend_doc(
                 "total_cycles": entry["summary"]["total_cycles"],
                 "experiments": entry["summary"]["experiments"],
                 "shapes_holding": entry["summary"]["shapes_holding"],
-                "wall_total": _wall_total(entry),
                 "verdict": entry.get("verdict"),
             }
             for index, entry in enumerate(entries)
@@ -276,34 +226,16 @@ def _signed(value: int) -> str:
     return f"{value:+,}" if value else "="
 
 
-def _wall_phrase(wall: Dict[str, object]) -> str:
-    if wall.get("status") == "missing":
-        return "wall n/a"
-    ratio = wall.get("ratio")
-    arrow = f"{wall['old']}s -> {wall['new']}s"
-    if isinstance(ratio, (int, float)) and ratio > 0:
-        if ratio < 1.0:
-            arrow += f" ({1.0 / ratio:.2f}x faster"
-        elif ratio > 1.0:
-            arrow += f" ({ratio:.2f}x slower"
-        else:
-            arrow += " (unchanged"
-        arrow += f", {wall['status']})"
-    return f"wall {arrow}"
-
-
 def render_trend(doc: Dict, limit: int = 5) -> str:
     """The prose trend report (``--json`` prints the doc instead)."""
     lines = [f"BENCH history: {len(doc['entries'])} entries"]
     for entry in doc["entries"]:
         sha = (entry["sha"] or "")[:12]
-        wall = entry["wall_total"]
         verdict = entry["verdict"]
         lines.append(
             f"  {entry['name']:<14} {sha:<12} "
             f"{entry['total_cycles']:>16,} cycles  "
             f"{entry['shapes_holding']}/{entry['experiments']} shapes"
-            + (f"  wall {wall}s" if wall is not None else "")
             + ("" if verdict is None else
                f"  [{'ok' if verdict['ok'] else 'REGRESSION'}]")
         )
@@ -320,8 +252,7 @@ def render_trend(doc: Dict, limit: int = 5) -> str:
         lines.append(
             f"  total {cycles['old']:,} -> {cycles['new']:,} cycles "
             f"({_signed(cycles['new'] - cycles['old'])}), "
-            f"{summary['changed']}/{summary['shared']} experiments moved; "
-            + _wall_phrase(summary["wall_total"])
+            f"{summary['changed']}/{summary['shared']} experiments moved"
         )
         for key in summary["added"]:
             lines.append(f"  added {key}")

@@ -1,9 +1,10 @@
-"""Tests for ``repro.obs.baseline`` — the regression sentinel.
+"""Tests for the regression sentinel (``repro bench compare``).
 
-Units over the tolerance policy (validation, prefix matching, exact
-and ratio checks), verdict accounting over hand-built bench docs, and
-the ``repro bench compare`` CLI exit-code contract: 0 on a matching
-pair, 1 on a regression, 2 on unusable inputs.
+Bench docs are deterministic end to end, so the sentinel is the exact
+per-leaf comparison of :func:`repro.obs.diff.compare_docs`.  Verdict
+accounting over hand-built bench docs, and the CLI exit-code contract:
+0 on a matching pair, 1 on any changed, missing or extra leaf, 2 on
+unusable inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 
 import pytest
 
-from repro.obs import baseline
+from repro import __main__ as cli
+from repro.obs import diff as obs_diff
 from repro.obs.metrics import BENCH_SCHEMA, validate_bench_doc
 
 
@@ -29,11 +31,12 @@ def record(number, cycles=100, shape=True, measured=None):
         "measured": dict(measured or {"ratio": 2.5}),
         "paper": {},
         "attribution": {"tlb-reload": cycles},
-        "derived": {"counters": {"tlb_miss": 7 * number}},
+        "derived": {"total_cycles": cycles,
+                    "counters": {"tlb_miss": 7 * number}},
     }
 
 
-def doc(records, timings=None):
+def doc(records):
     built = {
         "schema_version": BENCH_SCHEMA,
         "source": "test fixture",
@@ -46,144 +49,60 @@ def doc(records, timings=None):
             "total_cycles": sum(r["total_cycles"] for r in records),
         },
     }
-    if timings is not None:
-        built["timings"] = timings
     validate_bench_doc(built)
     return built
-
-
-class TestPolicy:
-    def test_default_policy_is_valid(self):
-        assert baseline.validate_policy(baseline.DEFAULT_POLICY) == []
-
-    def test_schema_skew_reported(self):
-        policy = copy.deepcopy(baseline.DEFAULT_POLICY)
-        policy["schema_version"] = 99
-        assert any(
-            "schema_version" in p for p in baseline.validate_policy(policy)
-        )
-
-    def test_bad_kind_reported(self):
-        policy = {
-            "schema_version": 1,
-            "rules": [{"prefix": "x.", "kind": "fuzzy"}],
-            "default": {"kind": "exact", "severity": "fail"},
-        }
-        assert any("kind" in p for p in baseline.validate_policy(policy))
-
-    def test_ratio_rule_needs_band(self):
-        policy = {
-            "schema_version": 1,
-            "rules": [{"prefix": "x.", "kind": "ratio", "max_ratio": 1}],
-            "default": {"kind": "exact", "severity": "fail"},
-        }
-        assert any(
-            "max_ratio" in p for p in baseline.validate_policy(policy)
-        )
-
-    def test_first_prefix_match_wins(self):
-        policy = {
-            "schema_version": 1,
-            "rules": [
-                {"prefix": "a.b.", "kind": "ignore"},
-                {"prefix": "a.", "kind": "ratio", "max_ratio": 2.0,
-                 "severity": "warn"},
-            ],
-            "default": {"kind": "exact", "severity": "fail"},
-        }
-        assert baseline.rule_for("a.b.c", policy)["kind"] == "ignore"
-        assert baseline.rule_for("a.x", policy)["kind"] == "ratio"
-        assert baseline.rule_for("z", policy)["kind"] == "exact"
-
-    def test_load_policy_rejects_invalid_file(self, tmp_path):
-        path = tmp_path / "policy.json"
-        path.write_text(json.dumps({"schema_version": 1, "rules": 5}))
-        with pytest.raises(ValueError, match="rules"):
-            baseline.load_policy(path)
 
 
 class TestCompareDocs:
     def test_identical_docs_are_ok(self):
         fixture = doc([record(1), record(2)])
-        verdict = baseline.compare_docs(fixture, copy.deepcopy(fixture))
-        assert verdict.ok
-        assert verdict.findings == []
-        assert verdict.checked > 0
+        verdict = obs_diff.compare_docs(fixture, copy.deepcopy(fixture))
+        assert verdict["ok"]
+        assert verdict["regressions"] == 0
+        assert verdict["equal"] > 0
 
     def test_perturbed_deterministic_leaf_is_a_regression(self):
         old = doc([record(1)])
         new = copy.deepcopy(old)
         new["experiments"][0]["measured"]["ratio"] = 9.9
-        verdict = baseline.compare_docs(old, new)
-        assert not verdict.ok
-        (finding,) = verdict.regressions
-        assert finding.key == "experiments.E1.measured.ratio"
-        assert finding.kind == "exact"
+        verdict = obs_diff.compare_docs(old, new)
+        assert not verdict["ok"]
+        assert verdict["regressions"] == 1
+        (change,) = verdict["experiments"]["E1"]["changed"]
+        assert change["key"] == "measured.ratio"
+        assert (change["a"], change["b"]) == (2.5, 9.9)
 
     def test_shape_flip_is_a_regression(self):
         old = doc([record(1)])
         new = doc([record(1, shape=False)])
-        verdict = baseline.compare_docs(old, new)
-        assert any(
-            "shape_holds" in f.key for f in verdict.regressions
-        )
-
-    def test_timing_inside_band_passes(self):
-        old = doc([record(1)], timings={"E1": 1.0})
-        new = doc([record(1)], timings={"E1": 3.0})
-        verdict = baseline.compare_docs(old, new)
-        assert verdict.ok
-        assert verdict.findings == []
-
-    def test_timing_outside_band_warns_only(self):
-        old = doc([record(1)], timings={"E1": 0.01})
-        new = doc([record(1)], timings={"E1": 10.0})
-        verdict = baseline.compare_docs(old, new)
-        assert verdict.ok  # warn severity does not gate
-        (finding,) = verdict.warnings
-        assert finding.key == "timings.E1"
-        assert "band" in finding.note
-
-    def test_timing_zero_crossing_warns(self):
-        old = doc([record(1)], timings={"E1": 0.0})
-        new = doc([record(1)], timings={"E1": 2.0})
-        verdict = baseline.compare_docs(old, new)
-        assert verdict.ok
-        assert any("zero" in f.note for f in verdict.warnings)
+        verdict = obs_diff.compare_docs(old, new)
+        assert not verdict["ok"]
+        assert [change["key"] for change in
+                verdict["experiments"]["E1"]["changed"]] == ["shape_holds"]
 
     def test_missing_and_extra_leaves_are_findings(self):
         old = doc([record(1), record(2)])
         new = doc([record(1)])
-        verdict = baseline.compare_docs(old, new)
-        assert not verdict.ok
-        gone = [f for f in verdict.regressions
-                if f.key.startswith("experiments.E2.")]
-        assert gone and all(f.new is None for f in gone)
-        reversed_verdict = baseline.compare_docs(new, old)
-        appeared = [f for f in reversed_verdict.regressions
-                    if f.key.startswith("experiments.E2.")]
-        assert appeared and all(f.baseline is None for f in appeared)
-
-    def test_ignore_rule_skips_leaves(self):
-        policy = {
-            "schema_version": 1,
-            "rules": [{"prefix": "experiments.E1.derived.",
-                       "kind": "ignore"}],
-            "default": {"kind": "exact", "severity": "fail"},
-        }
-        old = doc([record(1)])
-        new = copy.deepcopy(old)
-        new["experiments"][0]["derived"]["counters"]["tlb_miss"] = 999
-        verdict = baseline.compare_docs(old, new, policy)
-        assert verdict.ok
-        assert verdict.ignored > 0
+        verdict = obs_diff.compare_docs(old, new)
+        assert not verdict["ok"]
+        assert verdict["experiments"]["E2"]["only_a"] == ["<entire record>"]
+        reversed_verdict = obs_diff.compare_docs(new, old)
+        assert not reversed_verdict["ok"]
+        assert reversed_verdict["experiments"]["E2"]["only_b"] == \
+            ["<entire record>"]
+        fewer = copy.deepcopy(old)
+        del fewer["experiments"][1]["measured"]["ratio"]
+        verdict = obs_diff.compare_docs(old, fewer)
+        assert verdict["experiments"]["E2"]["only_a"] == ["measured.ratio"]
+        assert verdict["regressions"] == 1
 
 
 class TestRenderVerdict:
     def test_ok_verdict(self):
-        verdict = baseline.compare_docs(doc([record(1)]),
+        verdict = obs_diff.compare_docs(doc([record(1)]),
                                         doc([record(1)]))
-        text = baseline.render_verdict(verdict, "base.json", "new.json")
+        text = obs_diff.render_verdict(verdict, "base.json", "new.json")
+        assert "0 changed, missing or extra" in text
         assert text.endswith(
             "VERDICT: ok — the benchmark trajectory matches the baseline"
         )
@@ -193,20 +112,60 @@ class TestRenderVerdict:
         new = copy.deepcopy(old)
         new["experiments"][0]["total_cycles"] = 1
         new["summary"]["total_cycles"] = 1
-        text = baseline.render_verdict(
-            baseline.compare_docs(old, new), "a", "b"
+        text = obs_diff.render_verdict(
+            obs_diff.compare_docs(old, new), "a", "b"
         )
-        assert "[fail]" in text
+        assert "diff: a:E1  ->  b:E1" in text
+        assert "total_cycles  100 -> 1" in text
         assert "REGRESSION" in text.splitlines()[-1]
 
     def test_finding_limit(self):
         old = doc([record(1, measured={f"k{i}": i for i in range(30)})])
         new = doc([record(1, measured={f"k{i}": i + 1
                                        for i in range(30)})])
-        text = baseline.render_verdict(
-            baseline.compare_docs(old, new), "a", "b", limit=5
+        text = obs_diff.render_verdict(
+            obs_diff.compare_docs(old, new), "a", "b", limit=5
         )
-        assert "... 25 more findings" in text
+        assert "... 25 more changed leaves" in text
+
+
+class TestTotalsCrossCheck:
+    """A record whose total misses a CPU's ledger is a producer bug."""
+
+    def under_counted(self):
+        # E17 as the benchmark suite once recorded it: CPU 0's ledger
+        # and profiler only, against a derived block counting both CPUs.
+        built = doc([record(1), record(17, cycles=3_286_694)])
+        built["experiments"][1]["derived"]["total_cycles"] = 6_570_273
+        return built
+
+    def test_validator_names_the_experiment(self):
+        with pytest.raises(ValueError,
+                           match=r"^E17: total_cycles 3286694 .*6570273"):
+            validate_bench_doc(self.under_counted())
+
+    def test_attribution_must_sum_to_the_total(self):
+        built = doc([record(1)])
+        built["experiments"][0]["attribution"]["flush"] = 5
+        with pytest.raises(ValueError, match=r"^E1: .*attribution's sum 105"):
+            validate_bench_doc(built)
+
+    def test_consumers_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "under.json"
+        bad.write_text(json.dumps(self.under_counted()))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(
+            doc([record(1), record(17, cycles=6_570_273)])
+        ))
+        ledger = tmp_path / "h.jsonl"
+        html = tmp_path / "r.html"
+        assert cli.main(["bench", "compare", str(good), str(bad)]) == 2
+        assert cli.main(["report", "--from", str(bad),
+                         "--out", str(html)]) == 2
+        assert cli.main(["bench", "append", str(bad), "--history",
+                         str(ledger), "--sha", "a", "--parent", "b"]) == 2
+        assert capsys.readouterr().err.count("E17: total_cycles") == 3
+        assert not ledger.exists() and not html.exists()
 
 
 def run_cli(*argv):
@@ -243,6 +202,9 @@ class TestCompareCli:
         assert payload["ok"] is False
         assert payload["regressions"] == 1
         assert json.loads(out.read_text()) == payload
+        prose = run_cli(a, b)
+        assert prose.returncode == 1
+        assert "derived.counters.tlb_miss  7 -> 1,234" in prose.stdout
 
     def test_unreadable_input_exits_two(self, tmp_path):
         a = self.write(tmp_path, "a.json", doc([record(1)]))

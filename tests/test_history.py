@@ -1,14 +1,22 @@
 """Tests for the longitudinal bench ledger (``obs/history.py``)."""
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
+from repro import __main__ as cli
 from repro.obs import history, metrics
+
+#: The committed ledger: its first six lines predate bench schema 5 and
+#: carry a legacy ``wall`` section.
+COMMITTED_LEDGER = pathlib.Path(__file__).resolve().parents[1] / \
+    "BENCH_history.jsonl"
 
 
 def bench_record(exp_id="E1", cycles=1000, shape=True, top="tlb-reload"):
-    """A minimal valid schema-4 bench record with a derived block."""
+    """A minimal valid bench record with a derived block."""
     return {
         "id": exp_id,
         "title": f"experiment {exp_id}",
@@ -21,6 +29,7 @@ def bench_record(exp_id="E1", cycles=1000, shape=True, top="tlb-reload"):
         "paper": {"claim": "qualitative"},
         "attribution": {top: cycles},
         "derived": {
+            "total_cycles": cycles,
             "attribution": {"top": top, "shares": {top: 1.0}},
             "reload": {"p99": 42},
             "counters": {"tlb_miss": 7},
@@ -28,8 +37,8 @@ def bench_record(exp_id="E1", cycles=1000, shape=True, top="tlb-reload"):
     }
 
 
-def bench_doc(records, timings=None):
-    return metrics.bench_doc(records, timings=timings)
+def bench_doc(records):
+    return metrics.bench_doc(records)
 
 
 class TestRecordFields:
@@ -59,7 +68,6 @@ class TestEntryFromDoc:
     def test_builds_validated_entry(self):
         doc = bench_doc(
             [bench_record("E1", 1000), bench_record("E2", 2000, shape=False)],
-            timings={"E1": 1.5, "E2": 2.5},
         )
         entry = history.entry_from_doc(
             doc, label="PR7", sha="abc123", parent="def456"
@@ -74,18 +82,16 @@ class TestEntryFromDoc:
         assert entry["summary"] == {
             "experiments": 2, "shapes_holding": 1, "total_cycles": 3000,
         }
-        assert entry["wall"] == {"E1": 1.5, "E2": 2.5}
+        assert "wall" not in entry
         assert entry["verdict"] is None
 
     def test_verdict_is_summarized(self):
         doc = bench_doc([bench_record()])
         entry = history.entry_from_doc(
-            doc, verdict={"ok": False, "regressions": 2, "warnings": 1,
-                          "findings": ["noise"]},
+            doc, verdict={"ok": False, "regressions": 2, "equal": 9,
+                          "experiments": {}},
         )
-        assert entry["verdict"] == {
-            "ok": False, "regressions": 2, "warnings": 1,
-        }
+        assert entry["verdict"] == {"ok": False, "regressions": 2}
 
     def test_rejects_invalid_doc(self):
         doc = bench_doc([bench_record()])
@@ -96,8 +102,7 @@ class TestEntryFromDoc:
 
 def make_entry(**kwargs):
     cycles = kwargs.pop("cycles", 1000)
-    timings = kwargs.pop("timings", {"E1": 1.0})
-    doc = bench_doc([bench_record(cycles=cycles)], timings=timings)
+    doc = bench_doc([bench_record(cycles=cycles)])
     return history.entry_from_doc(doc, **kwargs)
 
 
@@ -135,7 +140,7 @@ class TestValidateHistoryEntry:
 
     def test_rejects_negative_wall(self):
         entry = make_entry()
-        entry["wall"]["E1"] = -0.5
+        entry["wall"] = {"E1": -0.5}  # a legacy section, still checked
         with pytest.raises(ValueError, match="wall"):
             history.validate_history_entry(entry)
 
@@ -161,13 +166,11 @@ class TestSerialization:
         assert ": " not in line and ", " not in line
         assert json.loads(line) == entry
 
-    def test_deterministic_view_drops_wall_only(self):
-        fast = make_entry(timings={"E1": 1.0})
-        slow = make_entry(timings={"E1": 9.0})
-        assert fast["wall"] != slow["wall"]
-        assert history.deterministic_view(fast) == \
-            history.deterministic_view(slow)
-        assert "wall" not in history.deterministic_view(fast)
+    def test_entry_from_v5_doc_has_no_wall(self):
+        entry = make_entry(label="v5")
+        assert "wall" not in entry
+        assert history.dumps_entry(entry) == \
+            history.dumps_entry(make_entry(label="v5"))
 
 
 class TestAppendLoad:
@@ -215,3 +218,23 @@ class TestAppendLoad:
         path = tmp_path / "BENCH_history.jsonl"
         path.write_text("\n" + history.dumps_entry(make_entry()) + "\n")
         assert len(history.load_history(path)) == 1
+
+
+class TestCommittedLedger:
+    def test_legacy_lines_load_and_trend(self, tmp_path, capsys):
+        entries = history.load_history(COMMITTED_LEDGER)
+        assert len(entries) >= 6
+        assert all(entry["bench_schema"] < 5 and "wall" in entry
+                   for entry in entries[:6])
+        assert cli.main(["trend", "--history", str(COMMITTED_LEDGER)]) == 0
+        assert "wall" not in capsys.readouterr().out
+
+        ledger = tmp_path / "BENCH_history.jsonl"
+        shutil.copy(COMMITTED_LEDGER, ledger)
+        assert history.append_entry(ledger, make_entry(label="v5")) == \
+            len(entries) + 1
+        appended = json.loads(ledger.read_text().splitlines()[-1])
+        assert appended["bench_schema"] == metrics.BENCH_SCHEMA
+        assert "wall" not in appended
+        assert cli.main(["trend", "--history", str(ledger)]) == 0
+        assert "-> v5:" in capsys.readouterr().out

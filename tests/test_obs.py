@@ -257,7 +257,10 @@ class TestObservedExperiments:
         observed = obs_session.run_observed("E1")
         record = observed.record()
         assert record["id"] == "E1"
-        assert record["total_cycles"] == observed.total_cycles > 0
+        assert record["total_cycles"] == sum(
+            handle.machine.total_cycles_all_cpus()
+            for handle in observed.observed
+        ) > 0
         assert record["machines"]
         assert sum(record["attribution"].values()) == record["total_cycles"]
         assert isinstance(record["shape_holds"], bool)
@@ -282,24 +285,22 @@ class TestMetrics:
         assert coerced["ok"] == 3.5
         json.dumps(coerced)
 
-    def test_bench_aggregation(self, tmp_path):
-        for number, cycles in ((2, 100), (10, 50), (1, 7)):
-            metrics.write_experiment_record(
-                {"id": f"E{number}", "title": f"experiment {number}",
-                 "machines": ["604e/200"], "total_cycles": cycles,
-                 "shape_holds": True, "measured": {}, "paper": {},
-                 "attribution": {"user-compute": cycles},
-                 "derived": {}},
-                tmp_path,
-            )
-        (tmp_path / "notes.json").write_text("{}")  # ignored: not E<n>.json
-        out = tmp_path / "BENCH_results.json"
-        doc = metrics.write_bench_results(tmp_path, out)
-        assert [r["id"] for r in doc["experiments"]] == ["E1", "E2", "E10"]
-        assert doc["summary"]["experiments"] == 3
-        assert doc["summary"]["total_cycles"] == 157
-        assert doc["summary"]["shapes_holding"] == 3
-        assert json.loads(out.read_text()) == doc
+    def test_bench_aggregation(self):
+        records = [
+            {"id": f"E{number}", "title": f"experiment {number}",
+             "machines": ["604e/200"], "total_cycles": cycles,
+             "shape_holds": True, "measured": {}, "paper": {},
+             "attribution": {"user-compute": cycles},
+             "derived": {"total_cycles": cycles}}
+            for number, cycles in ((1, 7), (2, 100), (10, 50))
+        ]
+        doc = metrics.bench_doc(records)
+        assert metrics.validate_bench_doc(doc)["experiments"] == 3
+        assert doc["schema_version"] == metrics.BENCH_SCHEMA
+        assert doc["source"] == "python -m repro run --bench-out"
+        assert "timings" not in doc
+        assert doc["summary"] == {"experiments": 3, "shapes_holding": 3,
+                                  "total_cycles": 157}
 
 
 class TestSortedIds:
@@ -320,6 +321,22 @@ class TestCli:
         parsed = [int(row.split()[1].replace(",", "")) for row in rows]
         # Last row is the total; the others are the categories.
         assert sum(parsed[:-1]) == parsed[-1] > 0
+
+    def test_smp_profile_and_record_count_every_cpu(self, capsys):
+        observed = obs_session.run_observed("E17")
+        every_cpu = sum(handle.machine.total_cycles_all_cpus()
+                        for handle in observed.observed)
+        # The current CPU's ledger alone would under-count this run.
+        assert every_cpu > sum(handle.machine.clock.total
+                               for handle in observed.observed)
+        assert cli.main(["profile", "E17"]) == 0
+        total_row = capsys.readouterr().out.splitlines()[-2]
+        assert total_row.split()[:2] == ["total", f"{every_cpu:,}"]
+        assert cli.main(["run", "E17", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["total_cycles"] == every_cpu
+        assert record["derived"]["total_cycles"] == every_cpu
+        assert sum(record["attribution"].values()) == every_cpu
 
     def test_run_json(self, capsys):
         assert cli.main(["run", "e1", "--json"]) == 0

@@ -1,9 +1,9 @@
 """Tests for ``repro.obs.report`` and the ``repro report`` CLI.
 
 The dashboard's contract is byte determinism: the renderer is a pure
-function of the bench doc, and the CLI builds that doc without the
-wall-clock timings section — so repeated invocations, cached or not,
-serial or parallel, must produce identical files.
+function of the bench doc, and the bench doc holds no host time — so
+repeated invocations, cached or not, serial or parallel, must produce
+identical files.
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ def fixture_ledger(path):
     record = second["experiments"][0]
     record["total_cycles"] = 900
     record["attribution"] = {"user-compute": 600, "tlb-reload": 300}
+    record["derived"] = dict(record["derived"], total_cycles=900)
     second["summary"]["total_cycles"] = 900
     history.append_entry(
         path, history.entry_from_doc(first, label="PR6", sha="aaa111")

@@ -254,10 +254,10 @@ class TestServiceParity:
         from repro.obs import metrics
 
         cache = ResultCache(root=tmp_path)
-        cold, _wall, hit_cold = engine.run_cached(
+        cold, hit_cold = engine.run_cached(
             specs.SPECS["E20"], cache=cache
         )
-        warm, _wall, hit_warm = engine.run_cached(
+        warm, hit_warm = engine.run_cached(
             specs.SPECS["E20"], cache=cache
         )
         assert (hit_cold, hit_warm) == (False, True)
