@@ -25,7 +25,7 @@ from repro.hw.monitor import HardwareMonitor
 from repro.hw.pte import HashPte, pte_api
 from repro.hw.segment import SegmentRegisterFile
 from repro.hw.tlb import Tlb, TlbEntry
-from repro.hw.walker import HardwareWalker, WalkOutcome
+from repro.hw.walker import HardwareWalker
 
 __all__ = [
     "AccessKind",
@@ -45,7 +45,6 @@ __all__ = [
     "TlbEntry",
     "TranslationResult",
     "VirtualAddress",
-    "WalkOutcome",
     "ea_offset",
     "ea_page_index",
     "ea_segment",

@@ -382,26 +382,6 @@ class Cache:
             miss_events += hits
         return cycles, miss_events
 
-    def access_run_same_line(self, pa: int, count: int, inhibited: bool = False) -> int:
-        """``count`` back-to-back reads of which only the first can miss.
-
-        The hash-table probe loops touch consecutive PTE slots; slots
-        sharing a cache line after the first are guaranteed hits (the
-        first access left the line resident and MRU).  This charges one
-        real access plus ``count - 1`` hit-priced accesses — identical
-        to the scalar loop, without re-proving residency per slot.
-        """
-        if count <= 0:
-            return 0
-        if inhibited:
-            self.stats.bypasses += count
-            return self.word_cycles * count
-        cycles = self.access(pa)
-        if count > 1:
-            self.stats.hits += count - 1
-            cycles += self.hit_cycles * (count - 1)
-        return cycles
-
     # -- maintenance operations --------------------------------------------
 
     def contains(self, pa: int) -> bool:

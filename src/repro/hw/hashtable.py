@@ -22,14 +22,18 @@ keep invalid slots available so those evicts stop happening.
 Representation: the table is struct-of-arrays — one flat list of packed
 ``(vsid << 32) | page_index`` tag keys (-1 = never written), parallel
 bytearrays for the valid/H/R/C/WIMG/PP bits and a flat list of RPNs.
-Searches are C-speed ``list.index`` runs over an 8-slot window instead
-of per-object scans.  Callers that need a PTE *object* (the machine's
-reference/changed updates, the sanitizer, the analytics derivations) get
-a :class:`PteView` — a thin live view whose attribute writes go straight
+Searches are C-speed membership tests and ``list.index`` runs over an
+8-slot window instead of per-object scans, and a bucket miss raises
+nothing.  The hardware walk works on flat slot numbers alone:
+:meth:`HashedPageTable.search_counted` returns the matching slot (-1 on
+a miss) with the PTEG slots it examined, so the walker can charge its
+per-probe cache accesses one run per bucket, and
+:meth:`HashedPageTable.reference` sets R/C and reads the fields a TLB
+fill needs.  Callers that want a PTE *object* (the sanitizer, the
+analytics derivations, :meth:`HashedPageTable.search`) get a
+:class:`PteView` — a thin live view whose attribute writes go straight
 back into the arrays, preserving the old ``HashPte`` write-through
-semantics.  The ``*_counted`` variants additionally report which PTEG
-slots were examined so the hardware walker can charge its per-probe
-cache accesses in one batched run per bucket.
+semantics.
 """
 
 from __future__ import annotations
@@ -288,7 +292,10 @@ class HashedPageTable:
 
         Returns ``(flat, examined)``; ``flat`` is -1 on a miss, in which
         case the whole group (``ptes_per_group`` slots) was examined —
-        the paper's per-bucket worst case.
+        the paper's per-bucket worst case.  A membership test guards
+        every ``list.index``, so a miss raises nothing; the test reads a
+        slice of the group's remaining keys (at most ``ptes_per_group``)
+        per pass, the one list a bucket probe builds.
         """
         ppg = self.ptes_per_group
         base = group_index * ppg
@@ -297,49 +304,51 @@ class HashedPageTable:
         valid = self._valid
         sec = self._sec
         pos = base
-        while True:
-            try:
-                pos = keys.index(key, pos, end)
-            except ValueError:
-                return -1, ppg
+        while key in keys[pos:end]:
+            pos = keys.index(key, pos, end)
             if valid[pos] and sec[pos] == secondary:
                 return pos, pos - base + 1
             pos += 1
+        return -1, ppg
 
     # -- the hardware search (and its software emulation) --------------------
 
     def search_counted(self, vsid: int, page_index: int):
         """Probe primary then secondary bucket, reporting probe runs.
 
-        Returns ``(result, probes)`` where ``probes`` is a list of
-        ``(group_index, slots_examined)`` pairs — the consecutive slot
-        prefix of each PTEG the search touched, in probe order.  The
-        walker uses the runs to charge its per-probe cache accesses in
-        batches; ``result`` is identical to :meth:`search`.
+        Returns ``(flat, probes)``: the flat index of the matching valid
+        slot (-1 on a miss) and a list of ``(group_index,
+        slots_examined)`` pairs — the consecutive slot prefix of each
+        PTEG the search touched, in probe order.  The walker charges its
+        per-probe cache accesses from the runs; the counters and the
+        miss histogram advance exactly as in :meth:`search`.
         """
         self.searches += 1
         key = (vsid << _KEY_PAGE_BITS) | page_index
-        mem_refs = 0
-        probes = []
-        for secondary in (0, 1):
-            group_index = self.group_index(vsid, page_index, bool(secondary))
-            flat, examined = self._find_in_group(group_index, key, secondary)
-            mem_refs += examined
-            probes.append((group_index, examined))
-            if flat >= 0:
-                self.search_hits += 1
-                result = PtegSearchResult(
-                    pte=PteView(self, flat),
-                    mem_refs=mem_refs,
-                    buckets_probed=1 + secondary,
-                )
-                return result, probes
-        primary_group = self.group_index(vsid, page_index, False)
-        self.bucket_miss_histogram[primary_group] += 1
-        return (
-            PtegSearchResult(pte=None, mem_refs=mem_refs, buckets_probed=2),
-            probes,
-        )
+        primary = self.group_index(vsid, page_index, False)
+        flat, examined = self._find_in_group(primary, key, 0)
+        probes = [(primary, examined)]
+        if flat < 0:
+            secondary = self.group_index(vsid, page_index, True)
+            flat, examined = self._find_in_group(secondary, key, 1)
+            probes.append((secondary, examined))
+            if flat < 0:
+                self.bucket_miss_histogram[primary] += 1
+                return -1, probes
+        self.search_hits += 1
+        return flat, probes
+
+    def reference(self, flat: int, write: bool) -> tuple:
+        """The walk's hit side: set R (and C on a write) on one slot.
+
+        Returns ``(rpn, pp, wimg)``, the fields a TLB fill reads — the
+        same writes and reads as ``PteView`` attribute access, with no
+        view object.
+        """
+        self._ref[flat] = 1
+        if write:
+            self._chg[flat] = 1
+        return self._rpn[flat], self._pp[flat], self._wimg[flat]
 
     def search(self, vsid: int, page_index: int, probe=None) -> PtegSearchResult:
         """Probe primary then secondary bucket for a matching valid PTE.
@@ -351,8 +360,12 @@ class HashedPageTable:
         probe.
         """
         if probe is None:
-            result, _ = self.search_counted(vsid, page_index)
-            return result
+            flat, probes = self.search_counted(vsid, page_index)
+            return PtegSearchResult(
+                pte=PteView(self, flat) if flat >= 0 else None,
+                mem_refs=sum(examined for _group, examined in probes),
+                buckets_probed=len(probes),
+            )
         self.searches += 1
         key = (vsid << _KEY_PAGE_BITS) | page_index
         keys = self._key

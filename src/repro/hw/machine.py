@@ -22,11 +22,13 @@ from repro.hw.access import AccessKind
 from repro.hw.addr import ea_page_index, physical_address
 from repro.hw.cpu import CpuState
 from repro.hw.hashtable import HashedPageTable
-from repro.hw.tlb import Tlb, TlbEntry
+from repro.hw.pte import WIMG_CACHE_INHIBIT
+from repro.hw.tlb import TlbEntry
 from repro.params import (
     C603_MISS_INVOKE_CYCLES,
     C604_HASH_MISS_INVOKE_CYCLES,
     HTAB_GROUPS,
+    KERNELBASE,
     MachineSpec,
     PAGE_OFFSET_MASK,
     PAGE_SHIFT,
@@ -74,6 +76,9 @@ class MachineModel:
         if n_cpus < 1:
             raise ConfigError(f"n_cpus must be >= 1: {n_cpus}")
         self.spec = spec
+        #: Whether a TLB miss walks the hash table in hardware (604)
+        #: or traps to software at once (603); read once, here.
+        self._hardware_tablewalk = spec.hardware_tablewalk
         self.ram_bytes = ram_bytes
         self.n_cpus = n_cpus
         self.htab = HashedPageTable(
@@ -179,63 +184,50 @@ class MachineModel:
         bat = self.bats.lookup(ea, instruction=kind is AccessKind.INSTRUCTION)
         if bat is not None:
             self.monitor.count("bat_translation")
-            return bat.translate(ea), 0, "bat", bool(bat.wimg & 0b0100)
+            return bat.translate(ea), 0, "bat", bool(bat.wimg & WIMG_CACHE_INHIBIT)
 
         vsid = self.segments.vsid_for(ea)
         page_index = ea_page_index(ea)
-        tlb = self.itlb if kind is AccessKind.INSTRUCTION else self.dtlb
+        if kind is AccessKind.INSTRUCTION:
+            tlb, miss_event = self.itlb, "itlb_miss"
+        else:
+            tlb, miss_event = self.dtlb, "dtlb_miss"
         entry = tlb.lookup(vsid, page_index)
         if entry is not None:
             pa = physical_address(entry.ppn, ea & PAGE_OFFSET_MASK)
             return pa, 0, "tlb", entry.cache_inhibited
-        return self._tlb_miss(ea, kind, write, vsid, page_index, tlb)
-
-    def _tlb_miss(
-        self,
-        ea: int,
-        kind: AccessKind,
-        write: bool,
-        vsid: int,
-        page_index: int,
-        tlb: Tlb,
-    ) -> tuple:
-        self.monitor.count(
-            "itlb_miss" if kind is AccessKind.INSTRUCTION else "dtlb_miss"
-        )
-        if self.spec.hardware_tablewalk:
+        self.monitor.count(miss_event)
+        if self._hardware_tablewalk:
             return self._tlb_miss_604(ea, kind, write, vsid, page_index, tlb)
         return self._tlb_miss_603(ea, kind, write, vsid, page_index, tlb)
 
     def _tlb_miss_604(self, ea, kind, write, vsid, page_index, tlb):
         """604: hardware searches the hash table before trapping."""
-        outcome = self.walker.walk(vsid, page_index)
-        self.monitor.count("htab_search")
-        cycles = outcome.cycles
-        if outcome.found:
-            self.monitor.count("htab_hit")
-            pte = outcome.pte
-            pte.referenced = True
-            if write:
-                pte.changed = True
-            entry = TlbEntry(
+        flat, cycles = self.walker.walk(vsid, page_index)
+        monitor = self.monitor
+        monitor.count("htab_search")
+        if flat >= 0:
+            monitor.count("htab_hit")
+            rpn, pp, wimg = self.htab.reference(flat, write)
+            inhibited = bool(wimg & WIMG_CACHE_INHIBIT)
+            tlb.insert(TlbEntry(
                 vsid=vsid,
                 page_index=page_index,
-                ppn=pte.rpn,
-                writable=pte.pp != 0b11,
-                cache_inhibited=pte.cache_inhibited,
-                is_kernel=ea >= 0xC0000000,
-            )
-            tlb.insert(entry)
+                ppn=rpn,
+                writable=pp != 0b11,
+                cache_inhibited=inhibited,
+                is_kernel=ea >= KERNELBASE,
+            ))
             self.clock.add(cycles, "tlb_reload")
             if self.tracer is not None:
                 self.tracer.complete(
                     "hw-walk", "mmu", cycles, {"ea": hex(ea)}
                 )
-            pa = physical_address(entry.ppn, ea & PAGE_OFFSET_MASK)
-            return pa, cycles, "hw_walk", entry.cache_inhibited
+            pa = physical_address(rpn, ea & PAGE_OFFSET_MASK)
+            return pa, cycles, "hw_walk", inhibited
         # Hash-table miss: trap to the kernel.
-        self.monitor.count("htab_miss")
-        self.monitor.count("hash_miss_interrupt")
+        monitor.count("htab_miss")
+        monitor.count("hash_miss_interrupt")
         cycles += C604_HASH_MISS_INVOKE_CYCLES
         return self._software_refill(ea, kind, write, vsid, page_index, tlb, cycles)
 
@@ -306,9 +298,19 @@ class MachineModel:
             cache, miss_event = self.icache, "icache_miss"
         else:
             cache, miss_event = self.dcache, "dcache_miss"
-        mem_cycles, misses = cache.access_page_lines(
-            pa & ~PAGE_OFFSET_MASK, first_line, lines, write, inhibited
-        )
+        page_base = pa & ~PAGE_OFFSET_MASK
+        if lines == 1:
+            # A one-line visit is one scalar access; the page kernel's
+            # per-call setup would outweigh it.
+            mem_cycles = cache.access(
+                page_base | ((first_line * cache.line_size) & PAGE_OFFSET_MASK),
+                write, inhibited,
+            )
+            misses = 1 if mem_cycles > 1 else 0
+        else:
+            mem_cycles, misses = cache.access_page_lines(
+                page_base, first_line, lines, write, inhibited
+            )
         if misses and not inhibited:
             self._count_misses(miss_event, misses)
         self.clock.add(mem_cycles, "mem")
@@ -350,15 +352,18 @@ class MachineModel:
         """
         bat = self.bats.lookup(ea, instruction=False)
         if bat is not None:
-            pa_base = bat.translate(ea) & ~PAGE_OFFSET_MASK
+            pa_base: Optional[int] = bat.translate(ea) & ~PAGE_OFFSET_MASK
+            inhibited = bool(bat.wimg & WIMG_CACHE_INHIBIT)
         else:
             vsid = self.segments.vsid_for(ea)
             entry = self.dtlb.peek(vsid, ea_page_index(ea))
-            if entry is None or entry.cache_inhibited:
-                # Dropped prefetch: issue cost only.
-                self.clock.add(issue_cycles, "prefetch")
-                return issue_cycles
-            pa_base = entry.ppn << PAGE_SHIFT
+            pa_base = None if entry is None else entry.ppn << PAGE_SHIFT
+            inhibited = entry is not None and entry.cache_inhibited
+        if pa_base is None or inhibited:
+            # Dropped prefetch: no translation, or a cache-inhibited one
+            # (a §5.1 I/O BAT as much as a TLB entry).  Issue cost only.
+            self.clock.add(issue_cycles, "prefetch")
+            return issue_cycles
         cycles = issue_cycles * lines
         # The fills are real cache traffic (LRU state, statistics) but
         # their latency is hidden behind the caller's independent work —

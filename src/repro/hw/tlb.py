@@ -13,10 +13,11 @@ exercise other geometries.
 Representation: each set is a list of packed integer keys
 (``vsid << PAGE_INDEX_BITS | page_index``) ordered most-recent-first;
 the :class:`TlbEntry` payloads live in one dict keyed by the same packed
-key.  Lookups are a C-speed ``list.index`` over at most ``assoc`` small
-ints plus one dict read — no per-entry object scan.  The entry objects
-callers insert are stored as-is, so the check/obs layers keep receiving
-the same mutable :class:`TlbEntry` instances they always did.
+key.  A probe is a C-speed membership test over at most ``assoc`` small
+ints plus one dict read — no per-entry object scan, and a miss raises
+nothing (misses lead every 604 table walk).  The entry objects callers
+insert are stored as-is, so the check/obs layers keep receiving the same
+mutable :class:`TlbEntry` instances they always did.
 """
 
 from __future__ import annotations
@@ -78,13 +79,11 @@ class Tlb:
         """Probe the TLB; maintains LRU order and hit/miss counters."""
         keys = self._sets[page_index % self.num_sets]
         key = (vsid << _KEY_SHIFT) | page_index
-        try:
-            position = keys.index(key)
-        except ValueError:
+        if key not in keys:
             self.misses += 1
             return None
-        if position:
-            del keys[position]
+        if keys[0] != key:
+            keys.remove(key)
             keys.insert(0, key)
         self.hits += 1
         return self._data[key]
@@ -104,17 +103,10 @@ class Tlb:
         """
         keys = self._sets[entry.page_index % self.num_sets]
         key = (entry.vsid << _KEY_SHIFT) | entry.page_index
-        try:
-            position = keys.index(key)
-        except ValueError:
-            pass
-        else:
-            del keys[position]
-            keys.insert(0, key)
-            self._data[key] = entry
-            return None
         victim = None
-        if len(keys) >= self.assoc:
+        if key in keys:
+            keys.remove(key)
+        elif len(keys) >= self.assoc:
             victim = self._data.pop(keys.pop())
         keys.insert(0, key)
         self._data[key] = entry
@@ -137,11 +129,8 @@ class Tlb:
         removed = 0
         if vsid is not None:
             key = (vsid << _KEY_SHIFT) | page_index
-            try:
+            if key in keys:
                 keys.remove(key)
-            except ValueError:
-                pass
-            else:
                 del self._data[key]
                 removed = 1
         else:

@@ -11,20 +11,23 @@ PTEG's physical address; that is how the §8 cache-pollution effect
 arises in the model without any special-casing.  Configurations that map
 the page tables cache-inhibited simply set ``cache_ptes=False``.
 
-Probe charging is batched per PTEG: the table reports how many
-consecutive slots each probed group examined (``search_counted``), and
-the charger replays those probes against the data cache line-run by
-line-run.  Within one run, only the first slot of each cache line can
-miss — the probe loop walks consecutive PTE addresses, so every later
-slot on the same line finds it resident and MRU (the immediately
-preceding probe put it there).  The batched charge is therefore
-cycle-identical and statistics-identical to the old per-slot callback,
-at a fraction of the Python cost.
+A walk deals in flat slot numbers and cycles, not model objects: it
+raises nothing and builds no ``PtegSearchResult`` or ``PteView``.
+:meth:`walk` returns ``(flat, cycles)`` with ``flat`` the matching
+table slot, -1 on a miss.
+The table reports how many consecutive slots each probed group examined
+(``search_counted``), and the walker replays those probes against the
+data cache one line at a time.  Within one run, only the first slot of
+each cache line can miss — the probe loop walks consecutive PTE
+addresses, so every later slot on the same line finds it resident and
+MRU (the immediately preceding probe put it there).  Each line therefore
+costs one scalar ``dcache.access`` plus hit-priced slots for the rest of
+the run on that line: cycle-identical and statistics-identical to one
+access per slot, at a fraction of the Python cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -42,19 +45,6 @@ PTEG_BYTES = PTE_BYTES * PTES_PER_GROUP
 #: 120-cycle ceiling (8 + 16 * 7 = 120).
 WALK_BASE_CYCLES = 8
 WALK_CYCLES_PER_REF = 7
-
-
-@dataclass(slots=True)
-class WalkOutcome:
-    """Result of one hardware (or software-emulated) hash-table walk."""
-
-    pte: Optional[HashPte]
-    cycles: int
-    mem_refs: int
-
-    @property
-    def found(self) -> bool:
-        return self.pte is not None
 
 
 class HardwareWalker:
@@ -98,14 +88,17 @@ class HardwareWalker:
         if inhibited:
             dcache.stats.bypasses += count
             return dcache.word_cycles * count
-        slots_per_line = dcache.line_size // PTE_BYTES
+        line_size = dcache.line_size
+        # Lines the run touches (a PTEG starts a line or fits in one).
+        lines = -(-count // (line_size // PTE_BYTES))
         base = self.pte_physical_address(group_index, 0)
         cycles = 0
-        slot = 0
-        while slot < count:
-            run = min(slots_per_line - (slot % slots_per_line), count - slot)
-            cycles += dcache.access_run_same_line(base + slot * PTE_BYTES, run)
-            slot += run
+        for line in range(lines):
+            cycles += dcache.access(base + line * line_size)
+        hits = count - lines
+        if hits:
+            dcache.stats.hits += hits
+            cycles += dcache.hit_cycles * hits
         return cycles
 
     def charge_scan_window(
@@ -155,31 +148,33 @@ class HardwareWalker:
         page_index: int,
         cycles_per_ref: int = WALK_CYCLES_PER_REF,
         inhibited: Optional[bool] = None,
-    ):
-        """Search the table, charging probes in batched line runs.
+    ) -> tuple:
+        """Search the table, charging every probed slot.
 
-        Returns ``(result, cycles)``; behaviourally identical to
-        ``htab.search`` with a per-slot probe callback charging
-        ``cycles_per_ref`` plus one data-cache access per slot (the 604
-        hardware walk, or the 603's software emulation of it with its
-        own per-probe instruction cost).
+        Returns ``(flat, cycles)``, ``flat`` being the matching slot or
+        -1; behaviourally identical to ``htab.search`` with a per-slot
+        probe callback charging ``cycles_per_ref`` plus one data-cache
+        access per slot (the 604 hardware walk, or the 603's software
+        emulation of it with its own per-probe instruction cost).
         """
         if inhibited is None:
             inhibited = not self.cache_ptes
-        result, probes = self.htab.search_counted(vsid, page_index)
-        cycles = cycles_per_ref * result.mem_refs
+        flat, probes = self.htab.search_counted(vsid, page_index)
+        cycles = 0
         for group_index, count in probes:
-            cycles += self.charge_probe_run(group_index, count, inhibited)
-        return result, cycles
+            cycles += cycles_per_ref * count + self.charge_probe_run(
+                group_index, count, inhibited
+            )
+        return flat, cycles
 
-    def walk(self, vsid: int, page_index: int) -> WalkOutcome:
-        """Search primary then secondary PTEG; charge cycles per probe."""
-        result, cycles = self.charged_search(vsid, page_index)
-        return WalkOutcome(
-            pte=result.pte,
-            cycles=WALK_BASE_CYCLES + cycles,
-            mem_refs=result.mem_refs,
-        )
+    def walk(self, vsid: int, page_index: int) -> tuple:
+        """Search primary then secondary PTEG; charge cycles per probe.
+
+        Returns ``(flat, cycles)``: the matching slot (-1 on a miss) and
+        the walk's cost, engine overhead included.
+        """
+        flat, cycles = self.charged_search(vsid, page_index)
+        return flat, WALK_BASE_CYCLES + cycles
 
     def insert(self, pte: HashPte) -> dict:
         """Reload code installing a PTE; returns the htab event + cycles.

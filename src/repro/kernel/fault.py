@@ -22,6 +22,7 @@ into the hash table (so the next hardware walk hits), reload the TLB.
 from __future__ import annotations
 
 from repro.hw.machine import AccessKind, MachineModel, RefillResult
+from repro.hw.pte import WIMG_CACHE_INHIBIT
 from repro.hw.tlb import TlbEntry
 from repro.params import (
     C_HANDLER_EXTRA_CYCLES,
@@ -103,23 +104,22 @@ class MissHandlers:
         # 604 by searching the hash table in software first.
         if not machine.spec.hardware_tablewalk and self.config.use_htab_on_603:
             machine.monitor.count("htab_search")
-            result, search_cycles = machine.walker.charged_search(
+            flat, search_cycles = machine.walker.charged_search(
                 vsid,
                 page_index,
                 cycles_per_ref=SW_PROBE_CYCLES,
                 inhibited=not self.config.cache_page_tables,
             )
             cycles += search_cycles
-            if result.found:
+            if flat >= 0:
                 machine.monitor.count("htab_hit")
-                pte = result.pte
-                pte.referenced = True
-                if write:
-                    pte.changed = True
+                rpn, pp, wimg = machine.htab.reference(flat, write)
                 self._trace_refill(ea, "htab", cycles)
                 return RefillResult(
-                    entry=self._tlb_entry(ea, vsid, page_index, pte.rpn,
-                                          pte.pp != 0b11, pte.cache_inhibited),
+                    entry=self._tlb_entry(
+                        ea, vsid, page_index, rpn, pp != 0b11,
+                        bool(wimg & WIMG_CACHE_INHIBIT),
+                    ),
                     cycles=cycles,
                 )
             machine.monitor.count("htab_miss")

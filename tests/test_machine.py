@@ -1,6 +1,9 @@
 """The machine model: the full translation datapath."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TranslationError
 from repro.hw.access import AccessKind
@@ -13,7 +16,10 @@ from repro.params import (
     C604_HASH_MISS_INVOKE_CYCLES,
     M603_180,
     M604_185,
+    PAGE_OFFSET_MASK,
+    PAGE_SIZE,
 )
+from tests.test_cache import cache_state
 
 
 def refill_to(ppn, extra_cycles=5):
@@ -87,6 +93,28 @@ class Test604MissPath:
         stored = machine.htab.peek(0x42, 0x10)
         assert stored.referenced and stored.changed
 
+    def test_walk_hit_raises_nothing(self):
+        """TLB miss to TLB fill through a hash-table hit raises nothing."""
+        machine = MachineModel(M604_185)
+        machine.segments.write(1, 0x42)
+        machine.htab.insert(HashPte(vsid=0x42, page_index=0x10, rpn=9))
+        raised = []
+
+        def tracer(frame, event, arg):
+            if event == "exception":
+                raised.append((frame.f_code.co_qualname, arg[0].__name__))
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            machine.access_page(0x10010000, lines=1)
+        finally:
+            sys.settrace(previous)
+        assert machine.monitor["htab_hit"] == 1
+        assert machine.dtlb.peek(0x42, 0x10).ppn == 9
+        assert raised == []
+
     def test_htab_miss_invokes_handler_with_interrupt_cost(self):
         machine = MachineModel(M604_185)
         machine.segments.write(1, 0x42)
@@ -157,6 +185,62 @@ class TestMemoryAccess:
         machine.instruction_fetch(0x10010000)
         assert machine.icache.stats.misses == 1
         assert machine.dcache.stats.misses == 0
+
+
+def visit_by_page_kernel(machine, ea, first_line, write, kind):
+    """The reference one-line visit: ``access_page`` on the page kernel."""
+    pa, cycles, _path, inhibited = machine._translate(ea, kind, write)
+    if kind is AccessKind.INSTRUCTION:
+        cache, miss_event = machine.icache, "icache_miss"
+    else:
+        cache, miss_event = machine.dcache, "dcache_miss"
+    mem_cycles, misses = cache.access_page_lines(
+        pa & ~PAGE_OFFSET_MASK, first_line, 1, write, inhibited
+    )
+    if misses and not inhibited:
+        machine.monitor.count(miss_event, misses)
+    machine.clock.add(mem_cycles, "mem")
+    return cycles + mem_cycles
+
+
+class TestOneLineVisit:
+    """A one-line ``access_page`` equals the page kernel's visit exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        visits=st.lists(
+            st.tuples(
+                st.integers(0, 7),       # page; page 7 is cache-inhibited
+                # First lines that collide in a few cache sets (so
+                # visits evict and write back), some past the page end.
+                st.sampled_from((0, 128, 1, 129, 127, 255)),
+                st.booleans(),           # write
+                st.sampled_from((AccessKind.DATA, AccessKind.DATA,
+                                 AccessKind.INSTRUCTION)),
+            ),
+            min_size=24,
+            max_size=80,
+        )
+    )
+    def test_matches_page_kernel(self, visits):
+        fast, slow = MachineModel(M604_185), MachineModel(M604_185)
+        for machine in (fast, slow):
+            machine.segments.write(1, 0x42)
+            for page in range(8):
+                for tlb in (machine.itlb, machine.dtlb):
+                    tlb.insert(TlbEntry(vsid=0x42, page_index=0x10 + page,
+                                        ppn=0x100 + 2 * page,
+                                        cache_inhibited=page == 7))
+        for page, first_line, write, kind in visits:
+            write = write and kind is AccessKind.DATA
+            ea = 0x10010000 + page * PAGE_SIZE
+            got = fast.access_page(ea, 1, write, kind, first_line)
+            want = visit_by_page_kernel(slow, ea, first_line, write, kind)
+            assert got == want
+            assert fast.monitor.snapshot() == slow.monitor.snapshot()
+            assert fast.clock.total == slow.clock.total
+            assert cache_state(fast.dcache) == cache_state(slow.dcache)
+            assert cache_state(fast.icache) == cache_state(slow.icache)
 
 
 class TestHousekeeping:

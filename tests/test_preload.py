@@ -5,6 +5,7 @@ import pytest
 from repro.hw.machine import MachineModel
 from repro.hw.tlb import TlbEntry
 from repro.kernel.config import KernelConfig
+from repro.kernel.kernel import IO_BASE_EA
 from repro.params import KERNELBASE, M604_185
 from repro.sim.simulator import Simulator
 
@@ -44,6 +45,17 @@ class TestPrefetchMechanism:
         )
         machine.prefetch_page_lines(0x10010000, lines=4)
         assert len(machine.dcache) == 0
+
+    def test_cache_inhibited_bat_not_prefetched(self):
+        """§5.1's I/O BAT is cache-inhibited: a prefetch through it drops."""
+        config = KernelConfig.optimized().with_changes(bat_io_map=True)
+        machine = Simulator(M604_185, config).machine
+        resident = len(machine.dcache)
+        before = machine.clock.total
+        assert machine.prefetch_page_lines(IO_BASE_EA, lines=4) == 2
+        assert machine.clock.total - before == 2
+        assert len(machine.dcache) == resident
+        assert not machine.dcache.contains(IO_BASE_EA)
 
 
 class TestSwitchPathIntegration:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.hw.tlb import Tlb, TlbEntry
+from repro.params import PAGE_INDEX_BITS, PAGE_INDEX_MASK
 
 
 def entry(vsid, page_index, ppn=0, kernel=False):
@@ -172,3 +173,99 @@ class TestProperties:
         tlb.invalidate_page(target)
         for vsid in range(1, 5):
             assert tlb.peek(vsid, target) is None
+
+
+class ReferenceLru:
+    """A plain set-associative LRU: per set, entries most-recent-first."""
+
+    def __init__(self, entries, assoc):
+        self.assoc = assoc
+        self.sets = [[] for _ in range(entries // assoc)]
+        self.hits = 0
+        self.misses = 0
+
+    def _set(self, page_index):
+        return self.sets[page_index % len(self.sets)]
+
+    @staticmethod
+    def _position(ways, vsid, page_index):
+        for position, held in enumerate(ways):
+            if (held.vsid, held.page_index) == (vsid, page_index):
+                return position
+        return None
+
+    def lookup(self, vsid, page_index):
+        ways = self._set(page_index)
+        position = self._position(ways, vsid, page_index)
+        if position is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        ways.insert(0, ways.pop(position))
+        return ways[0]
+
+    def insert(self, new):
+        ways = self._set(new.page_index)
+        position = self._position(ways, new.vsid, new.page_index)
+        victim = None
+        if position is not None:
+            del ways[position]
+        elif len(ways) == self.assoc:
+            victim = ways.pop()
+        ways.insert(0, new)
+        return victim
+
+    def invalidate_page(self, page_index, vsid=None):
+        ways = self._set(page_index)
+        kept = [held for held in ways
+                if held.page_index != page_index
+                or (vsid is not None and held.vsid != vsid)]
+        removed = len(ways) - len(kept)
+        ways[:] = kept
+        return removed
+
+    def invalidate_all(self):
+        for ways in self.sets:
+            ways.clear()
+
+
+_tlb_op = st.tuples(
+    st.sampled_from(("lookup",) * 4 + ("insert",) * 3
+                    + ("invalidate_page", "tlbie", "invalidate_all")),
+    st.integers(1, 3),          # vsid
+    st.integers(0, 31),         # page index: two or more per set
+)
+
+
+class TestReferenceModel:
+    """``Tlb`` equals a plain LRU model: results, counters, MRU order."""
+
+    @pytest.mark.parametrize("entries,assoc", [(8, 1), (16, 2), (16, 4)])
+    @settings(max_examples=60, deadline=None)
+    @given(operations=st.lists(_tlb_op, min_size=1, max_size=150))
+    def test_matches_reference_lru(self, entries, assoc, operations):
+        tlb = Tlb(entries, assoc)
+        model = ReferenceLru(entries, assoc)
+        for ppn, (kind, vsid, page) in enumerate(operations):
+            if kind == "lookup":
+                got = tlb.lookup(vsid, page)
+                want = model.lookup(vsid, page)
+                assert got is want
+            elif kind == "insert":
+                new = entry(vsid, page, ppn=ppn)
+                assert tlb.insert(new) is model.insert(new)
+            elif kind == "invalidate_page":
+                assert tlb.invalidate_page(page, vsid) == (
+                    model.invalidate_page(page, vsid))
+            elif kind == "tlbie":
+                assert tlb.invalidate_page(page) == model.invalidate_page(page)
+            else:
+                tlb.invalidate_all()
+                model.invalidate_all()
+            assert (tlb.hits, tlb.misses) == (model.hits, model.misses)
+            for keys, ways in zip(tlb._sets, model.sets):
+                assert [(key >> PAGE_INDEX_BITS, key & PAGE_INDEX_MASK)
+                        for key in keys] == [
+                    (held.vsid, held.page_index) for held in ways]
+                assert all(tlb._data[key] is held
+                           for key, held in zip(keys, ways))

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError
 from repro.hw.cache import Cache
 from repro.hw.hashtable import HashedPageTable
-from repro.hw.pte import HashPte
+from repro.hw.pte import HashPte, WIMG_CACHE_INHIBIT
 from repro.hw.walker import (
     HardwareWalker,
     PTEG_BYTES,
     WALK_BASE_CYCLES,
     WALK_CYCLES_PER_REF,
 )
-from repro.params import PTE_BYTES
+from repro.params import L1_HIT_CYCLES, PTE_BYTES
 from tests.test_cache import cache_state
 
 
@@ -33,14 +33,21 @@ class TestWalkCosts:
     def test_found_walk_returns_pte(self):
         walker, htab, _ = make_walker()
         htab.insert(HashPte(vsid=1, page_index=0x10, rpn=9))
-        outcome = walker.walk(1, 0x10)
-        assert outcome.found and outcome.pte.rpn == 9
+        flat, _cycles = walker.walk(1, 0x10)
+        assert flat >= 0
+        assert htab.pte_at(*divmod(flat, htab.ptes_per_group)).rpn == 9
 
     def test_miss_walk_probes_both_buckets(self):
         walker, _, _ = make_walker()
-        outcome = walker.walk(1, 0x10)
-        assert not outcome.found
-        assert outcome.mem_refs == 16
+        flat, cycles = walker.walk(1, 0x10)
+        assert flat == -1
+        # 16 probes over four cold lines (two per PTEG): four line fills
+        # from memory, twelve hits on the lines they brought in.
+        assert cycles == (WALK_BASE_CYCLES + 16 * WALK_CYCLES_PER_REF
+                          + 4 * 52 + 12 * L1_HIT_CYCLES)
+        uncached, _, _ = make_walker(cache_ptes=False)
+        assert uncached.walk(1, 0x10) == (
+            -1, WALK_BASE_CYCLES + 16 * (WALK_CYCLES_PER_REF + 11))
 
     def test_walk_charges_cache_accesses(self):
         walker, _, dcache = make_walker()
@@ -56,8 +63,8 @@ class TestWalkCosts:
     def test_warm_walk_cheaper_than_cold(self):
         walker, htab, _ = make_walker()
         htab.insert(HashPte(vsid=1, page_index=0x10, rpn=9))
-        cold = walker.walk(1, 0x10).cycles
-        warm = walker.walk(1, 0x10).cycles
+        _, cold = walker.walk(1, 0x10)
+        _, warm = walker.walk(1, 0x10)
         assert warm < cold
 
     def test_pte_physical_address_layout(self):
@@ -111,11 +118,124 @@ def scan_per_line(walker, start, count, inhibited):
     return cycles
 
 
-def twin_walker(ptes_per_group, base):
+def twin_walker(ptes_per_group, base, cache_ptes=True):
     l2 = Cache(8192, 4, mem_cycles=60, word_cycles=9, hit_cycles=12)
     dcache = Cache(1024, 2, mem_cycles=52, word_cycles=11, next_level=l2)
     htab = HashedPageTable(groups=64, ptes_per_group=ptes_per_group)
-    return HardwareWalker(htab, dcache, htab_base_pa=base)
+    return HardwareWalker(htab, dcache, htab_base_pa=base,
+                          cache_ptes=cache_ptes)
+
+
+def walk_per_slot(walker, vsid, page_index):
+    """The reference walk: ``htab.search`` charging each probed slot.
+
+    Every slot costs ``WALK_CYCLES_PER_REF`` plus one scalar
+    ``dcache.access``.  Returns ``(pte view or None, cycles)``.
+    """
+    dcache = walker.dcache
+    inhibited = not walker.cache_ptes
+    cycles = WALK_BASE_CYCLES
+
+    def probe(group_index, slot):
+        nonlocal cycles
+        cycles += WALK_CYCLES_PER_REF + dcache.access(
+            walker.pte_physical_address(group_index, slot),
+            inhibited=inhibited,
+        )
+
+    result = walker.htab.search(vsid, page_index, probe=probe)
+    return result.pte, cycles
+
+
+#: Translations of VSID 1 or 2 at pages ``64k``: every translation of a
+#: VSID hashes to the same primary PTEG (1 or 2), so buckets fill,
+#: overflow into their secondaries (62 or 61) and evict.
+_pte_fields = st.tuples(
+    st.sampled_from((1, 1, 1, 2)),                  # vsid
+    st.integers(0, 39).map(lambda k: 64 * k),       # page index
+    st.integers(0, 0xFFFF),                         # rpn
+    st.sampled_from((0, 0, WIMG_CACHE_INHIBIT)),    # wimg
+    st.integers(0, 3),                              # pp
+)
+_table_op = st.tuples(
+    st.sampled_from(("walk",) * 4 + ("insert",) * 2
+                    + ("invalidate", "shadow", "dirty", "dirty")),
+    _pte_fields,
+    st.booleans(),                                  # a walk for a write
+    # A line of one of those PTEGs, or an alias of it up to seven L1
+    # ways away, so walks evict dirty lines and write them back.
+    st.tuples(st.sampled_from((1, 2, 61, 62)), st.integers(0, 3),
+              st.integers(0, 7)),
+)
+
+
+def mutate(walker, kind, fields, dirty):
+    """Apply one non-walk operation of ``_table_op`` to one twin."""
+    vsid, page, rpn, wimg, pp = fields
+    htab = walker.htab
+    dcache = walker.dcache
+    if kind == "dirty":
+        group, line, way = dirty
+        dcache.access(
+            walker.pte_physical_address(group, 0) + line * dcache.line_size
+            + way * (dcache.size_bytes // dcache.assoc),
+            write=True,
+        )
+        return
+    # "shadow" inserts a translation twice and invalidates the first
+    # copy, so a walk must step over an invalid slot holding its tag.
+    for _copy in range({"insert": 1, "shadow": 2}.get(kind, 0)):
+        htab.insert(HashPte(vsid=vsid, page_index=page, rpn=rpn, wimg=wimg,
+                            pp=pp))
+    if kind in ("invalidate", "shadow"):
+        htab.invalidate_entry(vsid, page)
+
+
+class TestWalkDifferential:
+    """``walk`` equals the per-slot ``htab.search`` reference exactly."""
+
+    @pytest.mark.parametrize("ptes_per_group", [8, 16])
+    @pytest.mark.parametrize("cache_ptes", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        table=st.lists(_pte_fields, min_size=16, max_size=96),
+        operations=st.lists(_table_op, min_size=8, max_size=80),
+    )
+    def test_matches_per_slot_search(self, ptes_per_group, cache_ptes,
+                                     table, operations):
+        fast = twin_walker(ptes_per_group, 0x100000, cache_ptes)
+        slow = twin_walker(ptes_per_group, 0x100000, cache_ptes)
+        for fields in table:
+            mutate(fast, "insert", fields, None)
+            mutate(slow, "insert", fields, None)
+        for operation in operations:
+            kind, fields, write, dirty = operation
+            if kind != "walk":
+                mutate(fast, kind, fields, dirty)
+                mutate(slow, kind, fields, dirty)
+            if kind in ("walk", "shadow"):
+                vsid, page = fields[:2]
+                flat, cycles = fast.walk(vsid, page)
+                pte, want_cycles = walk_per_slot(slow, vsid, page)
+                assert cycles == want_cycles, operation
+                if pte is None:
+                    assert flat == -1, operation
+                else:
+                    assert (flat, pte.vsid, pte.page_index) == (
+                        pte._flat, vsid, page)
+                    got = fast.htab.reference(flat, write)
+                    pte.referenced = True
+                    if write:
+                        pte.changed = True
+                    assert got == (pte.rpn, pte.pp, pte.wimg), operation
+            for array in ("_ref", "_chg", "_valid", "_key"):
+                assert (getattr(fast.htab, array)
+                        == getattr(slow.htab, array)), operation
+            assert (fast.htab.searches, fast.htab.search_hits,
+                    fast.htab.bucket_miss_histogram) == (
+                slow.htab.searches, slow.htab.search_hits,
+                slow.htab.bucket_miss_histogram)
+            assert cache_state(fast.dcache) == cache_state(slow.dcache)
 
 
 class TestScanWindow:
