@@ -106,14 +106,6 @@ class ShadowMMU:
                 owners[vsid] = (task.mm, segment)
         return owners
 
-    def frame_for_owner(self, mm, segment: int, page_index: int) -> Optional[int]:
-        """Expected frame for a cached (VSID-owned) translation."""
-        ea = (segment << SEGMENT_SHIFT) | (page_index << PAGE_SHIFT)
-        pte = mm.page_table.lookup(ea).pte
-        if pte is None or not pte.present:
-            return None
-        return pte.pfn
-
     # -- pending-invalidation tracking (SMP shootdown) ---------------------------------
 
     def note_deferred(self, cpu: int, keys) -> None:

@@ -19,7 +19,7 @@ from repro.hw.addr import (
 )
 from repro.hw.bat import BatArray, BatRegister
 from repro.hw.cache import Cache, CacheStats
-from repro.hw.hashtable import HashedPageTable, PtegSearchResult
+from repro.hw.hashtable import HashedPageTable
 from repro.hw.machine import AccessKind, MachineModel, TranslationResult
 from repro.hw.monitor import HardwareMonitor
 from repro.hw.pte import HashPte, pte_api
@@ -39,7 +39,6 @@ __all__ = [
     "HashPte",
     "HashedPageTable",
     "MachineModel",
-    "PtegSearchResult",
     "SegmentRegisterFile",
     "Tlb",
     "TlbEntry",

@@ -24,16 +24,16 @@ Representation: the table is struct-of-arrays — one flat list of packed
 bytearrays for the valid/H/R/C/WIMG/PP bits and a flat list of RPNs.
 Searches are C-speed membership tests and ``list.index`` runs over an
 8-slot window instead of per-object scans, and a bucket miss raises
-nothing.  The hardware walk works on flat slot numbers alone:
-:meth:`HashedPageTable.search_counted` returns the matching slot (-1 on
-a miss) with the PTEG slots it examined, so the walker can charge its
-per-probe cache accesses one run per bucket, and
+nothing.  Each of the paper's three operations has one method, and each
+works on flat slot numbers.  :meth:`HashedPageTable.search` returns the
+matching slot (-1 on a miss) with the PTEG slots it examined;
+:meth:`HashedPageTable.insert` and :meth:`HashedPageTable.invalidate`
+return their event with the same probe runs.  The walker charges its
+per-probe cache accesses from those runs, one run per bucket, and
 :meth:`HashedPageTable.reference` sets R/C and reads the fields a TLB
 fill needs.  Callers that want a PTE *object* (the sanitizer, the
-analytics derivations, :meth:`HashedPageTable.search`) get a
-:class:`PteView` — a thin live view whose attribute writes go straight
-back into the arrays, preserving the old ``HashPte`` write-through
-semantics.
+invariants, tests) get a detached :class:`HashPte` snapshot from
+``peek``, ``pte_at`` or ``iter_valid``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.hw.pte import HashPte, WIMG_CACHE_INHIBIT, pte_api
+from repro.hw.pte import HashPte
 from repro.params import HTAB_GROUPS, PAGE_INDEX_MASK, PTES_PER_GROUP
 
 _HASH_MASK_19 = (1 << 19) - 1
@@ -59,132 +59,6 @@ def primary_hash(vsid: int, page_index: int) -> int:
 def secondary_hash(vsid: int, page_index: int) -> int:
     """The architected secondary hash: one's complement of the primary."""
     return (~primary_hash(vsid, page_index)) & _HASH_MASK_19
-
-
-class PteView:
-    """A live window onto one hash-table slot.
-
-    Mirrors the :class:`~repro.hw.pte.HashPte` attribute surface; writes
-    (``valid``, ``referenced``, ``changed``) go straight into the
-    table's arrays, so the machine's R/C updates and the sanitizer's
-    post-invalidation checks observe current state, exactly as they did
-    when slots held mutable dataclass instances.
-    """
-
-    __slots__ = ("_table", "_flat")
-
-    def __init__(self, table: "HashedPageTable", flat: int):
-        self._table = table
-        self._flat = flat
-
-    @property
-    def vsid(self) -> int:
-        return self._table._key[self._flat] >> _KEY_PAGE_BITS
-
-    @property
-    def page_index(self) -> int:
-        return self._table._key[self._flat] & _KEY_PAGE_MASK
-
-    @property
-    def rpn(self) -> int:
-        return self._table._rpn[self._flat]
-
-    @rpn.setter
-    def rpn(self, value: int) -> None:
-        self._table._rpn[self._flat] = value
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._table._valid[self._flat])
-
-    @valid.setter
-    def valid(self, value: bool) -> None:
-        table = self._table
-        flat = self._flat
-        new = 1 if value else 0
-        old = table._valid[flat]
-        if new != old:
-            table._valid[flat] = new
-            table._valid_delta(flat, new - old)
-
-    @property
-    def secondary(self) -> bool:
-        return bool(self._table._sec[self._flat])
-
-    @secondary.setter
-    def secondary(self, value: bool) -> None:
-        self._table._sec[self._flat] = 1 if value else 0
-
-    @property
-    def referenced(self) -> bool:
-        return bool(self._table._ref[self._flat])
-
-    @referenced.setter
-    def referenced(self, value: bool) -> None:
-        self._table._ref[self._flat] = 1 if value else 0
-
-    @property
-    def changed(self) -> bool:
-        return bool(self._table._chg[self._flat])
-
-    @changed.setter
-    def changed(self, value: bool) -> None:
-        self._table._chg[self._flat] = 1 if value else 0
-
-    @property
-    def wimg(self) -> int:
-        return self._table._wimg[self._flat]
-
-    @property
-    def pp(self) -> int:
-        return self._table._pp[self._flat]
-
-    @property
-    def api(self) -> int:
-        return pte_api(self.page_index)
-
-    @property
-    def cache_inhibited(self) -> bool:
-        return bool(self._table._wimg[self._flat] & WIMG_CACHE_INHIBIT)
-
-    def matches(self, vsid: int, page_index: int, secondary: bool) -> bool:
-        """Hardware tag compare: V, VSID, H and API must all match."""
-        table = self._table
-        flat = self._flat
-        return (
-            bool(table._valid[flat])
-            and table._key[flat] == ((vsid << _KEY_PAGE_BITS) | page_index)
-            and bool(table._sec[flat]) == secondary
-        )
-
-    def snapshot(self) -> HashPte:
-        """A detached :class:`HashPte` copy of this slot's current state."""
-        return self._table._snapshot(self._flat)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PteView(slot={self._flat}, vsid={self.vsid:#x}, "
-            f"page_index={self.page_index:#x}, rpn={self.rpn}, "
-            f"valid={self.valid})"
-        )
-
-
-class PtegSearchResult:
-    """Outcome of a hash-table search for one virtual page."""
-
-    __slots__ = ("pte", "mem_refs", "buckets_probed")
-
-    def __init__(self, pte, mem_refs: int, buckets_probed: int):
-        self.pte = pte
-        #: Memory references the hardware (or software emulating it) made:
-        #: PTEs examined across the probed bucket(s).
-        self.mem_refs = mem_refs
-        #: Buckets probed (1 if found in primary without secondary probe).
-        self.buckets_probed = buckets_probed
-
-    @property
-    def found(self) -> bool:
-        return self.pte is not None
 
 
 class HashedPageTable:
@@ -313,15 +187,17 @@ class HashedPageTable:
 
     # -- the hardware search (and its software emulation) --------------------
 
-    def search_counted(self, vsid: int, page_index: int):
-        """Probe primary then secondary bucket, reporting probe runs.
+    def search(self, vsid: int, page_index: int):
+        """Probe primary then secondary bucket for a matching valid PTE.
 
         Returns ``(flat, probes)``: the flat index of the matching valid
         slot (-1 on a miss) and a list of ``(group_index,
         slots_examined)`` pairs — the consecutive slot prefix of each
-        PTEG the search touched, in probe order.  The walker charges its
-        per-probe cache accesses from the runs; the counters and the
-        miss histogram advance exactly as in :meth:`search`.
+        PTEG the search touched, in probe order.  One slot examined is
+        one memory reference, the way the paper counts the 16-reference
+        worst case; the walker charges its per-probe cache accesses from
+        the runs.  A miss in both buckets counts into the primary
+        bucket's miss histogram.
         """
         self.searches += 1
         key = (vsid << _KEY_PAGE_BITS) | page_index
@@ -341,101 +217,56 @@ class HashedPageTable:
     def reference(self, flat: int, write: bool) -> tuple:
         """The walk's hit side: set R (and C on a write) on one slot.
 
-        Returns ``(rpn, pp, wimg)``, the fields a TLB fill reads — the
-        same writes and reads as ``PteView`` attribute access, with no
-        view object.
+        Returns ``(rpn, pp, wimg)``, the fields a TLB fill reads.
         """
         self._ref[flat] = 1
         if write:
             self._chg[flat] = 1
         return self._rpn[flat], self._pp[flat], self._wimg[flat]
 
-    def search(self, vsid: int, page_index: int, probe=None) -> PtegSearchResult:
-        """Probe primary then secondary bucket for a matching valid PTE.
-
-        Accounts one memory reference per PTE examined, the way the paper
-        counts the 16-reference worst case.  ``probe(group, slot)``, if
-        given, is invoked for every PTE examined so callers (the hardware
-        walker, the software miss handlers) can charge cache costs per
-        probe.
-        """
-        if probe is None:
-            flat, probes = self.search_counted(vsid, page_index)
-            return PtegSearchResult(
-                pte=PteView(self, flat) if flat >= 0 else None,
-                mem_refs=sum(examined for _group, examined in probes),
-                buckets_probed=len(probes),
-            )
-        self.searches += 1
-        key = (vsid << _KEY_PAGE_BITS) | page_index
-        keys = self._key
-        valid = self._valid
-        sec = self._sec
-        ppg = self.ptes_per_group
-        mem_refs = 0
-        for secondary in (0, 1):
-            group_index = self.group_index(vsid, page_index, bool(secondary))
-            base = group_index * ppg
-            for slot in range(ppg):
-                mem_refs += 1
-                probe(group_index, slot)
-                flat = base + slot
-                if (
-                    valid[flat]
-                    and keys[flat] == key
-                    and sec[flat] == secondary
-                ):
-                    self.search_hits += 1
-                    return PtegSearchResult(
-                        pte=PteView(self, flat),
-                        mem_refs=mem_refs,
-                        buckets_probed=1 + secondary,
-                    )
-            # A full bucket with no match falls through to the secondary.
-        primary_group = self.group_index(vsid, page_index, False)
-        self.bucket_miss_histogram[primary_group] += 1
-        return PtegSearchResult(pte=None, mem_refs=mem_refs, buckets_probed=2)
-
-    def pte_at(self, group_index: int, slot: int) -> Optional[PteView]:
-        """Direct slot read (for the walker and white-box tests)."""
+    def pte_at(self, group_index: int, slot: int) -> Optional[HashPte]:
+        """A snapshot of one slot, None if it was never written."""
         flat = group_index * self.ptes_per_group + slot
         if self._key[flat] == -1:
             return None
-        return PteView(self, flat)
+        return self._snapshot(flat)
 
-    def peek(self, vsid: int, page_index: int) -> Optional[PteView]:
+    def peek(self, vsid: int, page_index: int) -> Optional[HashPte]:
         """Search without touching counters or the miss histogram.
 
         For assertions and the coherence sanitizer, which must observe
         the table without perturbing the statistics the experiments
-        measure.
+        measure.  Returns a snapshot of the matching PTE, or None.
         """
         key = (vsid << _KEY_PAGE_BITS) | page_index
         for secondary in (0, 1):
             group_index = self.group_index(vsid, page_index, bool(secondary))
             flat, _ = self._find_in_group(group_index, key, secondary)
             if flat >= 0:
-                return PteView(self, flat)
+                return self._snapshot(flat)
         return None
 
     def iter_valid(self):
-        """Yield ``(group_index, slot, pte)`` for every valid PTE."""
+        """Yield ``(group_index, slot, pte snapshot)`` for every valid PTE."""
         valid = self._valid
         ppg = self.ptes_per_group
         flat = valid.find(1)
         while flat != -1:
             group_index, slot = divmod(flat, ppg)
-            yield group_index, slot, PteView(self, flat)
+            yield group_index, slot, self._snapshot(flat)
             flat = valid.find(1, flat + 1)
 
     # -- reload / insert ------------------------------------------------------
 
-    def insert_counted(self, pte):
-        """Install a PTE, reporting probe runs like :meth:`search_counted`.
+    def insert(self, pte):
+        """Install a PTE, preferring invalid slots; evict round-robin else.
 
-        Returns ``(event, probes)`` where ``event`` is the dict
-        :meth:`insert` documents and ``probes`` the per-group examined
-        slot runs (the round-robin evict examines no extra slots).
+        Returns ``(event, probes)``: ``event`` is ``{"mem_refs",
+        "evicted", "victim"}``, where ``victim`` is a snapshot of the
+        replaced PTE if an evict happened, and ``probes`` the per-group
+        examined slot runs, as in :meth:`search` (the round-robin evict
+        examines no extra slots).  Sets ``pte.secondary`` to the hash the
+        PTE went in under.
         """
         self.reloads += 1
         mem_refs = 0
@@ -476,47 +307,15 @@ class HashedPageTable:
             probes,
         )
 
-    def insert(self, pte, probe=None) -> dict:
-        """Install a PTE, preferring invalid slots; evict round-robin else.
-
-        Returns an event dict: ``{"mem_refs", "evicted", "victim"}`` where
-        ``victim`` is the replaced *valid* PTE if an evict happened.
-        ``probe(group, slot)`` is called per slot examined, as in
-        :meth:`search`.
-        """
-        if probe is None:
-            event, _ = self.insert_counted(pte)
-            return event
-        self.reloads += 1
-        mem_refs = 0
-        valid = self._valid
-        ppg = self.ptes_per_group
-        # Pass 1: a free (invalid) slot in primary, then secondary bucket.
-        for secondary in (False, True):
-            index = self.group_index(pte.vsid, pte.page_index, secondary)
-            base = index * ppg
-            for slot in range(ppg):
-                mem_refs += 1
-                probe(index, slot)
-                if not valid[base + slot]:
-                    pte.secondary = secondary
-                    self._store(base + slot, pte, secondary)
-                    if secondary:
-                        self.insert_secondary += 1
-                    return {"mem_refs": mem_refs, "evicted": False, "victim": None}
-        index = self.group_index(pte.vsid, pte.page_index, False)
-        flat = index * ppg + self._rr_pointer % ppg
-        self._rr_pointer += 1
-        victim = self._snapshot(flat)
-        pte.secondary = False
-        self._store(flat, pte, False)
-        self.evicts += 1
-        return {"mem_refs": mem_refs, "evicted": True, "victim": victim}
-
     # -- invalidation ----------------------------------------------------------
 
-    def invalidate_counted(self, vsid: int, page_index: int):
-        """Search-and-invalidate, reporting probe runs (flush path)."""
+    def invalidate(self, vsid: int, page_index: int):
+        """Search-and-invalidate one translation (the expensive flush path).
+
+        Returns ``({"mem_refs", "found"}, probes)`` with ``probes`` as in
+        :meth:`search`; the 16-reference worst case is exactly the cost
+        §7 attributes to range flushes.
+        """
         key = (vsid << _KEY_PAGE_BITS) | page_index
         mem_refs = 0
         probes = []
@@ -530,38 +329,6 @@ class HashedPageTable:
                 self._valid_delta(flat, -1)
                 return {"mem_refs": mem_refs, "found": True}, probes
         return {"mem_refs": mem_refs, "found": False}, probes
-
-    def invalidate_entry(self, vsid: int, page_index: int, probe=None) -> dict:
-        """Search-and-invalidate one translation (the expensive flush path).
-
-        Returns ``{"mem_refs", "found"}``; the 16-reference worst case is
-        exactly the cost §7 attributes to range flushes.
-        """
-        if probe is None:
-            event, _ = self.invalidate_counted(vsid, page_index)
-            return event
-        key = (vsid << _KEY_PAGE_BITS) | page_index
-        keys = self._key
-        valid = self._valid
-        sec = self._sec
-        ppg = self.ptes_per_group
-        mem_refs = 0
-        for secondary in (0, 1):
-            group_index = self.group_index(vsid, page_index, bool(secondary))
-            base = group_index * ppg
-            for slot in range(ppg):
-                mem_refs += 1
-                probe(group_index, slot)
-                flat = base + slot
-                if (
-                    valid[flat]
-                    and keys[flat] == key
-                    and sec[flat] == secondary
-                ):
-                    valid[flat] = 0
-                    self._valid_delta(flat, -1)
-                    return {"mem_refs": mem_refs, "found": True}
-        return {"mem_refs": mem_refs, "found": False}
 
     def invalidate_all(self) -> int:
         """Clear the whole table; returns slots that were valid."""
@@ -585,25 +352,13 @@ class HashedPageTable:
 
     # -- the idle task's view ---------------------------------------------------
 
-    def scan_slots(self, start: int, count: int):
-        """Yield ``(flat_slot_index, pte)`` for a window of the table.
-
-        The idle task's zombie reclaim walks the table incrementally with
-        this, remembering its position between idle periods.
-        """
-        slots = self.slots
-        keys = self._key
-        for offset in range(count):
-            flat = (start + offset) % slots
-            yield flat, (PteView(self, flat) if keys[flat] != -1 else None)
-
     def zombie_flats(self, start: int, count: int, vsid_is_live) -> List[int]:
         """Flat indices of zombie slots in a scan window, in scan order.
 
         A zombie is a valid PTE whose VSID the allocator no longer
         considers live — the §7 entries the idle task reclaims.  The
-        window wraps at the table size like :meth:`scan_slots`; only
-        valid slots pay a liveness check, so sweeping a mostly-invalid
+        window wraps at the table size; only valid slots pay a liveness
+        check, so sweeping a mostly-invalid
         table is nearly free.
         """
         slots = self.slots

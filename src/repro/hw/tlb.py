@@ -65,7 +65,6 @@ class Tlb:
         self.hits = 0
         self.misses = 0
         self.invalidate_all_count = 0
-        self.invalidate_entry_count = 0
 
     # -- indexing ----------------------------------------------------------
 
@@ -143,7 +142,6 @@ class Tlb:
                     survivors.append(key)
             if removed:
                 keys[:] = survivors
-        self.invalidate_entry_count += 1
         return removed
 
     def invalidate_all(self) -> None:
@@ -181,4 +179,3 @@ class Tlb:
         self.hits = 0
         self.misses = 0
         self.invalidate_all_count = 0
-        self.invalidate_entry_count = 0

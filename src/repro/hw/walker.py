@@ -12,23 +12,21 @@ arises in the model without any special-casing.  Configurations that map
 the page tables cache-inhibited simply set ``cache_ptes=False``.
 
 A walk deals in flat slot numbers and cycles, not model objects: it
-raises nothing and builds no ``PtegSearchResult`` or ``PteView``.
-:meth:`walk` returns ``(flat, cycles)`` with ``flat`` the matching
-table slot, -1 on a miss.
-The table reports how many consecutive slots each probed group examined
-(``search_counted``), and the walker replays those probes against the
-data cache one line at a time.  Within one run, only the first slot of
-each cache line can miss — the probe loop walks consecutive PTE
-addresses, so every later slot on the same line finds it resident and
-MRU (the immediately preceding probe put it there).  Each line therefore
-costs one scalar ``dcache.access`` plus hit-priced slots for the rest of
-the run on that line: cycle-identical and statistics-identical to one
+raises nothing and builds no PTE object.  :meth:`walk` returns
+``(flat, cycles)`` with ``flat`` the matching table slot, -1 on a miss.
+Each table operation (``search``, ``insert``, ``invalidate``) reports
+how many consecutive slots each probed group examined, and the walker
+replays those probes against the data cache one line at a time, in one
+loop for all three.  Within one run, only the first slot of each cache
+line can miss — the probe loop walks consecutive PTE addresses, so
+every later slot on the same line finds it resident and MRU (the
+immediately preceding probe put it there).  Each line therefore costs
+one scalar ``dcache.access`` plus hit-priced slots for the rest of the
+run on that line: cycle-identical and statistics-identical to one
 access per slot, at a fraction of the Python cost.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.errors import ConfigError
 from repro.hw.cache import Cache
@@ -142,30 +140,38 @@ class HardwareWalker:
             position = 0
         return cycles
 
-    def charged_search(
-        self,
-        vsid: int,
-        page_index: int,
-        cycles_per_ref: int = WALK_CYCLES_PER_REF,
-        inhibited: Optional[bool] = None,
-    ) -> tuple:
-        """Search the table, charging every probed slot.
+    def _charge_probes(
+        self, probes, cycles_per_ref: int, inhibited: bool
+    ) -> int:
+        """Cycles for a table operation's probe runs.
 
-        Returns ``(flat, cycles)``, ``flat`` being the matching slot or
-        -1; behaviourally identical to ``htab.search`` with a per-slot
-        probe callback charging ``cycles_per_ref`` plus one data-cache
-        access per slot (the 604 hardware walk, or the 603's software
-        emulation of it with its own per-probe instruction cost).
+        ``probes`` is the ``(group_index, slots_examined)`` list a table
+        operation returns; every examined slot costs ``cycles_per_ref``
+        plus one data-cache access, charged one run per group through
+        :meth:`charge_probe_run`.
         """
-        if inhibited is None:
-            inhibited = not self.cache_ptes
-        flat, probes = self.htab.search_counted(vsid, page_index)
         cycles = 0
         for group_index, count in probes:
             cycles += cycles_per_ref * count + self.charge_probe_run(
                 group_index, count, inhibited
             )
-        return flat, cycles
+        return cycles
+
+    def charged_search(
+        self,
+        vsid: int,
+        page_index: int,
+        cycles_per_ref: int,
+        inhibited: bool,
+    ) -> tuple:
+        """The 603's software emulation of the walk's search.
+
+        Returns ``(flat, cycles)``, ``flat`` being the matching slot or
+        -1; every probed slot costs the handler's own ``cycles_per_ref``
+        plus one data-cache access.
+        """
+        flat, probes = self.htab.search(vsid, page_index)
+        return flat, self._charge_probes(probes, cycles_per_ref, inhibited)
 
     def walk(self, vsid: int, page_index: int) -> tuple:
         """Search primary then secondary PTEG; charge cycles per probe.
@@ -173,8 +179,10 @@ class HardwareWalker:
         Returns ``(flat, cycles)``: the matching slot (-1 on a miss) and
         the walk's cost, engine overhead included.
         """
-        flat, cycles = self.charged_search(vsid, page_index)
-        return flat, WALK_BASE_CYCLES + cycles
+        flat, probes = self.htab.search(vsid, page_index)
+        return flat, WALK_BASE_CYCLES + self._charge_probes(
+            probes, WALK_CYCLES_PER_REF, not self.cache_ptes
+        )
 
     def insert(self, pte: HashPte) -> dict:
         """Reload code installing a PTE; returns the htab event + cycles.
@@ -183,10 +191,8 @@ class HardwareWalker:
         ``"cycles"`` for the charged probe and store costs.
         """
         inhibited = not self.cache_ptes
-        event, probes = self.htab.insert_counted(pte)
-        cycles = WALK_CYCLES_PER_REF * event["mem_refs"]
-        for group_index, count in probes:
-            cycles += self.charge_probe_run(group_index, count, inhibited)
+        event, probes = self.htab.insert(pte)
+        cycles = self._charge_probes(probes, WALK_CYCLES_PER_REF, inhibited)
         # The final PTE store (two words; one line).
         group_index = self.htab.group_index(pte.vsid, pte.page_index, pte.secondary)
         cycles += self.dcache.access(
@@ -199,10 +205,8 @@ class HardwareWalker:
 
     def invalidate(self, vsid: int, page_index: int) -> dict:
         """Search-and-invalidate one PTE, charging probes (flush path)."""
-        inhibited = not self.cache_ptes
-        event, probes = self.htab.invalidate_counted(vsid, page_index)
-        cycles = WALK_CYCLES_PER_REF * event["mem_refs"]
-        for group_index, count in probes:
-            cycles += self.charge_probe_run(group_index, count, inhibited)
-        event["cycles"] = cycles
+        event, probes = self.htab.invalidate(vsid, page_index)
+        event["cycles"] = self._charge_probes(
+            probes, WALK_CYCLES_PER_REF, not self.cache_ptes
+        )
         return event

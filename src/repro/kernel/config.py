@@ -103,11 +103,6 @@ class KernelConfig:
     on_demand_scavenge: bool = False
     #: §9 — idle-task page clearing policy.
     idle_page_clear: IdlePageClearPolicy = IdlePageClearPolicy.OFF
-    #: §9 — cap on the pre-cleared stock.  ``None`` reproduces the paper:
-    #: no bound, the idle task clears every free page it can.  A bound
-    #: models the SMP-footnote concern about burning bus bandwidth on
-    #: pages nobody will allocate soon.
-    idle_preclear_target: object = None
     #: §8 — whether page-table memory (hash table + PTE tree) may allocate
     #: into the data cache.  True matches the hardware default the paper
     #: criticizes.
@@ -125,9 +120,6 @@ class KernelConfig:
     #: SMP — how mapping changes reach remote TLBs (no effect with one
     #: CPU: every strategy charges nothing when there are no remotes).
     shootdown_strategy: ShootdownStrategy = ShootdownStrategy.BROADCAST
-    #: SMP — cap on the per-mm mmap-reuse pool (MMAP_REUSE only); the
-    #: oldest region is drained when the pool would exceed it.
-    mmap_reuse_max_regions: int = 8
 
     # -- Table 3 comparator cost model ---------------------------------------
     # The Rhapsody/MkLinux/AIX columns are modelled as cost profiles on
@@ -153,14 +145,10 @@ class KernelConfig:
             raise ConfigError("vsid_scatter_constant must be positive")
         if self.range_flush_cutoff is not None and self.range_flush_cutoff < 1:
             raise ConfigError("range_flush_cutoff must be >= 1 or None")
-        if self.idle_preclear_target is not None and self.idle_preclear_target < 0:
-            raise ConfigError("idle_preclear_target must be >= 0 or None")
         if self.pipe_copy_multiplier < 1:
             raise ConfigError("pipe_copy_multiplier must be >= 1")
         if self.pipe_op_extra_cycles < 0:
             raise ConfigError("pipe_op_extra_cycles must be >= 0")
-        if self.mmap_reuse_max_regions < 1:
-            raise ConfigError("mmap_reuse_max_regions must be >= 1")
 
     # -- presets the benchmarks use -------------------------------------------
 

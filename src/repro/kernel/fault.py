@@ -102,7 +102,7 @@ class MissHandlers:
 
         # 603 with the hash table retained (§6.2's "before"): emulate the
         # 604 by searching the hash table in software first.
-        if not machine.spec.hardware_tablewalk and self.config.use_htab_on_603:
+        if self.kernel.uses_htab and not machine.spec.hardware_tablewalk:
             machine.monitor.count("htab_search")
             flat, search_cycles = machine.walker.charged_search(
                 vsid,
@@ -137,7 +137,7 @@ class MissHandlers:
             linux_pte.dirty = True
 
         # Feed the hash table when this machine/config uses one.
-        if self._uses_htab():
+        if self.kernel.uses_htab:
             cycles += self.kernel.reloader.install(vsid, page_index, linux_pte)
 
         self._trace_refill(ea, resolution, cycles)
@@ -159,12 +159,6 @@ class MissHandlers:
                 "sw-refill", "mmu", cycles,
                 {"ea": hex(ea), "resolution": resolution},
             )
-
-    def _uses_htab(self) -> bool:
-        """604 hardware requires the hash table; the 603 only if configured."""
-        if self.machine.spec.hardware_tablewalk:
-            return True
-        return self.config.use_htab_on_603
 
     @staticmethod
     def _tlb_entry(ea, vsid, page_index, pfn, writable, cache_inhibited):

@@ -38,11 +38,6 @@ class FlushEngine:
 
     # -- building blocks ----------------------------------------------------------
 
-    def _uses_htab(self) -> bool:
-        if self.machine.spec.hardware_tablewalk:
-            return True
-        return self.config.use_htab_on_603
-
     def _flush_vsid_for(self, mm, ea: int) -> int:
         """The VSID whose translation of ``ea`` is being invalidated.
 
@@ -61,7 +56,7 @@ class FlushEngine:
         page_index = (ea >> PAGE_SHIFT) & PAGE_INDEX_MASK
         vsid = self._flush_vsid_for(mm, ea)
         cycles = FLUSH_PTE_TREE_CYCLES
-        if self._uses_htab():
+        if self.kernel.uses_htab:
             event = machine.walker.invalidate(vsid, page_index)
             cycles += event["cycles"]
         cycles += TLBIE_CYCLES

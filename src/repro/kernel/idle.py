@@ -29,9 +29,6 @@ from repro.kernel.config import IdlePageClearPolicy
 #: only a few microseconds, so wakeup latency is unaffected.
 RECLAIM_CHUNK_SLOTS = 256
 
-#: Cycles per slot examined: load the tag word, test the VSID.
-RECLAIM_CYCLES_PER_SLOT = 3
-
 #: Cycles to spin one unit when there is nothing to do.
 SPIN_UNIT_CYCLES = 32
 
@@ -85,27 +82,11 @@ class IdleTask:
         when the scan comes up empty.
         """
         machine = self.machine
-        htab = machine.htab
         start = self._scan_position
-        cycles = RECLAIM_CYCLES_PER_SLOT * RECLAIM_CHUNK_SLOTS
-        # The scan streams the table; one memory access covers a cache
-        # line's worth of PTE tag words.
-        cycles += machine.walker.charge_scan_window(
-            start, RECLAIM_CHUNK_SLOTS, inhibited=self.config.idle_uncached
+        cycles, reclaimed = self.kernel.reloader.reclaim_window(
+            start, RECLAIM_CHUNK_SLOTS, self.config.idle_uncached
         )
-        zombies = htab.zombie_flats(
-            start, RECLAIM_CHUNK_SLOTS, self.kernel.vsid_allocator.is_live
-        )
-        ppg = htab.ptes_per_group
-        sanitizer = machine.sanitizer
-        for flat in zombies:
-            htab.invalidate_slot(flat)
-            machine.monitor.count("zombie_reclaimed")
-            cycles += 2  # the store clearing the valid bit
-            if sanitizer is not None:
-                sanitizer.after_reclaim_slot(flat, htab.pte_at(*divmod(flat, ppg)))
-        reclaimed = len(zombies)
-        self._scan_position = (start + RECLAIM_CHUNK_SLOTS) % htab.slots
+        self._scan_position = (start + RECLAIM_CHUNK_SLOTS) % machine.htab.slots
         machine.clock.add(cycles, "idle_reclaim")
         self.reclaim_passes += 1
         self.zombies_reclaimed += reclaimed
@@ -118,15 +99,14 @@ class IdleTask:
     # -- page clearing -------------------------------------------------------------------
 
     def _clear_one_page(self) -> bool:
-        """Clear one free page according to the §9 policy."""
+        """Clear one free page according to the §9 policy.
+
+        §9 puts no bound on the pre-cleared stock: the idle task clears
+        whatever free pages exist ("all these writes to memory using a
+        great deal of the bus"), which is why the cached variant hurt.
+        """
         palloc = self.kernel.palloc
         policy = self.config.idle_page_clear
-        # Stop once the stock reaches the target: unbounded by default
-        # (§9 clears whatever free pages exist), or the configured cap —
-        # see _preclear_target.
-        if policy is not IdlePageClearPolicy.UNCACHED_NO_LIST:
-            if palloc.precleared_count() >= self._preclear_target():
-                return False
         pfn = palloc.pop_free_for_preclear()
         if pfn is None:
             return False
@@ -146,17 +126,3 @@ class IdleTask:
         else:
             palloc.push_precleared(pfn)
         return True
-
-    def _preclear_target(self) -> int:
-        """How many pre-cleared pages to keep in stock.
-
-        §9 puts no bound on the list — the idle task clears whatever free
-        pages exist ("all these writes to memory using a great deal of
-        the bus"), which is precisely why the cached variant hurt.  That
-        unbounded behaviour is the default; ``idle_preclear_target``
-        bounds the stock for configurations (e.g. the SMP footnote's bus
-        concern) where clearing the whole free list is wasted work.
-        """
-        if self.config.idle_preclear_target is not None:
-            return self.config.idle_preclear_target
-        return self.kernel.palloc.total_frames

@@ -120,6 +120,11 @@ class Kernel:
     def __init__(self, machine: MachineModel, config: KernelConfig):
         self.machine = machine
         self.config = config
+        #: Whether reloads feed the hash table: the 604's hardware walk
+        #: requires it; the 603 keeps it only when configured (§6.2).
+        self.uses_htab = (
+            machine.spec.hardware_tablewalk or config.use_htab_on_603
+        )
         htab_first_pfn = machine.htab_base_pa >> PAGE_SHIFT
         self.palloc = PageAllocator(
             machine,
@@ -883,9 +888,6 @@ class Kernel:
     def sanitizer(self):
         """The attached shadow-MMU sanitizer, if any (see ``repro.check``)."""
         return self.machine.sanitizer
-
-    def live_vsid(self, vsid: int) -> bool:
-        return self.vsid_allocator.is_live(vsid)
 
     def htab_zombie_stats(self) -> Tuple[int, int]:
         """(live, zombie) valid PTE counts in the hash table."""

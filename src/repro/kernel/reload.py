@@ -24,8 +24,10 @@ from repro.kernel.pagetable import LinuxPte
 #: space, the way the rejected design would have worked; the table
 #: therefore stays nearly full and the bursts keep recurring.
 SCAVENGE_SLOTS = 512
-#: Instruction cycles per slot examined during a scavenge.
-SCAVENGE_CYCLES_PER_SLOT = 3
+
+#: Cycles per slot a zombie scan examines: load the tag word, test the
+#: VSID.  The idle reclaim and the on-demand scavenge share it.
+RECLAIM_CYCLES_PER_SLOT = 3
 
 
 def hash_pte_from_linux(vsid: int, page_index: int, pte: LinuxPte) -> HashPte:
@@ -68,21 +70,43 @@ class HtabReloader:
                 cycles += self._scavenge()
         return cycles
 
-    def _scavenge(self) -> int:
-        """The rejected design: synchronously sweep for zombies."""
+    def reclaim_window(
+        self, start: int, slots: int, inhibited: bool
+    ) -> tuple:
+        """Scan ``slots`` table slots from ``start``, clearing zombies.
+
+        The one zombie-reclaim loop, shared by the idle task and the
+        on-demand scavenge.  Charges the scan's instruction and cache
+        costs and a store per zombie cleared, counts
+        ``zombie_reclaimed`` per slot and lets the sanitizer check each
+        one.  Returns ``(cycles, reclaimed)``; the caller adds the
+        cycles to its own ledger category and keeps its own cursor.
+        """
         machine = self.machine
         htab = machine.htab
-        start = self._scavenge_cursor
-        cycles = SCAVENGE_CYCLES_PER_SLOT * SCAVENGE_SLOTS
-        cycles += machine.walker.charge_scan_window(start, SCAVENGE_SLOTS)
+        cycles = RECLAIM_CYCLES_PER_SLOT * slots
+        # The scan streams the table; one memory access covers a cache
+        # line's worth of PTE tag words.
+        cycles += machine.walker.charge_scan_window(start, slots, inhibited)
         zombies = htab.zombie_flats(
-            start, SCAVENGE_SLOTS, self.kernel.vsid_allocator.is_live
+            start, slots, self.kernel.vsid_allocator.is_live
         )
+        ppg = htab.ptes_per_group
+        sanitizer = machine.sanitizer
         for flat in zombies:
             htab.invalidate_slot(flat)
             machine.monitor.count("zombie_reclaimed")
-            cycles += 2
-        self._scavenge_cursor = (start + SCAVENGE_SLOTS) % htab.slots
+            cycles += 2  # the store clearing the valid bit
+            if sanitizer is not None:
+                sanitizer.after_reclaim_slot(flat, htab.pte_at(*divmod(flat, ppg)))
+        return cycles, len(zombies)
+
+    def _scavenge(self) -> int:
+        """The rejected design: synchronously sweep for zombies."""
+        machine = self.machine
+        start = self._scavenge_cursor
+        cycles, _ = self.reclaim_window(start, SCAVENGE_SLOTS, False)
+        self._scavenge_cursor = (start + SCAVENGE_SLOTS) % machine.htab.slots
         self.scavenge_bursts += 1
         machine.monitor.count("scavenge_burst")
         machine.clock.add(cycles, "scavenge")

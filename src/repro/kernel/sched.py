@@ -124,8 +124,3 @@ class Scheduler:
                 tracer.instant("wakeup", "sched", {"pid": task.pid})
         return woken
 
-    def has_timers(self) -> bool:
-        return any(
-            self.next_wakeup(cpu) is not None
-            for cpu in range(len(self._timers))
-        )

@@ -63,6 +63,10 @@ from repro.params import (
 #: A queued invalidation: (vsid, page_index).
 Key = Tuple[int, int]
 
+#: Cap on the per-mm mmap-reuse pool (MMAP_REUSE only); the oldest
+#: region is drained when the pool would exceed it.
+MMAP_REUSE_MAX_REGIONS = 8
+
 
 class ShootdownEngine:
     """Remote-TLB coherence for one booted kernel."""
@@ -313,7 +317,7 @@ class ShootdownEngine:
         vma.pooled = True
         mm.reuse_pool.append(vma)
         self.machine.monitor.count("flush_skipped_reuse")
-        while len(mm.reuse_pool) > self.kernel.config.mmap_reuse_max_regions:
+        while len(mm.reuse_pool) > MMAP_REUSE_MAX_REGIONS:
             self._drop_pooled(mm, mm.reuse_pool[0])
         return True
 

@@ -95,9 +95,6 @@ class Pipe:
     def space(self) -> int:
         return self.capacity - self.fill
 
-    def buffer_pa(self) -> int:
-        return self.buffer_pfn * PAGE_SIZE
-
     def lines_for(self, nbytes: int) -> int:
         """Cache lines a copy of ``nbytes`` moves through the buffer."""
         return max(1, (nbytes + CACHE_LINE_SIZE - 1) // CACHE_LINE_SIZE)

@@ -85,9 +85,6 @@ class CycleProfiler:
             )
         return out
 
-    def raw_breakdown(self) -> Dict[str, int]:
-        return self.clock.breakdown()
-
 
 def merge_attributions(attributions: Iterable[Dict[str, int]]) -> Dict[str, int]:
     """Sum per-machine attributions into one experiment-level breakdown."""

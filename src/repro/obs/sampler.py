@@ -15,7 +15,7 @@ runs stay bit-identical to unsampled ones.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 #: Monitor counters republished as Chrome counter tracks (so Perfetto
 #: plots them as curves next to the occupancy track).
@@ -133,14 +133,3 @@ class TimeSeriesSampler:
                 value = value[key]  # type: ignore[index]
             out.append(value)
         return out
-
-    def to_records(self) -> List[Dict]:
-        return [dict(sample) for sample in self.samples]
-
-
-def attach_clock_observer(clock: Any,
-                          sampler: Optional[TimeSeriesSampler]) -> None:
-    """Wire a sampler into a ledger (or clear the hook with ``None``)."""
-    # repro-lint: disable=zero-perturbation -- sanctioned attach point for
-    # the ledger's read-only observer slot.
-    clock.observer = None if sampler is None else sampler.on_cycles

@@ -48,9 +48,9 @@ class TestSearchFlush:
         mm = task.mm
         vsid = mm.user_vsids[(addr >> 28) & 0xF]
         page_index = (addr >> 12) & 0xFFFF
-        assert sim.machine.htab.search(vsid, page_index).found
+        assert sim.machine.htab.peek(vsid, page_index) is not None
         sim.kernel.flush.flush_page(mm, addr)
-        assert not sim.machine.htab.search(vsid, page_index).found
+        assert sim.machine.htab.peek(vsid, page_index) is None
         assert sim.machine.dtlb.peek(vsid, page_index) is None
 
     def test_flush_range_pays_per_page(self):

@@ -50,15 +50,19 @@ class TestConstruction:
 class TestSearchInsert:
     def test_search_empty_misses(self):
         htab = HashedPageTable(groups=64)
-        result = htab.search(1, 0x10)
-        assert not result.found
-        assert result.mem_refs == 2 * PTES_PER_GROUP  # both buckets
+        flat, probes = htab.search(1, 0x10)
+        assert flat == -1
+        # Both buckets, every slot of each.
+        assert sum(examined for _group, examined in probes) == 2 * PTES_PER_GROUP
 
     def test_insert_then_search(self):
         htab = HashedPageTable(groups=64)
         htab.insert(pte(1, 0x10, rpn=42))
-        result = htab.search(1, 0x10)
-        assert result.found and result.pte.rpn == 42
+        flat, probes = htab.search(1, 0x10)
+        assert flat >= 0
+        assert htab.pte_at(*divmod(flat, htab.ptes_per_group)).rpn == 42
+        # Found at the first slot of the primary bucket.
+        assert probes == [(htab.group_index(1, 0x10, secondary=False), 1)]
 
     def test_search_counts_histogram_on_miss(self):
         htab = HashedPageTable(groups=64)
@@ -68,7 +72,7 @@ class TestSearchInsert:
 
     def test_insert_prefers_invalid_slot(self):
         htab = HashedPageTable(groups=64)
-        event = htab.insert(pte(1, 0x10))
+        event, _probes = htab.insert(pte(1, 0x10))
         assert not event["evicted"]
 
     def test_overflow_to_secondary_bucket(self):
@@ -89,7 +93,7 @@ class TestSearchInsert:
         # bucket, and still be findable.
         assert htab.insert_secondary >= 1
         for page in inserted:
-            assert htab.search(base_vsid, page).found
+            assert htab.search(base_vsid, page)[0] >= 0
 
     def test_evict_when_both_buckets_full(self):
         htab = HashedPageTable(groups=2)  # tiny: 16 slots
@@ -99,25 +103,29 @@ class TestSearchInsert:
         assert htab.valid_entries() <= htab.slots
 
     def test_probe_callback_invoked_per_slot(self):
+        """A miss reports every slot of both buckets as probed."""
         htab = HashedPageTable(groups=64)
-        probes = []
-        htab.search(1, 0x10, probe=lambda g, s: probes.append((g, s)))
-        assert len(probes) == 16
+        _flat, probes = htab.search(1, 0x10)
+        assert probes == [
+            (htab.group_index(1, 0x10, secondary=False), PTES_PER_GROUP),
+            (htab.group_index(1, 0x10, secondary=True), PTES_PER_GROUP),
+        ]
 
 
 class TestInvalidate:
     def test_invalidate_entry(self):
         htab = HashedPageTable(groups=64)
         htab.insert(pte(1, 0x10))
-        event = htab.invalidate_entry(1, 0x10)
+        event, _probes = htab.invalidate(1, 0x10)
         assert event["found"]
-        assert not htab.search(1, 0x10).found
+        assert htab.peek(1, 0x10) is None
 
     def test_invalidate_missing_costs_full_search(self):
         htab = HashedPageTable(groups=64)
-        event = htab.invalidate_entry(1, 0x10)
+        event, probes = htab.invalidate(1, 0x10)
         assert not event["found"]
         assert event["mem_refs"] == 16  # the paper's worst case
+        assert sum(examined for _group, examined in probes) == 16
 
     def test_invalidate_all(self):
         htab = HashedPageTable(groups=64)
@@ -130,18 +138,18 @@ class TestInvalidate:
 
 class TestScanAndStats:
     def test_scan_slots_wraps(self):
+        """A zombie scan window past the table end wraps to slot 0."""
         htab = HashedPageTable(groups=2)
-        slots = list(htab.scan_slots(start=htab.slots - 2, count=4))
-        indices = [flat for flat, _ in slots]
-        assert indices == [htab.slots - 2, htab.slots - 1, 0, 1]
+        for page in range(htab.slots):
+            htab.insert(pte(1, page))
+        assert htab.valid_entries() == htab.slots
+        flats = htab.zombie_flats(htab.slots - 2, 4, lambda vsid: False)
+        assert flats == [htab.slots - 2, htab.slots - 1, 0, 1]
 
     def test_invalidate_slot(self):
         htab = HashedPageTable(groups=64)
         htab.insert(pte(1, 0x10))
-        flat = next(
-            flat for flat, entry in htab.scan_slots(0, htab.slots)
-            if entry is not None
-        )
+        flat, _probes = htab.search(1, 0x10)
         htab.invalidate_slot(flat)
         assert htab.valid_entries() == 0
 
@@ -188,13 +196,13 @@ class TestProperties:
         htab = HashedPageTable(groups=32)
         evicted = set()
         for vsid, page in mappings:
-            event = htab.insert(pte(vsid, page))
+            event, _probes = htab.insert(pte(vsid, page))
             if event["evicted"] and event["victim"] is not None:
                 evicted.add((event["victim"].vsid, event["victim"].page_index))
             evicted.discard((vsid, page))
         for vsid, page in mappings:
             if (vsid, page) not in evicted:
-                assert htab.search(vsid, page).found
+                assert htab.search(vsid, page)[0] >= 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=64,

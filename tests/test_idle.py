@@ -1,8 +1,5 @@
 """The idle task: zombie reclaim and page clearing (§7, §9)."""
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.kernel.config import IdlePageClearPolicy, KernelConfig
 from repro.params import M604_185, PAGE_SIZE
 from repro.sim.simulator import Simulator
@@ -124,27 +121,12 @@ class TestPageClearing:
 
 
 class TestPreclearTarget:
-    """§9's stock is unbounded by default; idle_preclear_target caps it."""
-
-    def test_bounded_stock_stops_at_target(self):
-        sim = boot_idle(idle_zombie_reclaim=False, idle_preclear_target=4)
-        sim.kernel.run_idle(500000)
-        assert sim.kernel.palloc.precleared_count() == 4
-
-    def test_target_zero_disables_stocking(self):
-        sim = boot_idle(idle_zombie_reclaim=False, idle_preclear_target=0)
-        sim.kernel.run_idle(200000)
-        assert sim.kernel.palloc.precleared_count() == 0
-        assert sim.kernel.idle_task.pages_cleared == 0
+    """§9's stock is unbounded: the idle task keeps clearing free pages."""
 
     def test_unbounded_default_keeps_clearing(self):
         sim = boot_idle(idle_zombie_reclaim=False)
         sim.kernel.run_idle(500000)
         assert sim.kernel.palloc.precleared_count() > 4
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(ConfigError):
-            KernelConfig(idle_preclear_target=-1)
 
 
 class TestAccounting:

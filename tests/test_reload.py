@@ -36,7 +36,7 @@ class TestInstall:
         cycles = sim.kernel.reloader.install(5, 9, LinuxPte(pfn=7))
         assert cycles > 0
         assert sim.machine.monitor["htab_reload"] == 1
-        assert sim.machine.htab.search(5, 9).found
+        assert sim.machine.htab.peek(5, 9) is not None
 
 
 class TestOnDemandScavenge:
@@ -70,3 +70,40 @@ class TestOnDemandScavenge:
     def test_scavenge_disabled_by_default(self):
         sim = Simulator(M604_185, KernelConfig.optimized())
         assert not sim.config.on_demand_scavenge
+
+
+class TestReclaimSanitizerCheck:
+    """Both zombie reclaimers let the sanitizer check every slot."""
+
+    @pytest.mark.parametrize("changes, idle_window", [
+        ({"idle_zombie_reclaim": False, "on_demand_scavenge": True}, 0),
+        ({}, 20000),
+    ], ids=["scavenge", "idle"])
+    def test_every_reclaimed_slot_is_checked(self, changes, idle_window):
+        sim = Simulator(
+            M604_185, KernelConfig.optimized().with_changes(**changes),
+            htab_groups=8, sanitize=True,
+        )
+        checked = []
+        check = sim.sanitizer.after_reclaim_slot
+
+        def spy(flat, pte):
+            checked.append(flat)
+            check(flat, pte)
+
+        sim.sanitizer.after_reclaim_slot = spy
+        kernel = sim.kernel
+        task = kernel.spawn("churn", data_pages=40)
+        kernel.switch_to(task)
+        for _round in range(6):
+            for page in range(40):
+                kernel.user_access(
+                    task, 0x10000000 + page * PAGE_SIZE, 1, True
+                )
+            kernel.flush.flush_mm(task.mm)
+            if idle_window:
+                kernel.run_idle(idle_window)
+        reclaimed = sim.machine.monitor["zombie_reclaimed"]
+        assert reclaimed > 0
+        assert len(checked) == reclaimed
+        assert sim.sanitizer.reporter.total == 0

@@ -80,14 +80,14 @@ class TestInsertInvalidate:
         event = walker.insert(HashPte(vsid=1, page_index=0x10, rpn=9))
         assert event["cycles"] > 0
         assert not event["evicted"]
-        assert htab.search(1, 0x10).found
+        assert htab.peek(1, 0x10) is not None
 
     def test_invalidate_found(self):
         walker, htab, _ = make_walker()
         walker.insert(HashPte(vsid=1, page_index=0x10, rpn=9))
         event = walker.invalidate(1, 0x10)
         assert event["found"] and event["cycles"] > 0
-        assert not htab.search(1, 0x10).found
+        assert htab.peek(1, 0x10) is None
 
     def test_invalidate_missing_pays_full_search(self):
         walker, _, _ = make_walker()
@@ -118,33 +118,46 @@ def scan_per_line(walker, start, count, inhibited):
     return cycles
 
 
+def walk_per_slot(walker, vsid, page_index, write):
+    """The reference walk: a slot-by-slot search charging each probe.
+
+    Reads primary then secondary PTEG one slot at a time through
+    ``pte_at`` and the hardware tag compare ``HashPte.matches``; every
+    slot costs ``WALK_CYCLES_PER_REF`` plus one scalar ``dcache.access``.
+    Advances the table's search counters and miss histogram, and sets R
+    (and C on a write) on a hit.  Returns ``(flat or -1, cycles, pte
+    snapshot or None)``.
+    """
+    htab = walker.htab
+    ppg = htab.ptes_per_group
+    inhibited = not walker.cache_ptes
+    cycles = WALK_BASE_CYCLES
+    htab.searches += 1
+    for secondary in (False, True):
+        group_index = htab.group_index(vsid, page_index, secondary)
+        for slot in range(ppg):
+            cycles += WALK_CYCLES_PER_REF + walker.dcache.access(
+                walker.pte_physical_address(group_index, slot),
+                inhibited=inhibited,
+            )
+            pte = htab.pte_at(group_index, slot)
+            if pte is not None and pte.matches(vsid, page_index, secondary):
+                flat = group_index * ppg + slot
+                htab.search_hits += 1
+                htab._ref[flat] = 1
+                if write:
+                    htab._chg[flat] = 1
+                return flat, cycles, pte
+    htab.bucket_miss_histogram[htab.group_index(vsid, page_index, False)] += 1
+    return -1, cycles, None
+
+
 def twin_walker(ptes_per_group, base, cache_ptes=True):
     l2 = Cache(8192, 4, mem_cycles=60, word_cycles=9, hit_cycles=12)
     dcache = Cache(1024, 2, mem_cycles=52, word_cycles=11, next_level=l2)
     htab = HashedPageTable(groups=64, ptes_per_group=ptes_per_group)
     return HardwareWalker(htab, dcache, htab_base_pa=base,
                           cache_ptes=cache_ptes)
-
-
-def walk_per_slot(walker, vsid, page_index):
-    """The reference walk: ``htab.search`` charging each probed slot.
-
-    Every slot costs ``WALK_CYCLES_PER_REF`` plus one scalar
-    ``dcache.access``.  Returns ``(pte view or None, cycles)``.
-    """
-    dcache = walker.dcache
-    inhibited = not walker.cache_ptes
-    cycles = WALK_BASE_CYCLES
-
-    def probe(group_index, slot):
-        nonlocal cycles
-        cycles += WALK_CYCLES_PER_REF + dcache.access(
-            walker.pte_physical_address(group_index, slot),
-            inhibited=inhibited,
-        )
-
-    result = walker.htab.search(vsid, page_index, probe=probe)
-    return result.pte, cycles
 
 
 #: Translations of VSID 1 or 2 at pages ``64k``: every translation of a
@@ -188,11 +201,11 @@ def mutate(walker, kind, fields, dirty):
         htab.insert(HashPte(vsid=vsid, page_index=page, rpn=rpn, wimg=wimg,
                             pp=pp))
     if kind in ("invalidate", "shadow"):
-        htab.invalidate_entry(vsid, page)
+        htab.invalidate(vsid, page)
 
 
 class TestWalkDifferential:
-    """``walk`` equals the per-slot ``htab.search`` reference exactly."""
+    """``walk`` equals the slot-by-slot reference walk exactly."""
 
     @pytest.mark.parametrize("ptes_per_group", [8, 16])
     @pytest.mark.parametrize("cache_ptes", [True, False])
@@ -216,17 +229,11 @@ class TestWalkDifferential:
             if kind in ("walk", "shadow"):
                 vsid, page = fields[:2]
                 flat, cycles = fast.walk(vsid, page)
-                pte, want_cycles = walk_per_slot(slow, vsid, page)
-                assert cycles == want_cycles, operation
-                if pte is None:
-                    assert flat == -1, operation
-                else:
-                    assert (flat, pte.vsid, pte.page_index) == (
-                        pte._flat, vsid, page)
+                want_flat, want_cycles, pte = walk_per_slot(
+                    slow, vsid, page, write)
+                assert (flat, cycles) == (want_flat, want_cycles), operation
+                if pte is not None:
                     got = fast.htab.reference(flat, write)
-                    pte.referenced = True
-                    if write:
-                        pte.changed = True
                     assert got == (pte.rpn, pte.pp, pte.wimg), operation
             for array in ("_ref", "_chg", "_valid", "_key"):
                 assert (getattr(fast.htab, array)
