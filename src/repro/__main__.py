@@ -46,11 +46,40 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
 from repro.analysis import specs
 from repro.params import ALL_MACHINES
+
+
+def _positive_number(text: str) -> float:
+    """argparse type: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number: {text!r}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}"
+        ) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer: {text!r}"
+        )
+    return value
 
 
 def _cmd_list(_args) -> int:
@@ -632,7 +661,7 @@ def main(argv=None) -> int:
         help="output Chrome trace path (default <id>.trace.json)",
     )
     trc.add_argument(
-        "--sample-us", type=float, default=1000.0, metavar="US",
+        "--sample-us", type=_positive_number, default=1000.0, metavar="US",
         help="time-series sample interval in simulated microseconds "
              "(default 1000)",
     )
@@ -674,7 +703,7 @@ def main(argv=None) -> int:
              '(e.g. E7 --variant "no reclaim,idle reclaim")',
     )
     dff.add_argument(
-        "--sample-us", type=float, default=1000.0, metavar="US",
+        "--sample-us", type=_positive_number, default=1000.0, metavar="US",
         help="time-series sample interval for --variant runs "
              "(default 1000)",
     )
@@ -752,7 +781,7 @@ def main(argv=None) -> int:
         help="sweep offered load per flush strategy (capacity curves)",
     )
     cap.add_argument(
-        "--loads", type=float, nargs="+", metavar="REQ_PER_S",
+        "--loads", type=_positive_number, nargs="+", metavar="REQ_PER_S",
         default=None,
         help="offered-load ladder in requests per simulated second, "
              "monotone ascending (default: 2000 6000 12000)",
@@ -763,7 +792,7 @@ def main(argv=None) -> int:
              "mmap_reuse)",
     )
     cap.add_argument(
-        "--requests", type=int, default=120, metavar="N",
+        "--requests", type=_positive_int, default=120, metavar="N",
         help="requests per sweep point (default 120)",
     )
     cap.add_argument(

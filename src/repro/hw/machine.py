@@ -220,9 +220,7 @@ class MachineModel:
             ))
             self.clock.add(cycles, "tlb_reload")
             if self.tracer is not None:
-                self.tracer.complete(
-                    "hw-walk", "mmu", cycles, {"ea": hex(ea)}
-                )
+                self.tracer.complete("hw-walk", "mmu", cycles, hex(ea))
             pa = physical_address(rpn, ea & PAGE_OFFSET_MASK)
             return pa, cycles, "hw_walk", inhibited
         # Hash-table miss: trap to the kernel.

@@ -156,8 +156,7 @@ class MissHandlers:
     def _trace_refill(self, ea: int, resolution: str, cycles: int) -> None:
         if self.machine.tracer is not None:
             self.machine.tracer.complete(
-                "sw-refill", "mmu", cycles,
-                {"ea": hex(ea), "resolution": resolution},
+                "sw-refill", "mmu", cycles, hex(ea), resolution
             )
 
     @staticmethod

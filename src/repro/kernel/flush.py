@@ -69,9 +69,7 @@ class FlushEngine:
         if machine.sanitizer is not None:
             machine.sanitizer.after_page_flush(mm, ea, vsid)
         if machine.tracer is not None:
-            machine.tracer.complete(
-                "flush-page", "flush", cycles, {"ea": hex(ea)}
-            )
+            machine.tracer.complete("flush-page", "flush", cycles, hex(ea))
         return cycles
 
     def _bump_context(self, mm) -> int:
@@ -102,9 +100,7 @@ class FlushEngine:
         if self.machine.sanitizer is not None:
             self.machine.sanitizer.after_context_bump(mm, old_vsids, new_vsids)
         if self.machine.tracer is not None:
-            self.machine.tracer.complete(
-                "vsid-bump", "flush", cycles, {"lazy": True}
-            )
+            self.machine.tracer.complete("vsid-bump", "flush", cycles, True)
         return cycles
 
     # -- public API ------------------------------------------------------------------
@@ -147,8 +143,7 @@ class FlushEngine:
         cycles += shootdown.commit()
         if self.machine.tracer is not None:
             self.machine.tracer.complete(
-                "flush-range", "flush", cycles,
-                {"pages": n_pages, "lazy": False},
+                "flush-range", "flush", cycles, n_pages, False
             )
         return cycles
 
@@ -167,8 +162,7 @@ class FlushEngine:
         cycles += shootdown.commit()
         if self.machine.tracer is not None:
             self.machine.tracer.complete(
-                "flush-mm", "flush", cycles,
-                {"pages": pages, "lazy": False},
+                "flush-mm", "flush", cycles, pages, False
             )
         return cycles
 
@@ -192,6 +186,6 @@ class FlushEngine:
             machine.sanitizer.after_global_flush()
         if machine.tracer is not None:
             machine.tracer.complete(
-                "flush-everything", "flush", cycles, {"cleared": cleared}
+                "flush-everything", "flush", cycles, cleared
             )
         return cycles

@@ -91,9 +91,7 @@ class IdleTask:
         self.reclaim_passes += 1
         self.zombies_reclaimed += reclaimed
         if reclaimed and machine.tracer is not None:
-            machine.tracer.complete(
-                "reclaim-chunk", "idle", cycles, {"reclaimed": reclaimed}
-            )
+            machine.tracer.complete("reclaim-chunk", "idle", cycles, reclaimed)
         return reclaimed > 0
 
     # -- page clearing -------------------------------------------------------------------
@@ -117,9 +115,7 @@ class IdleTask:
         palloc.clear_page(pfn, inhibited=inhibited, category="idle_clear")
         self.pages_cleared += 1
         if self.machine.tracer is not None:
-            self.machine.tracer.instant(
-                "preclear-page", "idle", {"pfn": pfn}
-            )
+            self.machine.tracer.instant("preclear-page", "idle", pfn)
         if policy is IdlePageClearPolicy.UNCACHED_NO_LIST:
             # The control experiment: the work is thrown away.
             palloc.return_uncleared(pfn)

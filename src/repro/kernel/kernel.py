@@ -385,8 +385,7 @@ class Kernel:
         self.machine.clock.add(cycles, "fault")
         if self.machine.tracer is not None:
             self.machine.tracer.complete(
-                "page-fault", "vm", cycles,
-                {"ea": hex(ea), "write": write},
+                "page-fault", "vm", cycles, hex(ea), write
             )
         return pte, cycles
 
@@ -461,9 +460,7 @@ class Kernel:
         task.last_scheduled = machine.clock.total
         self.current_task = task
         if machine.tracer is not None:
-            machine.tracer.instant(
-                "ctxsw", "sched", {"to": task.name, "pid": task.pid}
-            )
+            machine.tracer.instant("ctxsw", "sched", task.name, task.pid)
         return cycles
 
     # -- process lifecycle ----------------------------------------------------------------------
@@ -877,8 +874,7 @@ class Kernel:
         consumed = self.idle_task.run(window_cycles)
         if self.machine.tracer is not None:
             self.machine.tracer.complete(
-                "idle-window", "idle", consumed,
-                {"window": window_cycles},
+                "idle-window", "idle", consumed, window_cycles
             )
         return consumed
 

@@ -112,7 +112,6 @@ class HtabReloader:
         machine.clock.add(cycles, "scavenge")
         if machine.tracer is not None:
             machine.tracer.complete(
-                "scavenge-burst", "mmu", cycles,
-                {"slots": SCAVENGE_SLOTS},
+                "scavenge-burst", "mmu", cycles, SCAVENGE_SLOTS
             )
         return cycles

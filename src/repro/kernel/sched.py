@@ -91,10 +91,7 @@ class Scheduler:
         )
         tracer = self.kernel.machine.tracer
         if tracer is not None:
-            tracer.instant(
-                "sleep", "sched",
-                {"pid": task.pid, "until_cycle": wakeup_cycle},
-            )
+            tracer.instant("sleep", "sched", task.pid, wakeup_cycle)
 
     def next_wakeup(self, cpu: Optional[int] = None) -> Optional[int]:
         """Earliest pending deadline on ``cpu`` (default: current CPU)."""
@@ -121,6 +118,6 @@ class Scheduler:
         tracer = self.kernel.machine.tracer
         if tracer is not None:
             for task in woken:
-                tracer.instant("wakeup", "sched", {"pid": task.pid})
+                tracer.instant("wakeup", "sched", task.pid)
         return woken
 

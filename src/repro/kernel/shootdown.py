@@ -166,8 +166,7 @@ class ShootdownEngine:
         local.monitor.count("ipi_sent", len(eager))
         if machine.tracer is not None:
             machine.tracer.instant(
-                "ipi", "shootdown",
-                {"targets": sorted(eager), "pages": pages},
+                "ipi", "shootdown", sorted(eager), pages, None, None
             )
         for cpu, keys in eager.items():
             target = machine.cpus[cpu]
@@ -228,8 +227,7 @@ class ShootdownEngine:
             machine.sanitizer.after_shootdown_drain(cpu, keys)
         if machine.tracer is not None:
             machine.tracer.complete(
-                "shootdown-drain", "shootdown", cycles,
-                {"pages": len(keys)},
+                "shootdown-drain", "shootdown", cycles, len(keys)
             )
         return cycles
 
@@ -260,7 +258,7 @@ class ShootdownEngine:
         local.monitor.count("ipi_sent", len(targets))
         if machine.tracer is not None:
             machine.tracer.instant(
-                "ipi", "shootdown", {"targets": targets, "bump": True}
+                "ipi", "shootdown", targets, None, True, None
             )
         vsids = mm.segment_vsids()
         for cpu in targets:
@@ -294,7 +292,7 @@ class ShootdownEngine:
             target.monitor.count("ipi_received")
         if machine.tracer is not None:
             machine.tracer.instant(
-                "ipi", "shootdown", {"targets": "all", "global": True}
+                "ipi", "shootdown", "all", None, None, True
             )
         return send
 

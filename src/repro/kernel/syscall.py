@@ -115,7 +115,7 @@ class PipeTable:
         self._pipes[pipe.ident] = pipe
         tracer = self.kernel.machine.tracer
         if tracer is not None:
-            tracer.instant("pipe-create", "ipc", {"pipe": pipe.ident})
+            tracer.instant("pipe-create", "ipc", pipe.ident)
         return pipe
 
     def get(self, ident: int) -> Pipe:
@@ -130,4 +130,4 @@ class PipeTable:
             self.kernel.palloc.free_page(pipe.buffer_pfn)
             tracer = self.kernel.machine.tracer
             if tracer is not None:
-                tracer.instant("pipe-close", "ipc", {"pipe": ident})
+                tracer.instant("pipe-close", "ipc", ident)

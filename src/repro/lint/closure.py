@@ -10,7 +10,8 @@ a simulator run:
   polices at runtime, on the paths a run happens to exercise);
 * every event name published into the tracer or counted by the
   hardware monitor appears in the ``EVENT_NAMES`` registry of
-  ``obs/events.py``;
+  ``obs/events.py``, and every tracer publication passes one value per
+  key its entry registers;
 * every invariant defined in ``check/invariants.py`` is registered in
   the ``full_sweep`` suite;
 * every experiment spec in the ``SPECS`` registry of
@@ -48,10 +49,8 @@ def _find_context(
     return None
 
 
-def _dict_literal_keys(
-    tree: ast.Module, name: str
-) -> Optional[Dict[str, ast.AST]]:
-    """String keys of a module-level ``NAME = {...}`` dict literal."""
+def _assigned_value(tree: ast.Module, name: str) -> Optional[ast.expr]:
+    """The value of the first module-level ``NAME = ...`` assignment."""
     for node in tree.body:
         target: Optional[ast.expr]
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -60,49 +59,56 @@ def _dict_literal_keys(
             target, value = node.target, node.value
         else:
             continue
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        out: Dict[str, ast.AST] = {}
-        for key in value.keys:
-            literal = str_const(key) if key is not None else None
-            if literal is not None:
-                out[literal] = key
-        return out
+        if isinstance(target, ast.Name) and target.id == name:
+            return value
     return None
+
+
+def _dict_literal(
+    tree: ast.Module, name: str
+) -> Optional[Dict[str, Tuple[ast.AST, ast.AST]]]:
+    """String key -> (key node, value node) of ``NAME = {...}``."""
+    value = _assigned_value(tree, name)
+    if not isinstance(value, ast.Dict):
+        return None
+    out: Dict[str, Tuple[ast.AST, ast.AST]] = {}
+    for key, entry in zip(value.keys, value.values):
+        literal = str_const(key) if key is not None else None
+        if key is not None and literal is not None:
+            out[literal] = (key, entry)
+    return out
+
+
+def _dict_literal_keys(
+    tree: ast.Module, name: str
+) -> Optional[Dict[str, ast.AST]]:
+    """String keys of a module-level ``NAME = {...}`` dict literal."""
+    items = _dict_literal(tree, name)
+    if items is None:
+        return None
+    return {literal: key for literal, (key, _entry) in items.items()}
 
 
 def _frozenset_literal(
     tree: ast.Module, name: str
 ) -> Optional[List[Tuple[str, ast.AST]]]:
     """String elements of ``NAME = frozenset({...})`` / ``{...}``."""
-    for node in tree.body:
-        target: Optional[ast.expr]
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "frozenset"
-            and len(value.args) == 1
-        ):
-            value = value.args[0]
-        if not isinstance(value, ast.Set):
-            return None
-        out = []
-        for element in value.elts:
-            literal = str_const(element)
-            if literal is not None:
-                out.append((literal, element))
-        return out
-    return None
+    value = _assigned_value(tree, name)
+    if (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == "frozenset"
+        and len(value.args) == 1
+    ):
+        value = value.args[0]
+    if not isinstance(value, ast.Set):
+        return None
+    out = []
+    for element in value.elts:
+        literal = str_const(element)
+        if literal is not None:
+            out.append((literal, element))
+    return out
 
 
 # -- ledger taxonomy ---------------------------------------------------------
@@ -198,15 +204,21 @@ class LedgerTaxonomyRule(ProjectRule):
 # -- event registry ----------------------------------------------------------
 
 
+#: Tracer publisher -> its positional arguments before the values (the
+#: name, then the category and for spans the duration).
+_LEADING_ARGS = {"instant": 2, "complete": 3, "counter": 1}
+
+
 def _publish_sites(
     ctx: FileContext,
-) -> Iterator[Tuple[ast.AST, Optional[str], Optional[str]]]:
-    """``(node, literal_name, fstring_prefix)`` for event publishers.
+) -> Iterator[Tuple[ast.Call, Optional[str], Optional[str], Optional[int]]]:
+    """``(node, literal_name, fstring_prefix, leading)`` for publishers.
 
     Covers tracer publications (``<...>.tracer.instant/complete/
     counter``) and hardware-monitor counts (``<...>.monitor.count``).
     For f-string names, the literal prefix is returned instead (matched
-    against wildcard registry entries).
+    against wildcard registry entries).  ``leading`` counts a tracer
+    call's arguments before its values (``None`` for a monitor count).
     """
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
@@ -214,29 +226,56 @@ def _publish_sites(
         if not isinstance(node.func, ast.Attribute):
             continue
         tail = receiver_tail(node.func.value)
-        is_tracer_pub = (
-            tail == "tracer"
-            and node.func.attr in ("instant", "complete", "counter")
-        )
+        leading = _LEADING_ARGS.get(node.func.attr)
+        is_tracer_pub = tail == "tracer" and leading is not None
         is_monitor_count = tail == "monitor" and node.func.attr == "count"
         if not (is_tracer_pub or is_monitor_count) or not node.args:
             continue
         name_arg = node.args[0]
         literal = str_const(name_arg)
         if literal is not None:
-            yield node, literal, None
+            yield node, literal, None, leading
         elif isinstance(name_arg, ast.JoinedStr) and name_arg.values:
             prefix = str_const(name_arg.values[0])
-            yield node, None, prefix  # prefix may be None: dynamic name
+            yield node, None, prefix, leading  # prefix None: dynamic name
         # Plain variables (e.g. the monitor re-publishing its filtered
         # event stream) are covered at their own literal callsites.
+
+
+def _registered_key_counts(
+    entries: Dict[str, Tuple[ast.AST, ast.AST]]
+) -> Dict[str, int]:
+    """Registry entry -> how many keys its ``args`` tuple registers.
+
+    An entry that is not an ``Event(...)`` call registers none.
+    Monitor-kind entries, whose counts reach the tracer only through
+    ``on_monitor_event``, and an ``args`` that is not a literal tuple
+    are left out: their callsites are not counted.
+    """
+    counts: Dict[str, int] = {}
+    for name, (_key, entry) in entries.items():
+        if not isinstance(entry, ast.Call):
+            counts[name] = 0
+            continue
+        if entry.args and dotted_name(entry.args[0]) == "MONITOR":
+            continue
+        keys: Optional[ast.AST] = next(
+            (kw.value for kw in entry.keywords if kw.arg == "args"),
+            entry.args[3] if len(entry.args) > 3 else None,
+        )
+        if keys is None:
+            counts[name] = 0
+        elif isinstance(keys, ast.Tuple):
+            counts[name] = len(keys.elts)
+    return counts
 
 
 class EventRegistryRule(ProjectRule):
     id = "event-registry"
     description = (
         "every event name published to the tracer or monitor exists "
-        "in the EVENT_NAMES registry of obs/events.py"
+        "in the EVENT_NAMES registry of obs/events.py, and every tracer "
+        "callsite passes one value per key its entry registers"
     )
 
     REGISTRY = "obs/events.py"
@@ -247,57 +286,76 @@ class EventRegistryRule(ProjectRule):
         self, contexts: List[FileContext], report: ProjectReport
     ) -> None:
         sites = [
-            (ctx, node, literal, prefix)
+            (ctx, node, literal, prefix, leading)
             for ctx in contexts
-            for node, literal, prefix in _publish_sites(ctx)
+            for node, literal, prefix, leading in _publish_sites(ctx)
         ]
         registry_ctx = _find_context(contexts, self.REGISTRY)
         if registry_ctx is None:
             if sites:
-                ctx, node, _literal, _prefix = sites[0]
+                ctx, node = sites[0][:2]
                 report(
                     ctx, node,
                     f"events are published but no {self.REGISTRY} "
                     f"defines {self.REGISTRY_NAME}",
                 )
             return
-        keys = _dict_literal_keys(registry_ctx.tree, self.REGISTRY_NAME)
-        if keys is None:
+        entries = _dict_literal(registry_ctx.tree, self.REGISTRY_NAME)
+        if entries is None:
             report(
                 registry_ctx, registry_ctx.tree,
                 f"{self.REGISTRY_NAME} in {self.REGISTRY} must be a "
                 "literal dict keyed by event-name strings",
             )
             return
-        exact = {key for key in keys if not key.endswith("*")}
-        wildcards = [key[:-1] for key in keys if key.endswith("*")]
-        for ctx, node, literal, prefix in sites:
+        key_counts = _registered_key_counts(entries)
+        exact = {key for key in entries if not key.endswith("*")}
+        wildcards = [key for key in entries if key.endswith("*")]
+        for ctx, node, literal, prefix, leading in sites:
+            entry: Optional[str] = None
             if literal is not None:
-                if literal in exact or any(
-                    literal.startswith(stem) for stem in wildcards
-                ):
-                    continue
-                report(
-                    ctx, node,
-                    f"event name {literal!r} is not in the "
-                    f"{self.REGISTRY_NAME} registry of {self.REGISTRY}",
+                entry = literal if literal in exact else next(
+                    (key for key in wildcards
+                     if literal.startswith(key[:-1])), None,
                 )
+                if entry is None:
+                    report(
+                        ctx, node,
+                        f"event name {literal!r} is not in the "
+                        f"{self.REGISTRY_NAME} registry of {self.REGISTRY}",
+                    )
             elif prefix is None:
                 report(
                     ctx, node,
                     "event name is built dynamically with no literal "
                     "prefix; registry closure cannot cover it",
                 )
-            elif not any(
-                prefix.startswith(stem) or stem.startswith(prefix)
-                for stem in wildcards
-            ):
+            else:
+                entry = next(
+                    (key for key in wildcards
+                     if prefix.startswith(key[:-1])
+                     or key[:-1].startswith(prefix)), None,
+                )
+                if entry is None:
+                    report(
+                        ctx, node,
+                        f"f-string event name with prefix {prefix!r} has "
+                        f"no matching wildcard entry in "
+                        f"{self.REGISTRY_NAME} (add e.g. '{prefix}*')",
+                    )
+            expected = None if entry is None else key_counts.get(entry)
+            # A starred value list is not counted: it must expand the
+            # registered keys themselves (the sampler's monitor track).
+            if (leading is None or expected is None
+                    or any(isinstance(a, ast.Starred) for a in node.args)):
+                continue
+            passed = len(node.args) - leading
+            if passed != expected:
                 report(
                     ctx, node,
-                    f"f-string event name with prefix {prefix!r} has no "
-                    f"matching wildcard entry in {self.REGISTRY_NAME} "
-                    "(add e.g. "
-                    f"'{prefix}*')",
+                    f"event {entry!r} passes {passed} value(s) but its "
+                    f"{self.REGISTRY_NAME} entry registers {expected} "
+                    "key(s)",
                 )
         # The tracer's default monitor-event filter must itself be
         # registered: an entry here that is not an event name is dead.

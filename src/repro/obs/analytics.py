@@ -24,6 +24,7 @@ registered event and every path category is consumed by construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import (
@@ -148,9 +149,14 @@ def series_stats(values: Sequence[float]) -> Dict[str, object]:
 
 
 def downsample(values: Sequence, points: int = TIMELINE_POINTS) -> List:
-    """At most ``points`` values, keeping first and last, evenly spaced."""
+    """At most ``points`` values, keeping first and last, evenly spaced.
+
+    With room for fewer than two points only the first value is kept.
+    """
     if len(values) <= points:
         return list(values)
+    if points < 2:
+        return list(values[:points])
     last = len(values) - 1
     return [
         values[round(index * last / (points - 1))]
@@ -239,19 +245,29 @@ def _trace_blocks(tracers: Iterable[Any]) -> Dict[str, Dict[str, object]]:
     instants: Dict[str, int] = {}
     tracks: Dict[str, int] = {}
     for tracer in tracers:
-        for _ts, dur, ph, _category, name, _tid, _args in tracer.events:
-            if ph == PH_COMPLETE and dur is not None:
-                durations.setdefault(name, []).append(dur)
-            elif ph == PH_INSTANT:
-                key = _instant_key(name)
+        codes = tracer.column("code")
+        # Per code: the duration list its spans extend, or nothing.
+        span_lists = [
+            durations.setdefault(kind.name, [])
+            if kind.ph == PH_COMPLETE else None
+            for kind in tracer.kinds
+        ]
+        for code, dur in zip(codes, tracer.column("dur")):
+            spans_of_code = span_lists[code]
+            if spans_of_code is not None:
+                spans_of_code.append(dur)
+        for code, count in Counter(codes).items():
+            kind = tracer.kinds[code]
+            if kind.ph == PH_INSTANT:
+                key = _instant_key(kind.name)
                 if key in INSTANT_EVENTS:
-                    instants[key] = instants.get(key, 0) + 1
-            elif ph == PH_COUNTER and name in COUNTER_TRACKS:
-                tracks[name] = tracks.get(name, 0) + 1
+                    instants[key] = instants.get(key, 0) + count
+            elif kind.ph == PH_COUNTER and kind.name in COUNTER_TRACKS:
+                tracks[kind.name] = tracks.get(kind.name, 0) + count
     spans = {
         name: span_stats(durations[name])
         for name in SPAN_EVENTS
-        if name in durations
+        if durations.get(name)
     }
     categories = {}
     for category in sorted(CATEGORY_SPANS):
@@ -303,6 +319,12 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cov / (var_x * var_y) ** 0.5
 
 
+#: The request life-cycle instants and the curves the SLO section reads.
+SLO_EVENTS = frozenset({
+    "req-complete", "req-arrival", "req-dispatch", "queue-depth", "htab",
+})
+
+
 def _service_block(tracers: Iterable[Any]) -> Optional[Dict[str, object]]:
     """The SLO section: open-loop latency quantiles from the request
     life-cycle events, the queue-depth curve, and the correlation of
@@ -312,19 +334,29 @@ def _service_block(tracers: Iterable[Any]) -> Optional[Dict[str, object]]:
     zombie_series: List[int] = []
     arrivals = dispatches = 0
     for tracer in tracers:
-        for _ts, _dur, ph, _category, name, _tid, args in tracer.events:
+        kinds = tracer.kinds
+        wanted = {
+            code for code, kind in enumerate(kinds)
+            if kind.ph in (PH_INSTANT, PH_COUNTER)
+            and kind.name in SLO_EVENTS
+        }
+        for code, stored in zip(tracer.column("code"),
+                                tracer.column("values")):
+            if code not in wanted:
+                continue
+            ph, _category, name, _keys = kind = kinds[code]
             if ph == PH_INSTANT:
-                if name == "req-complete" and args:
-                    latencies.append(args.get("latency", 0))
+                if name == "req-complete":
+                    latencies.append(kind.arg(stored, "latency", 0))
                 elif name == "req-arrival":
                     arrivals += 1
                 elif name == "req-dispatch":
                     dispatches += 1
-            elif ph == PH_COUNTER and args:
+            elif ph == PH_COUNTER:
                 if name == "queue-depth":
-                    depth_series.append(args.get("pending", 0))
+                    depth_series.append(kind.arg(stored, "pending", 0))
                 elif name == "htab":
-                    zombie_series.append(args.get("zombie", 0))
+                    zombie_series.append(kind.arg(stored, "zombie", 0))
     if not latencies and not depth_series:
         return None
     latencies.sort()
@@ -388,7 +420,7 @@ def derive(observed: Sequence[Any]) -> Dict[str, object]:
     """The full derived block for a drained list of recorder handles.
 
     Sections degrade gracefully with the recorder configuration: a
-    profile-only run (the benchmark suite) gets attribution, counters
+    profile-only run (``repro profile``) gets attribution, counters
     and histograms; a traced run adds spans, categories and the reload
     tail; a sampled run adds the timeline.
     """

@@ -12,7 +12,9 @@ Zero perturbation is the design rule, mirroring ``repro.check``: an
 emit never touches the cycle ledger, the hardware monitor, or any cache
 — a traced run is bit-identical to an untraced one in every counter and
 in total cycles.  Timestamps are *simulated* cycles read off the ledger,
-so two identical runs produce byte-identical traces.
+so two identical runs produce byte-identical traces.  The recorder's
+host memory is kept small too: the ring stores typed columns, with no
+tuple or dict per event (see :class:`EventTracer`).
 
 The export format is Chrome trace-event JSON (the ``traceEvents``
 array), so any captured run opens directly in Perfetto or
@@ -21,9 +23,10 @@ array), so any captured run opens directly in Perfetto or
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple,
+    Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 #: Event kinds: who publishes a name, and what the observatory derives.
@@ -34,12 +37,14 @@ MONITOR = "monitor"  # hardware-monitor counter; end-of-run drift totals
 
 
 class Event(NamedTuple):
-    """One registered event: its kind, its meaning and, for spans, the
-    profiler path category (``PATH_CATEGORIES`` value) it times."""
+    """One registered event: its kind, its meaning, for spans the
+    profiler path category (``PATH_CATEGORIES`` value) it times, and the
+    keys its published values are exported under, in order."""
 
     kind: str
     description: str
     category: str = ""
+    args: Tuple[str, ...] = ()
 
 
 #: The closed registry of every event name this repo may publish, and
@@ -48,66 +53,91 @@ class Event(NamedTuple):
 #: statically checks that every ``tracer.instant/complete/counter`` and
 #: ``monitor.count`` callsite uses a name listed here (entries ending in
 #: ``*`` match by prefix, for names carrying a dynamic suffix), so the
-#: keys stay string literals.
+#: keys stay string literals, and that every tracer callsite passes one
+#: value per key its entry registers in ``args``.
 EVENT_NAMES: Dict[str, Event] = {
     # -- tracer spans (Chrome "X" events) -------------------------------
     "hw-walk": Event(SPAN, "604 hardware hash walk resolved a TLB miss",
-                     "tlb-reload"),
+                     "tlb-reload", args=("ea",)),
     "sw-refill": Event(
         SPAN, "software TLB refill through the Linux page tables",
-        "tlb-reload"),
+        "tlb-reload", args=("ea", "resolution")),
     "scavenge-burst": Event(
         SPAN, "on-miss zombie scavenge burst over the hash table",
-        "tlb-reload"),
+        "tlb-reload", args=("slots",)),
     "flush-page": Event(
-        SPAN, "single-page invalidate (hash search + tlbie)", "flush"),
+        SPAN, "single-page invalidate (hash search + tlbie)", "flush",
+        args=("ea",)),
     "flush-range": Event(
-        SPAN, "range invalidate by per-page hash search", "flush"),
+        SPAN, "range invalidate by per-page hash search", "flush",
+        args=("pages", "lazy")),
     "flush-mm": Event(
-        SPAN, "whole-address-space invalidate by hash search", "flush"),
+        SPAN, "whole-address-space invalidate by hash search", "flush",
+        args=("pages", "lazy")),
     "flush-everything": Event(
-        SPAN, "global invalidate (counter wrap / reset)", "flush"),
+        SPAN, "global invalidate (counter wrap / reset)", "flush",
+        args=("cleared",)),
     "vsid-bump": Event(
-        SPAN, "lazy context invalidate by VSID bump (section 7)", "flush"),
+        SPAN, "lazy context invalidate by VSID bump (section 7)", "flush",
+        args=("lazy",)),
     "reclaim-chunk": Event(
-        SPAN, "idle-task zombie reclaim over one hash-table chunk", "idle"),
-    "idle-window": Event(SPAN, "one scheduling of the idle task", "idle"),
+        SPAN, "idle-task zombie reclaim over one hash-table chunk", "idle",
+        args=("reclaimed",)),
+    "idle-window": Event(SPAN, "one scheduling of the idle task", "idle",
+                         args=("window",)),
     "page-fault": Event(
-        SPAN, "demand fault handled (major or minor)", "fault"),
+        SPAN, "demand fault handled (major or minor)", "fault",
+        args=("ea", "write")),
     "shootdown-drain": Event(
         SPAN, "deferred remote TLB invalidations drained at ctxsw",
-        "shootdown"),
+        "shootdown", args=("pages",)),
     "req-queue": Event(
         SPAN, "service request waiting in its CPU's dispatch queue",
-        "service"),
+        "service", args=("rid",)),
     "req-run": Event(
         SPAN, "service request executing (exec/map/touch/compute)",
-        "service"),
+        "service", args=("rid", "mmu")),
     # -- tracer instants (Chrome "i" events) ----------------------------
     "syscall:*": Event(
         INSTANT, "syscall entry, suffixed with the syscall name"),
-    "ctxsw": Event(INSTANT, "context switch committed to a task"),
-    "wakeup": Event(INSTANT, "sleeping task woken"),
-    "sleep": Event(INSTANT, "task put to sleep until a simulated deadline"),
-    "pipe-create": Event(INSTANT, "pipe created"),
-    "pipe-close": Event(INSTANT, "pipe endpoint closed"),
+    "ctxsw": Event(INSTANT, "context switch committed to a task",
+                   args=("to", "pid")),
+    "wakeup": Event(INSTANT, "sleeping task woken", args=("pid",)),
+    "sleep": Event(INSTANT, "task put to sleep until a simulated deadline",
+                   args=("pid", "until_cycle")),
+    "pipe-create": Event(INSTANT, "pipe created", args=("pipe",)),
+    "pipe-close": Event(INSTANT, "pipe endpoint closed", args=("pipe",)),
     "preclear-page": Event(
-        INSTANT, "idle task pre-cleared one free page (section 9)"),
+        INSTANT, "idle task pre-cleared one free page (section 9)",
+        args=("pfn",)),
+    # A shootdown round names its pages; a VSID bump or a global flush
+    # names its cause instead and passes None for the keys it lacks.
     "ipi": Event(
-        INSTANT, "inter-processor interrupt round for a TLB shootdown"),
+        INSTANT, "inter-processor interrupt round for a TLB shootdown",
+        args=("targets", "pages", "bump", "global")),
     "req-arrival": Event(
-        INSTANT, "open-loop request accepted onto a dispatch queue"),
-    "req-dispatch": Event(INSTANT, "service request picked up by a worker"),
+        INSTANT, "open-loop request accepted onto a dispatch queue",
+        args=("rid", "scheduled", "depth")),
+    "req-dispatch": Event(INSTANT, "service request picked up by a worker",
+                          args=("rid", "wait")),
     "req-complete": Event(
-        INSTANT, "service request finished, open-loop latency known"),
+        INSTANT, "service request finished, open-loop latency known",
+        args=("rid", "latency")),
     # -- tracer counter tracks (Chrome "C" events) ----------------------
-    "htab": Event(TRACK, "hash-table live/zombie occupancy curve"),
-    "occupancy": Event(TRACK, "hash-table valid-entry curve"),
-    "monitor": Event(TRACK, "selected hardware-monitor counter curves"),
+    "htab": Event(TRACK, "hash-table live/zombie occupancy curve",
+                  args=("live", "zombie")),
+    "occupancy": Event(TRACK, "hash-table valid-entry curve",
+                       args=("valid",)),
+    "monitor": Event(
+        TRACK, "selected hardware-monitor counter curves",
+        args=("itlb_miss", "dtlb_miss", "htab_reload", "htab_evict",
+              "zombie_reclaimed")),
     "queue-depth": Event(
-        TRACK, "pending service requests per dispatch queue"),
+        TRACK, "pending service requests per dispatch queue",
+        args=("pending",)),
     "vsids": Event(
-        TRACK, "bounded top-K per-VSID hash-table population summary"),
+        TRACK, "bounded top-K per-VSID hash-table population summary",
+        args=("top_entries", "rest_entries", "rest_zombie")),
     # -- hardware-monitor counters (republished as instants when the
     # -- tracer's monitor filter selects them) --------------------------
     "itlb_miss": Event(MONITOR, "instruction TLB miss"),
@@ -149,6 +179,23 @@ EVENT_NAMES: Dict[str, Event] = {
     "reuse_pool_hit": Event(
         MONITOR, "mmap revived a pooled region without faulting"),
 }
+
+
+#: The key a republished monitor count is exported under.  Its value is
+#: ``None`` (no args) when the monitor counted a single event.
+MONITOR_ARGS: Tuple[str, ...] = ("count",)
+
+
+def arg_keys(name: str) -> Tuple[str, ...]:
+    """The keys an event's values are exported under, in order.
+
+    Names outside the registry (a ``syscall:*`` suffix, a test's ad-hoc
+    event) register none.
+    """
+    event = EVENT_NAMES.get(name)
+    if event is None:
+        return ()
+    return MONITOR_ARGS if event.kind == MONITOR else event.args
 
 
 def names_of(kind: str) -> Tuple[str, ...]:
@@ -214,8 +261,11 @@ class TraceConfig:
         capacity: int = DEFAULT_CAPACITY,
         monitor_events: Optional[FrozenSet[str]] = None,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"trace ring capacity must be positive: {capacity}")
+        if (isinstance(capacity, bool) or not isinstance(capacity, int)
+                or capacity <= 0):
+            raise ValueError(
+                f"trace ring capacity must be a positive int: {capacity!r}"
+            )
         self.capacity = capacity
         self.monitor_events = (
             DEFAULT_MONITOR_EVENTS if monitor_events is None else
@@ -223,13 +273,42 @@ class TraceConfig:
         )
 
 
+class Kind(NamedTuple):
+    """One interned ``(phase, category, name)`` and its argument keys."""
+
+    ph: str
+    category: str
+    name: str
+    keys: Tuple[str, ...]
+
+    def arg(self, stored: Any, key: str, default: Any = None) -> Any:
+        """The value an event of this kind stored under ``key``."""
+        keys = self.keys
+        if len(keys) == 1:
+            value = stored if keys[0] == key else None
+        else:
+            value = stored[keys.index(key)] if key in keys else None
+        return default if value is None else value
+
+
+#: The names :meth:`EventTracer.column` reads the ring's columns under.
+COLUMNS = ("ts", "dur", "tid", "code", "values")
+
+
 class EventTracer:
     """A ring-buffered event bus with simulated-cycle timestamps.
 
-    Events are stored as tuples ``(ts_cycles, dur_cycles, ph, category,
-    name, tid, args)`` — ``dur_cycles`` and ``args`` may be ``None``.
-    ``tid`` is the pid of the task that was current when the event
-    fired (0 = boot / idle / no task).
+    The ring is stored as columns, not as one object per event:
+    ``array('q')`` columns hold each event's start cycle (``ts``), its
+    duration (``dur``, 0 unless it is a span) and the pid of the task
+    that was current when it fired (``tid``, 0 = boot / idle / no
+    task); an ``array('H')`` column holds a ``code`` into
+    :attr:`kinds`, the interned ``(phase, category, name)`` table; and
+    one list holds each event's ``values`` under the keys its name
+    registers in ``EVENT_NAMES`` (:func:`arg_keys`): the bare value for
+    a one-key event, the tuple of values otherwise.  A ``None`` value
+    is left out of the exported args.  The columns grow to
+    ``config.capacity`` and then overwrite the oldest event in place.
     """
 
     def __init__(self, machine: Any, kernel: Any = None,
@@ -239,44 +318,65 @@ class EventTracer:
         self.kernel = kernel
         self.label = label
         self.config = config if config is not None else TraceConfig()
-        self.events: deque = deque(maxlen=self.config.capacity)
+        self._capacity = self.config.capacity
         #: Total events ever published (the ring may have dropped some).
         self.emitted = 0
+        #: Code -> the interned kind it stands for.
+        self.kinds: List[Kind] = []
+        self._codes: Dict[Tuple[str, str, str], int] = {}
+        self._ts = array("q")
+        self._dur = array("q")
+        self._tid = array("q")
+        self._code = array("H")
+        self._values: List[Any] = []
 
     # -- publication ---------------------------------------------------------
 
-    def _tid(self) -> int:
+    def _tid_now(self) -> int:
         kernel = self.kernel
         if kernel is None or kernel.current_task is None:
             return 0
         return kernel.current_task.pid
 
-    def instant(self, name: str, category: str,
-                args: Optional[Dict] = None) -> None:
+    def _push(self, ph: str, category: str, name: str, ts: int, dur: int,
+              tid: int, values: Tuple[Any, ...]) -> None:
+        code = self._codes.get((ph, category, name))
+        if code is None:
+            code = self._codes[ph, category, name] = len(self.kinds)
+            self.kinds.append(Kind(ph, category, name, arg_keys(name)))
+        slot = self.emitted
+        self.emitted = slot + 1
+        stored = values[0] if len(values) == 1 else values
+        if slot < self._capacity:
+            self._ts.append(ts)
+            self._dur.append(dur)
+            self._tid.append(tid)
+            self._code.append(code)
+            self._values.append(stored)
+        else:
+            slot %= self._capacity
+            self._ts[slot] = ts
+            self._dur[slot] = dur
+            self._tid[slot] = tid
+            self._code[slot] = code
+            self._values[slot] = stored
+
+    def instant(self, name: str, category: str, *values: Any) -> None:
         """Publish a point event at the current simulated cycle."""
-        self.emitted += 1
-        self.events.append(
-            (self.machine.clock.total, None, PH_INSTANT, category, name,
-             self._tid(), args)
-        )
+        self._push(PH_INSTANT, category, name, self.machine.clock.total, 0,
+                   self._tid_now(), values)
 
     def complete(self, name: str, category: str, dur_cycles: int,
-                 args: Optional[Dict] = None) -> None:
+                 *values: Any) -> None:
         """Publish a span that just finished, ``dur_cycles`` long."""
-        self.emitted += 1
         now = self.machine.clock.total
-        self.events.append(
-            (max(now - dur_cycles, 0), dur_cycles, PH_COMPLETE, category,
-             name, self._tid(), args)
-        )
+        self._push(PH_COMPLETE, category, name, max(now - dur_cycles, 0),
+                   dur_cycles, self._tid_now(), values)
 
-    def counter(self, name: str, values: Dict[str, float]) -> None:
+    def counter(self, name: str, *values: Any) -> None:
         """Publish a Chrome counter sample (renders as a curve)."""
-        self.emitted += 1
-        self.events.append(
-            (self.machine.clock.total, None, PH_COUNTER, "sample", name,
-             0, dict(values))
-        )
+        self._push(PH_COUNTER, "sample", name, self.machine.clock.total, 0,
+                   0, values)
 
     def on_monitor_event(self, event: str, amount: int = 1) -> None:
         """Hardware-monitor hook: republish a counted event as an instant.
@@ -284,13 +384,26 @@ class EventTracer:
         The monitor calls it only for events ``config.monitor_events``
         selects.
         """
-        args = None if amount == 1 else {"count": amount}
-        self.instant(event, "monitor", args)
+        self.instant(event, "monitor", None if amount == 1 else amount)
 
     @property
     def dropped(self) -> int:
         """Events pushed out of the ring by newer ones."""
-        return self.emitted - len(self.events)
+        return self.emitted - len(self._code)
+
+    # -- reading -------------------------------------------------------------
+
+    def column(self, field: str) -> Sequence[Any]:
+        """One of :data:`COLUMNS` in ring order, oldest event first.
+
+        Read-only: an unwrapped ring hands out the column itself.
+        """
+        if field not in COLUMNS:
+            raise KeyError(f"no trace column {field!r}; one of {COLUMNS}")
+        data: Any = getattr(self, "_" + field)
+        head = self.emitted % self._capacity if self.dropped else 0
+        ordered: Sequence[Any] = data[head:] + data[:head] if head else data
+        return ordered
 
     # -- export --------------------------------------------------------------
 
@@ -298,14 +411,20 @@ class EventTracer:
         """This tracer's ring as Chrome trace-event dicts.
 
         ``ts`` is in microseconds of simulated time at this machine's
-        clock rate, as the trace-event format specifies.
+        clock rate, as the trace-event format specifies.  Only here is
+        an event's args dict rebuilt, with its keys in registry order.
         """
         cycles_to_us = self.machine.spec.cycles_to_us
         out: List[Dict] = [{
             "ph": PH_METADATA, "ts": 0, "pid": pid, "tid": 0,
             "name": "process_name", "args": {"name": self.label},
         }]
-        for ts, dur, ph, category, name, tid, args in self.events:
+        kinds = self.kinds
+        for code, ts, dur, tid, stored in zip(
+            self.column("code"), self.column("ts"), self.column("dur"),
+            self.column("tid"), self.column("values"),
+        ):
+            ph, category, name, keys = kinds[code]
             event = {
                 "ph": ph,
                 "ts": round(cycles_to_us(ts), 3),
@@ -314,10 +433,18 @@ class EventTracer:
                 "name": name,
                 "cat": category,
             }
-            if dur is not None:
+            if ph == PH_COMPLETE:
                 event["dur"] = round(cycles_to_us(dur), 3)
-            if args is not None:
-                event["args"] = args
+            if len(keys) == 1:
+                if stored is not None:
+                    event["args"] = {keys[0]: stored}
+            elif keys:
+                args = {
+                    key: value for key, value in zip(keys, stored)
+                    if value is not None
+                }
+                if args:
+                    event["args"] = args
             out.append(event)
         return out
 

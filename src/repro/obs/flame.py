@@ -1,10 +1,10 @@
 """Flamegraph export: span trees out of the flight recorder's ring.
 
 The tracer's ring (see :mod:`repro.obs.events`) stores completed spans
-flat, in completion order.  This module reconstructs the nesting —
-a span is a child of the innermost span that fully contains it on the
-same task lane — and exports the resulting forest in the two formats
-profiler tooling actually consumes:
+flat, in completion order, as columns.  This module reconstructs the
+nesting — a span is a child of the innermost span that fully contains
+it on the same task lane — and exports the resulting forest in the two
+formats profiler tooling actually consumes:
 
 * collapsed-stack ("folded") lines, one ``frame;frame;frame weight``
   per unique stack, weighted by *self* cycles — the input format of
@@ -66,14 +66,19 @@ def span_forest(tracer: Any) -> Dict[int, List[Span]]:
     and parent-before-child.
     """
     by_tid: Dict[int, List[Tuple[int, int, int, str, str]]] = {}
-    for index, (ts, dur, ph, category, name, tid, _args) in enumerate(
-        tracer.events
-    ):
-        if ph != PH_COMPLETE:
-            continue
-        by_tid.setdefault(tid, []).append(
-            (ts, ts + (dur or 0), index, name, category)
-        )
+    kinds = tracer.kinds
+    spans = {
+        code for code, kind in enumerate(kinds) if kind.ph == PH_COMPLETE
+    }
+    for index, (code, ts, dur, tid) in enumerate(zip(
+        tracer.column("code"), tracer.column("ts"), tracer.column("dur"),
+        tracer.column("tid"),
+    )):
+        if code in spans:
+            kind = kinds[code]
+            by_tid.setdefault(tid, []).append(
+                (ts, ts + dur, index, kind.name, kind.category)
+            )
     forest: Dict[int, List[Span]] = {}
     for tid in sorted(by_tid):
         roots: List[Span] = []

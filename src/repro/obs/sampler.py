@@ -15,17 +15,15 @@ runs stay bit-identical to unsampled ones.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List
 
+from repro.obs.events import EVENT_NAMES
+
 #: Monitor counters republished as Chrome counter tracks (so Perfetto
-#: plots them as curves next to the occupancy track).
-CURVE_COUNTERS = (
-    "itlb_miss",
-    "dtlb_miss",
-    "htab_reload",
-    "htab_evict",
-    "zombie_reclaimed",
-)
+#: plots them as curves next to the occupancy track): the keys the
+#: ``monitor`` track registers.
+CURVE_COUNTERS = EVENT_NAMES["monitor"].args
 
 #: Per-VSID detail kept per sample: the K heaviest VSIDs, everything
 #: else folded into one remainder bucket.  Bounds each occupancy tick
@@ -40,8 +38,10 @@ class TimeSeriesSampler:
     def __init__(self, kernel: Any, every_us: float,
                  tracer: Any = None,
                  max_samples: int = 100_000) -> None:
-        if every_us <= 0:
-            raise ValueError(f"sample interval must be positive: {every_us}")
+        if not math.isfinite(every_us) or every_us <= 0:
+            raise ValueError(
+                f"sample interval must be positive and finite: {every_us}"
+            )
         self.kernel = kernel
         self.machine = kernel.machine
         self.tracer = tracer
@@ -100,26 +100,18 @@ class TimeSeriesSampler:
             sample["cpu_cycles"] = machine.cpu_cycle_totals()
         self.samples.append(sample)
         if self.tracer is not None:
+            self.tracer.counter("htab", live, zombie)
+            self.tracer.counter("occupancy", valid)
             self.tracer.counter(
-                "htab", {"live": live, "zombie": zombie}
+                "monitor",
+                *[counters.get(name, 0) for name in CURVE_COUNTERS],
             )
-            self.tracer.counter(
-                "occupancy", {"valid": valid}
-            )
-            curve = {
-                name: counters.get(name, 0) for name in CURVE_COUNTERS
-            }
-            self.tracer.counter("monitor", curve)
             rest = vsids["rest"]
             self.tracer.counter(
                 "vsids",
-                {
-                    "top_entries": sum(
-                        entry["entries"] for entry in vsids["top"]
-                    ),
-                    "rest_entries": rest["entries"],
-                    "rest_zombie": rest["zombie_entries"],
-                },
+                sum(entry["entries"] for entry in vsids["top"]),
+                rest["entries"],
+                rest["zombie_entries"],
             )
 
     # -- export ----------------------------------------------------------------

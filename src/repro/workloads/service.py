@@ -237,12 +237,9 @@ class ServiceRun:
                 if tracer is not None:
                     tracer.instant(
                         "req-arrival", "service",
-                        {"rid": record.rid, "scheduled": scheduled,
-                         "depth": len(queue)},
+                        record.rid, scheduled, len(queue),
                     )
-                    tracer.counter(
-                        "queue-depth", {"pending": len(queue)}
-                    )
+                    tracer.counter("queue-depth", len(queue))
             run.arrivals_done[cpu] = True
             yield ("exit", 0)
 
@@ -272,11 +269,11 @@ class ServiceRun:
                 if tracer is not None:
                     tracer.instant(
                         "req-dispatch", "service",
-                        {"rid": record.rid, "wait": record.queue_wait},
+                        record.rid, record.queue_wait,
                     )
                     tracer.complete(
                         "req-queue", "service", record.queue_wait,
-                        {"rid": record.rid},
+                        record.rid,
                     )
                 mmu_before = _mmu_cycles(clock.breakdown())
                 # The request recipe: a fresh mm context (exec bumps the
@@ -306,11 +303,11 @@ class ServiceRun:
                 if tracer is not None:
                     tracer.complete(
                         "req-run", "service", record.service_cycles,
-                        {"rid": record.rid, "mmu": record.mmu_cycles},
+                        record.rid, record.mmu_cycles,
                     )
                     tracer.instant(
                         "req-complete", "service",
-                        {"rid": record.rid, "latency": record.latency},
+                        record.rid, record.latency,
                     )
             yield ("exit", 0)
 

@@ -84,6 +84,11 @@ class TestDownsample:
         assert out[-1] == 999
         assert out == sorted(out)
 
+    def test_one_point_keeps_the_first_value(self):
+        # The SLO block correlates the queue-depth curve against a
+        # zombie track that may hold a single sample.
+        assert analytics.downsample([5, 6, 7], points=1) == [5]
+
     def test_deterministic(self):
         values = list(range(777))
         assert (analytics.downsample(values)

@@ -66,3 +66,24 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--sample-us", ["trace", "E1", "--sample-us", "nan"]),
+        ("--sample-us", ["trace", "E1", "--sample-us", "inf"]),
+        ("--sample-us", ["trace", "E1", "--sample-us", "0"]),
+        ("--sample-us", ["trace", "E1", "--sample-us", "-1"]),
+        ("--sample-us", ["diff", "E7", "--variant", "a,b",
+                         "--sample-us", "0"]),
+        ("--loads", ["capacity", "--loads", "0"]),
+        ("--loads", ["capacity", "--loads", "2000", "-5"]),
+        ("--requests", ["capacity", "--requests", "0"]),
+        ("--requests", ["capacity", "--requests", "-3"]),
+    ], ids=lambda value: value if isinstance(value, str) else
+        " ".join(value[:1] + value[-1:]))
+    def test_bad_numeric_flag_is_a_usage_error(self, flag, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {flag}: must be a positive" in err

@@ -8,29 +8,37 @@ and perturb nothing).
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro import __main__ as cli
 from repro.kernel.config import KernelConfig
 from repro.obs import flame
-from repro.obs.events import PH_COMPLETE
+from repro.obs.events import EventTracer
 from repro.params import M604_185
 from repro.sim.simulator import Simulator
 
 from tests.test_obs import drive
 
 
-class FakeTracer:
-    """The two attributes the exporters read: ``events`` and ``label``."""
+def publish_at(tracer, cycle, tid):
+    """Point the tracer's stub clock and current task at ``cycle``/``tid``."""
+    tracer.machine.clock.total = cycle
+    tracer.kernel.current_task = SimpleNamespace(pid=tid)
+    return tracer
 
-    def __init__(self, spans, label="fake"):
-        # spans: (name, category, start, end, tid)
-        self.events = [
-            (start, end - start, PH_COMPLETE, category, name, tid, None)
-            for name, category, start, end, tid in spans
-        ]
-        self.label = label
+
+def span_ring(spans, label="fake"):
+    """A ring holding exactly ``spans`` ((name, category, start, end,
+    tid) each, in that completion order), published over a stub
+    machine whose clock the test sets."""
+    machine = SimpleNamespace(clock=SimpleNamespace(total=0), spec=M604_185)
+    tracer = EventTracer(machine, kernel=SimpleNamespace(current_task=None),
+                         label=label)
+    for name, category, start, end, tid in spans:
+        publish_at(tracer, end, tid).complete(name, category, end - start)
+    return tracer
 
 
 NESTED = [
@@ -43,7 +51,7 @@ NESTED = [
 
 class TestSpanForest:
     def test_containment_nests(self):
-        forest = flame.span_forest(FakeTracer(NESTED))
+        forest = flame.span_forest(span_ring(NESTED))
         (root,) = forest[1]
         assert root.name == "outer"
         assert [child.name for child in root.children] == \
@@ -54,7 +62,7 @@ class TestSpanForest:
         assert root.children[1].self_cycles == 50 - 5
 
     def test_partial_overlap_becomes_sibling(self):
-        forest = flame.span_forest(FakeTracer([
+        forest = flame.span_forest(span_ring([
             ("a", "k", 0, 100, 1),
             ("b", "k", 50, 150, 1),
         ]))
@@ -62,7 +70,7 @@ class TestSpanForest:
         assert all(not span.children for span in forest[1])
 
     def test_lanes_are_independent(self):
-        forest = flame.span_forest(FakeTracer([
+        forest = flame.span_forest(span_ring([
             ("a", "k", 0, 100, 1),
             ("b", "k", 10, 20, 2),
         ]))
@@ -70,15 +78,15 @@ class TestSpanForest:
         assert [span.name for span in forest[2]] == ["b"]
 
     def test_non_span_events_ignored(self):
-        tracer = FakeTracer([("a", "k", 0, 10, 1)])
-        tracer.events.append((5, None, "i", "monitor", "tick", 1, None))
+        tracer = span_ring([("a", "k", 0, 10, 1)])
+        publish_at(tracer, 5, 1).instant("tick", "monitor")
         forest = flame.span_forest(tracer)
         assert [span.name for span in forest[1]] == ["a"]
 
 
 class TestFolded:
     def test_weights_are_self_cycles(self):
-        lines = flame.folded([FakeTracer(NESTED)])
+        lines = flame.folded([span_ring(NESTED)])
         assert lines == [
             "fake/task1;outer [kernel] 30",
             "fake/task1;outer [kernel];hw-walk [tlb-reload] 20",
@@ -87,20 +95,20 @@ class TestFolded:
         ]
 
     def test_identical_stacks_merge(self):
-        lines = flame.folded([FakeTracer([
+        lines = flame.folded([span_ring([
             ("a", "k", 0, 10, 1),
             ("a", "k", 20, 35, 1),
         ])])
         assert lines == ["fake/task1;a [k] 25"]
 
     def test_span_category_tags_frames(self):
-        (line,) = flame.folded([FakeTracer([("sw-refill", "mmu", 0, 7, 1)])])
+        (line,) = flame.folded([span_ring([("sw-refill", "mmu", 0, 7, 1)])])
         assert line == "fake/task1;sw-refill [tlb-reload] 7"
 
 
 class TestSpeedscope:
     def test_document_balances(self):
-        doc = flame.speedscope([FakeTracer(NESTED)], name="unit")
+        doc = flame.speedscope([span_ring(NESTED)], name="unit")
         counts = flame.validate_speedscope(doc)
         assert counts == {"frames": 4, "profiles": 1, "events": 8}
         assert doc["name"] == "unit"
@@ -110,7 +118,7 @@ class TestSpeedscope:
         assert profile["endValue"] == 100
 
     def test_overlapping_siblings_stay_monotonic(self):
-        doc = flame.speedscope([FakeTracer([
+        doc = flame.speedscope([span_ring([
             ("a", "k", 0, 100, 1),
             ("b", "k", 90, 150, 1),
         ])])
@@ -120,7 +128,7 @@ class TestSpeedscope:
     def test_validator_rejects_malformed(self):
         with pytest.raises(ValueError, match="profiles"):
             flame.validate_speedscope({})
-        good = flame.speedscope([FakeTracer(NESTED)])
+        good = flame.speedscope([span_ring(NESTED)])
         unbalanced = json.loads(json.dumps(good))
         unbalanced["profiles"][0]["events"].pop()
         with pytest.raises(ValueError, match="left open"):
@@ -137,7 +145,7 @@ class TestSpeedscope:
 
 class TestCriticalPath:
     def test_follows_heaviest_chain(self):
-        path = flame.critical_path([FakeTracer(NESTED)])
+        path = flame.critical_path([span_ring(NESTED)])
         assert [record["name"] for record in path] == \
             ["outer", "inner", "leaf"]
         assert path[0]["share_of_parent"] == 1.0
@@ -145,12 +153,12 @@ class TestCriticalPath:
         assert path[1]["self_cycles"] == 45
 
     def test_empty_forest(self):
-        assert flame.critical_path([FakeTracer([])]) == []
+        assert flame.critical_path([span_ring([])]) == []
         assert "no spans" in flame.render_critical_path([])
 
     def test_render_mentions_every_level(self):
         text = flame.render_critical_path(
-            flame.critical_path([FakeTracer(NESTED)])
+            flame.critical_path([span_ring(NESTED)])
         )
         for name in ("outer", "inner", "leaf"):
             assert name in text

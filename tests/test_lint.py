@@ -444,6 +444,40 @@ class TestEventRegistry:
                           rules=single_rule("event-registry"))
         assert ["irq:" in f.message for f in result.findings] == [True]
 
+    def test_value_count_must_match_registered_keys(self, tmp_path):
+        files = dict(EVENT_FILES)
+        files["obs/events.py"] = """\
+            EVENT_NAMES = {
+                "ctxsw": Event(INSTANT, "switch", args=("to", "pid")),
+                "wakeup": Event(INSTANT, "woken", args=("pid",)),
+                "walk": Event(SPAN, "walk", "tlb-reload", ("ea",)),
+                "curve": Event(TRACK, "curve", args=("a", "b")),
+                "syscall:*": Event(INSTANT, "syscall entry"),
+                "tlb_miss": Event(MONITOR, "tlb miss"),
+            }
+            DEFAULT_MONITOR_EVENTS = frozenset({"tlb_miss"})
+        """
+        files["kernel/a.py"] = """\
+            def publish(machine, task, name, values):
+                machine.tracer.instant("ctxsw", "sched", task.name, task.pid)
+                machine.tracer.complete("walk", "mmu", 5, 0x1000)
+                machine.tracer.counter("curve", *values)
+                machine.monitor.count("tlb_miss", 3)
+                machine.tracer.instant("wakeup", "sched")
+                machine.tracer.complete("walk", "mmu", 5, 1, 2)
+                machine.tracer.instant(f"syscall:{name}", "kernel", name)
+                machine.tracer.instant("ctxsw", "sched", args={"pid": 1})
+        """
+        result = run_lint(tmp_path, files,
+                          rules=single_rule("event-registry"))
+        assert [(f.line, f.message.split(" passes ")[1])
+                for f in result.findings] == [
+            (6, "0 value(s) but its EVENT_NAMES entry registers 1 key(s)"),
+            (7, "2 value(s) but its EVENT_NAMES entry registers 1 key(s)"),
+            (8, "1 value(s) but its EVENT_NAMES entry registers 0 key(s)"),
+            (9, "0 value(s) but its EVENT_NAMES entry registers 2 key(s)"),
+        ]
+
     def test_monitor_filter_must_be_registered(self, tmp_path):
         files = dict(EVENT_FILES)
         files["obs/events.py"] = """\
@@ -733,6 +767,23 @@ class TestMutations:
         rules = {f.rule for f in result.findings}
         assert rules == {"event-registry"}
         assert any("'vsid-bump'" in f.message for f in result.findings)
+
+    def test_extra_event_value_fires(self, tmp_path):
+        def mutate(root):
+            path = root / "kernel/sched.py"
+            source = path.read_text()
+            mutated = source.replace(
+                'tracer.instant("wakeup", "sched", task.pid)',
+                'tracer.instant("wakeup", "sched", task.pid, task.cpu)',
+            )
+            assert mutated != source
+            path.write_text(mutated)
+
+        result = LintEngine(mutated_package(tmp_path, mutate)).run()
+        (finding,) = result.findings
+        assert finding.rule == "event-registry"
+        assert finding.path == "kernel/sched.py"
+        assert "'wakeup' passes 2 value(s)" in finding.message
 
     def test_deleting_bench_consumer_fires(self, tmp_path):
         def mutate(root):

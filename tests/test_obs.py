@@ -13,6 +13,7 @@ Three properties the ISSUE pins down as acceptance criteria:
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -54,6 +55,11 @@ def drive(sim: Simulator, pages: int = 48) -> Simulator:
     return sim
 
 
+def ring_names(tracer: EventTracer) -> list:
+    """The ring's event names, oldest first."""
+    return [tracer.kinds[code].name for code in tracer.column("code")]
+
+
 class TestZeroPerturbation:
     @pytest.mark.parametrize("spec", [M604_185, M603_133],
                              ids=["604", "603"])
@@ -86,8 +92,13 @@ class TestEventTracer:
             tracer.instant(f"e{index}", "test")
         assert tracer.emitted == 10
         assert tracer.dropped == 6
-        names = [event[4] for event in tracer.events]
-        assert names == ["e6", "e7", "e8", "e9"]
+        assert ring_names(tracer) == ["e6", "e7", "e8", "e9"]
+
+    @pytest.mark.parametrize("capacity", [2.5, True, "8", 0, -1],
+                             ids=["float", "bool", "str", "zero", "negative"])
+    def test_capacity_must_be_a_positive_int(self, capacity):
+        with pytest.raises(ValueError, match=re.escape(repr(capacity))):
+            TraceConfig(capacity=capacity)
 
     def test_complete_span_backdates_start(self):
         sim = boot(M604_185, KernelConfig.optimized())
@@ -95,7 +106,10 @@ class TestEventTracer:
         sim.machine.clock.add(1000, "user_compute")
         now = sim.machine.clock.total
         tracer.complete("span", "test", 400)
-        ts, dur, ph, _cat, _name, _tid, _args = tracer.events[0]
+        (ts,), (dur,), (code,) = (
+            tracer.column(field) for field in ("ts", "dur", "code")
+        )
+        ph = tracer.kinds[code].ph
         assert ph == "X"
         assert ts == now - 400
         assert dur == 400
@@ -107,7 +121,7 @@ class TestEventTracer:
         sim.machine.monitor.count("vsid_bump")
         sim.machine.monitor.count("dcache_miss")  # excluded by default
         assert "dcache_miss" not in DEFAULT_MONITOR_EVENTS
-        assert [event[4] for event in tracer.events] == ["vsid_bump"]
+        assert ring_names(tracer) == ["vsid_bump"]
 
     def test_chrome_export_validates(self):
         sim = drive(Simulator(M604_185, KernelConfig.optimized(),
@@ -201,6 +215,12 @@ class TestTimeSeriesSampler:
         sim = boot(M604_185, KernelConfig.optimized())
         with pytest.raises(ValueError):
             obs.TimeSeriesSampler(sim.kernel, 0)
+
+    @pytest.mark.parametrize("every_us", [float("nan"), float("inf")])
+    def test_rejects_non_finite_interval(self, every_us):
+        sim = boot(M604_185, KernelConfig.optimized())
+        with pytest.raises(ValueError, match="finite"):
+            obs.TimeSeriesSampler(sim.kernel, every_us)
 
 
 class TestGlobalObservability:
