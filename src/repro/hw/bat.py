@@ -123,6 +123,10 @@ class BatArray:
             [(~bat.bl, bat.bepi & ~bat.bl, bat) for bat in self.ibats if bat.valid],
             [(~bat.bl, bat.bepi & ~bat.bl, bat) for bat in self.dbats if bat.valid],
         )
+        #: Translations resolved under this bank state, memoized by the
+        #: machine (:meth:`~repro.hw.machine.MachineModel.access_visits`);
+        #: every reprogramming empties it.
+        self.resolved: dict = {}
 
     def set(self, index: int, bat: BatRegister, instruction: bool) -> None:
         bank = self._bank(instruction)
@@ -132,8 +136,16 @@ class BatArray:
         self._rebuild()
 
     def clear(self, index: int, instruction: bool) -> None:
-        self._bank(instruction)[index] = BatRegister()
-        self._rebuild()
+        """Invalidate one BAT.
+
+        An already invalid slot is left as it is, so the bank and its
+        ``resolved`` memo survive: exec clears the per-process I/O slot
+        whether or not the process had a window.
+        """
+        bank = self._bank(instruction)
+        if bank[index].valid:
+            bank[index] = BatRegister()
+            self._rebuild()
 
     def clear_all(self) -> None:
         self.ibats = [BatRegister() for _ in range(NUM_IBATS)]

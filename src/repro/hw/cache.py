@@ -94,6 +94,9 @@ class Cache:
         #: Any mutation of cache state empties the memo.
         self._pure_visits = set()
         self.stats = CacheStats()
+        self._lines_per_page = PAGE_SIZE // line_size
+        #: What a one-line visit that hits returns: ``(cycles, misses)``.
+        self._one_line_hit = (hit_cycles, 1 if hit_cycles > 1 else 0)
 
     # -- address mapping ---------------------------------------------------
 
@@ -186,12 +189,34 @@ class Cache:
         Returns ``(cycles, misses)`` where ``misses`` counts accesses
         whose cost exceeded one hit (the condition the machine layer
         uses for its ``dcache_miss``/``icache_miss`` monitor events).
+        A one-line visit takes a scalar route of its own.
         """
+        if lines == 1 and not inhibited:
+            # One line is one scalar access: the memo key and the run
+            # walk below would cost more than the line itself.
+            line_addr = (
+                page_base // self.line_size + first_line % self._lines_per_page
+            )
+            num_sets = self.num_sets
+            tags = self._sets[line_addr % num_sets]
+            tag = line_addr // num_sets
+            if tag not in tags:
+                cost = self._miss(line_addr, tags, tag, write)
+                return cost, 1 if cost > 1 else 0
+            if tags[0] != tag:
+                tags.remove(tag)
+                tags.insert(0, tag)
+                self._pure_visits.clear()
+            if write and line_addr not in self._dirty:
+                self._dirty.add(line_addr)
+                self._pure_visits.clear()
+            self.stats.hits += 1
+            return self._one_line_hit
         stats = self.stats
-        line_size = self.line_size
         if inhibited:
             stats.bypasses += lines
             return self.word_cycles * lines, 0
+        line_size = self.line_size
         hit_cycles = self.hit_cycles
         memo = self._pure_visits
         visit_key = (page_base << 32) | (first_line << 16) | (lines << 1) | write
@@ -208,37 +233,14 @@ class Cache:
         num_sets = self.num_sets
         sets = self._sets
         dirty = self._dirty
-        assoc = self.assoc
-        mem_cycles = self.mem_cycles
         next_level = self.next_level
-        if next_level is not None:
-            # Hoist the next level's state so it runs inline; a further
-            # level below it (never configured in practice) still goes
-            # through the generic call.
-            nl_sets = next_level._sets
-            nl_num_sets = next_level.num_sets
-            nl_line_size = next_level.line_size
-            nl_dirty = next_level._dirty
-            nl_stats = next_level.stats
-            nl_hit_cycles = next_level.hit_cycles
-            nl_assoc = next_level.assoc
-            nl_mem_cycles = next_level.mem_cycles
-            nl_last = next_level.next_level is None
-            nl_miss = next_level._miss
-            nl_misses = 0
-            nl_evictions = 0
-            # Same line size at both levels (true for every configured
-            # machine): L1 and L2 line addresses coincide, so the
-            # per-miss address conversion disappears.
-            nl_same_line = nl_line_size == line_size
+        lines_per_page = self._lines_per_page
+        base_line = page_base // line_size
         cycles = 0
-        hits = 0
         misses = 0
         evictions = 0
         miss_events = 0
         pure = True
-        lines_per_page = PAGE_SIZE // line_size
-        base_line = page_base // line_size
         index = first_line
         remaining = lines
         while remaining > 0:
@@ -262,15 +264,39 @@ class Cache:
                     if write and line_addr not in dirty:
                         dirty.add(line_addr)
                         pure = False
-                    hits += 1
-                    cycles += hit_cycles
                     set_index += 1
                     if set_index == num_sets:
                         set_index = 0
                         tag += 1
                     continue
+                if not misses:
+                    # The visit's first miss: copy the miss path's state
+                    # into locals now, so an all-hit visit never loads
+                    # it.  The next level runs inline; a further level
+                    # below it (never configured in practice) still
+                    # goes through the generic call.
+                    assoc = self.assoc
+                    mem_cycles = self.mem_cycles
+                    pure = False
+                    if next_level is not None:
+                        nl_sets = next_level._sets
+                        nl_num_sets = next_level.num_sets
+                        nl_line_size = next_level.line_size
+                        nl_dirty = next_level._dirty
+                        nl_stats = next_level.stats
+                        nl_hit_cycles = next_level.hit_cycles
+                        nl_assoc = next_level.assoc
+                        nl_mem_cycles = next_level.mem_cycles
+                        nl_last = next_level.next_level is None
+                        nl_miss = next_level._miss
+                        nl_misses = 0
+                        nl_evictions = 0
+                        # Same line size at both levels (true for every
+                        # configured machine): L1 and L2 line addresses
+                        # coincide, so the per-miss address conversion
+                        # disappears.
+                        nl_same_line = nl_line_size == line_size
                 misses += 1
-                pure = False
                 if next_level is None:
                     cost = mem_cycles
                 else:
@@ -367,20 +393,136 @@ class Cache:
             memo.add(visit_key)
         else:
             memo.clear()
-            if next_level is not None:
-                # The inlined L2 paths mutate its state directly.
-                next_level._pure_visits.clear()
+        hits = lines - misses
         stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        if next_level is not None:
-            nl_stats.misses += nl_misses
-            nl_stats.evictions += nl_evictions
+        cycles += hits * hit_cycles
+        if misses:
+            stats.misses += misses
+            stats.evictions += evictions
+            if next_level is not None:
+                nl_stats.misses += nl_misses
+                nl_stats.evictions += nl_evictions
+                # The inlined next-level paths mutate its state directly.
+                next_level._pure_visits.clear()
         if hit_cycles > 1:
             # The machine layer's miss-event condition is ``cost > 1``,
             # which a non-unit hit cost also satisfies.
             miss_events += hits
         return cycles, miss_events
+
+    def stream_lines(
+        self, first_line: int, count: int, inhibited: bool = False
+    ) -> int:
+        """Read ``count`` consecutive lines from line address ``first_line``.
+
+        The §7 hash-table scan's charge.  Equivalent to ``count`` scalar
+        :meth:`access` reads at consecutive line addresses — same LRU
+        transitions, statistics and writeback charges — and returns
+        their total cycles.  Hits, next-level hits and clean evictions
+        run inline, with both levels' set index and tag advanced line by
+        line (the next level may use any line size).  A next-level miss
+        goes through that level's :meth:`_miss`, and a dirty victim's
+        writeback through its :meth:`access`: both are rare next to the
+        hits, so the fill code keeps one copy.
+        """
+        stats = self.stats
+        if inhibited:
+            stats.bypasses += count
+            return self.word_cycles * count
+        num_sets = self.num_sets
+        sets = self._sets
+        dirty = self._dirty
+        assoc = self.assoc
+        line_size = self.line_size
+        next_level = self.next_level
+        set_index = first_line % num_sets
+        tag = first_line // num_sets
+        if next_level is None:
+            mem_cycles = self.mem_cycles
+        else:
+            nl_sets = next_level._sets
+            nl_num_sets = next_level.num_sets
+            nl_line_size = next_level.line_size
+            nl_hit_cycles = next_level.hit_cycles
+            nl_miss = next_level._miss
+            nl_access = next_level.access
+            # The next-level line holding the current line's first byte,
+            # and that byte's offset within it.
+            nl_line, nl_offset = divmod(first_line * line_size, nl_line_size)
+            nl_set = nl_line % nl_num_sets
+            nl_tag = nl_line // nl_num_sets
+            nl_hits = 0
+        cycles = 0
+        misses = 0
+        evictions = 0
+        moved = False
+        for line_addr in range(first_line, first_line + count):
+            tags = sets[set_index]
+            if tag in tags:
+                if tags[0] != tag:
+                    tags.remove(tag)
+                    tags.insert(0, tag)
+                    moved = True
+            else:
+                misses += 1
+                if next_level is None:
+                    cycles += mem_cycles
+                else:
+                    nl_tags = nl_sets[nl_set]
+                    if nl_tag in nl_tags:
+                        mru = nl_tags[0]
+                        if mru != nl_tag:
+                            # Most scan lines sit one step below MRU in
+                            # the next level: swap instead of shifting.
+                            if nl_tags[1] == nl_tag:
+                                nl_tags[0] = nl_tag
+                                nl_tags[1] = mru
+                            else:
+                                nl_tags.remove(nl_tag)
+                                nl_tags.insert(0, nl_tag)
+                        nl_hits += 1
+                    else:
+                        cycles += nl_miss(
+                            nl_tag * nl_num_sets + nl_set, nl_tags, nl_tag,
+                            False,
+                        )
+                if len(tags) >= assoc:
+                    victim_tag = tags.pop()
+                    evictions += 1
+                    victim_line = victim_tag * num_sets + set_index
+                    if victim_line in dirty:
+                        dirty.discard(victim_line)
+                        stats.writebacks += 1
+                        if next_level is None:
+                            cycles += mem_cycles // 2
+                        else:
+                            cycles += nl_access(victim_line * line_size, True)
+                tags.insert(0, tag)
+            set_index += 1
+            if set_index == num_sets:
+                set_index = 0
+                tag += 1
+            if next_level is not None:
+                nl_offset += line_size
+                while nl_offset >= nl_line_size:
+                    nl_offset -= nl_line_size
+                    nl_set += 1
+                    if nl_set == nl_num_sets:
+                        nl_set = 0
+                        nl_tag += 1
+        hits = count - misses
+        stats.hits += hits
+        cycles += hits * self.hit_cycles
+        if misses:
+            stats.misses += misses
+            stats.evictions += evictions
+            if next_level is not None:
+                next_level.stats.hits += nl_hits
+                cycles += nl_hits * nl_hit_cycles
+                next_level._pure_visits.clear()
+        if misses or moved:
+            self._pure_visits.clear()
+        return cycles
 
     # -- maintenance operations --------------------------------------------
 

@@ -296,23 +296,72 @@ class MachineModel:
             cache, miss_event = self.icache, "icache_miss"
         else:
             cache, miss_event = self.dcache, "dcache_miss"
-        page_base = pa & ~PAGE_OFFSET_MASK
-        if lines == 1:
-            # A one-line visit is one scalar access; the page kernel's
-            # per-call setup would outweigh it.
-            mem_cycles = cache.access(
-                page_base | ((first_line * cache.line_size) & PAGE_OFFSET_MASK),
-                write, inhibited,
-            )
-            misses = 1 if mem_cycles > 1 else 0
-        else:
-            mem_cycles, misses = cache.access_page_lines(
-                page_base, first_line, lines, write, inhibited
-            )
-        if misses and not inhibited:
+        mem_cycles, misses = cache.access_page_lines(
+            pa & ~PAGE_OFFSET_MASK, first_line, lines, write, inhibited
+        )
+        if misses:
             self._count_misses(miss_event, misses)
         self.clock.add(mem_cycles, "mem")
         return cycles + mem_cycles
+
+    def access_visits(self, key: str, visits: tuple) -> None:
+        """Charge a fixed table of page visits, in order.
+
+        ``visits`` holds ``(ea, lines, write, kind, first_line)`` tuples
+        (the kernel footprint of :meth:`Kernel.touch_kernel`), and
+        ``key`` names that table: one key always names the same visits.
+        Each visit's translation is resolved once per BAT-bank state and
+        memoized in the current CPU's ``bats.resolved``, which any BAT
+        reprogramming empties.  A visit a cacheable BAT covers then
+        costs what :meth:`access_page` charges for it, in the same
+        order — ``bat_translation`` count, sanitizer check, cache visit,
+        one ledger charge — so monitor snapshots taken at ledger
+        crossings (the sampler's) and trace events are unchanged.  Any
+        other visit goes through :meth:`access_page`.
+        """
+        resolved = self.bats.resolved
+        route = resolved.get(key)
+        if route is None:
+            route = resolved[key] = self._resolve_visits(visits)
+        monitor = self.monitor
+        clock = self.clock
+        sanitizer = self.sanitizer
+        instruction = AccessKind.INSTRUCTION
+        for ea, lines, write, kind, first_line, pa in route:
+            if pa is None:
+                self.access_page(ea, lines, write, kind, first_line)
+                continue
+            monitor.count("bat_translation")
+            if sanitizer is not None:
+                sanitizer.check_translation(
+                    ea, kind, write, TranslationResult(pa, 0, "bat")
+                )
+            if kind is instruction:
+                cache, miss_event = self.icache, "icache_miss"
+            else:
+                cache, miss_event = self.dcache, "dcache_miss"
+            mem_cycles, misses = cache.access_page_lines(
+                pa & ~PAGE_OFFSET_MASK, first_line, lines, write
+            )
+            if misses:
+                self._count_misses(miss_event, misses)
+            clock.add(mem_cycles, "mem")
+
+    def _resolve_visits(self, visits: tuple) -> tuple:
+        """``visits`` with each one's BAT physical address appended.
+
+        The address is None where no cacheable BAT covers the visit
+        (no BAT, or a cache-inhibited one).
+        """
+        lookup = self.bats.lookup
+        route = []
+        for ea, lines, write, kind, first_line in visits:
+            bat = lookup(ea, instruction=kind is AccessKind.INSTRUCTION)
+            pa: Optional[int] = None
+            if bat is not None and not bat.wimg & WIMG_CACHE_INHIBIT:
+                pa = bat.translate(ea)
+            route.append((ea, lines, write, kind, first_line, pa))
+        return tuple(route)
 
     def _count_misses(self, miss_event: str, misses: int) -> None:
         """Count a batch of cache-miss events, trace-exactly.

@@ -32,7 +32,7 @@ from repro.errors import ConfigError
 from repro.hw.cache import Cache
 from repro.hw.hashtable import HashedPageTable
 from repro.hw.pte import HashPte
-from repro.params import PAGE_SIZE, PTE_BYTES, PTES_PER_GROUP
+from repro.params import PTE_BYTES, PTES_PER_GROUP
 
 #: Bytes per PTEG at the architected default geometry.  Instances use
 #: ``self.pteg_bytes``, derived from their table's actual group size.
@@ -108,16 +108,15 @@ class HardwareWalker:
         words; one memory access covers a cache line's worth of slots,
         charged at every line-aligned flat slot index the window crosses
         (wrapping at the table size).  Those slots sit one line apart,
-        so each stretch of the window up to the table's end is a run of
-        consecutive cache lines, charged page by page through
-        :meth:`Cache.access_page_lines` — the same accesses, in the same
-        order, as one scalar ``dcache.access`` per line-aligned slot.
+        so each stretch of the window up to the table's end is one run
+        of consecutive cache lines, charged by :meth:`Cache.stream_lines`
+        — the same accesses, in the same order, as one scalar
+        ``dcache.access`` per line-aligned slot.
         """
         dcache = self.dcache
         slots = self.htab.slots
         line_size = dcache.line_size
         slots_per_line = line_size // PTE_BYTES
-        lines_per_page = PAGE_SIZE // line_size
         base = self.htab_base_pa
         cycles = 0
         position = start % slots
@@ -125,17 +124,11 @@ class HardwareWalker:
         while remaining > 0:
             run = min(remaining, slots - position)
             first = position + (-position) % slots_per_line
-            lines = len(range(first, position + run, slots_per_line))
-            line = (base + first * PTE_BYTES) // line_size
-            while lines > 0:
-                offset = line % lines_per_page
-                chunk = min(lines, lines_per_page - offset)
-                cycles += dcache.access_page_lines(
-                    (line - offset) * line_size, offset, chunk,
-                    inhibited=inhibited,
-                )[0]
-                line += chunk
-                lines -= chunk
+            cycles += dcache.stream_lines(
+                (base + first * PTE_BYTES) // line_size,
+                len(range(first, position + run, slots_per_line)),
+                inhibited,
+            )
             remaining -= run
             position = 0
         return cycles

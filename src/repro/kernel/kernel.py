@@ -295,11 +295,11 @@ class Kernel:
         """Execute one operation's kernel text/data footprint (§5.1).
 
         With the BAT map these accesses translate for free; without it
-        they occupy TLB entries like any other page.
+        they occupy TLB entries like any other page.  The machine
+        resolves each visit's BAT translation once per BAT state (see
+        :meth:`~repro.hw.machine.MachineModel.access_visits`).
         """
-        access_page = self.machine.access_page
-        for ea, lines, write, kind, first_line in _KERNEL_VISITS.get(op, ()):
-            access_page(ea, lines, write, kind, first_line)
+        self.machine.access_visits(op, _KERNEL_VISITS.get(op, ()))
 
     def _syscall_entry(self, name: str) -> None:
         if self.config.syscall_entry_cycles is not None:

@@ -110,6 +110,17 @@ class TestBatArray:
         assert array.translate(0, instruction=False) is None
         assert array.translate(0, instruction=True) is None
 
+    def test_resolved_memo_lives_until_the_bank_changes(self):
+        array = BatArray()
+        array.resolved["op"] = ()
+        array.clear(2, instruction=False)  # already invalid: no change
+        assert array.resolved == {"op": ()}
+        array.set(0, BatRegister.mapping(0, 0, 128 * 1024), instruction=False)
+        assert array.resolved == {}
+        array.resolved["op"] = ()
+        array.clear(0, instruction=False)
+        assert array.resolved == {}
+
     def test_set_rejects_bad_index(self):
         with pytest.raises(ConfigError):
             BatArray().set(4, BatRegister(), instruction=True)

@@ -85,3 +85,28 @@ class TestPerProcessSwitching:
         kernel.sys_exec(task, "fresh")
         assert task.mm.io_bat is None
         assert sim.machine.bats.dbats[USER_IO_BAT_SLOT].valid is False
+
+    def test_exec_without_a_window_keeps_the_bat_memo(self, sim):
+        kernel = sim.kernel
+        task = kernel.spawn("plain", data_pages=4)
+        kernel.switch_to(task)
+        kernel.sys_getpid(task)
+        bats = sim.machine.bats
+        memo = bats.resolved
+        assert "getpid" in memo
+        kernel.sys_exec(task, "fresh")
+        # DBAT[2] was never valid: clearing it rebuilt nothing.
+        assert bats.resolved is memo and "getpid" in memo
+
+    def test_exec_with_a_window_clears_dbat2_and_the_memo(self, sim):
+        kernel = sim.kernel
+        task, _ = ioremapped_task(sim)
+        kernel.sys_getpid(task)
+        bats = sim.machine.bats
+        memo = bats.resolved
+        assert "getpid" in memo
+        kernel.sys_exec(task, "fresh")
+        assert bats.dbats[USER_IO_BAT_SLOT].valid is False
+        assert bats.resolved is not memo
+        # The exec path itself re-resolved its visits after the clear.
+        assert "getpid" not in bats.resolved

@@ -14,7 +14,7 @@ from repro.hw.walker import (
     WALK_CYCLES_PER_REF,
 )
 from repro.params import L1_HIT_CYCLES, PTE_BYTES
-from tests.test_cache import cache_state
+from tests.test_cache import HIERARCHIES, cache_state
 
 
 def make_walker(cache_ptes=True, groups=64):
@@ -245,8 +245,79 @@ class TestWalkDifferential:
             assert cache_state(fast.dcache) == cache_state(slow.dcache)
 
 
+#: Every hierarchy of the page-kernel differential test, plus an L1 with
+#: no next level behind it.
+SCAN_HIERARCHIES = {
+    **HIERARCHIES,
+    "no-next-level": lambda: Cache(1024, 2, mem_cycles=50, word_cycles=10),
+}
+SCAN_BASE = 0x100000
+
+_scan_op = st.one_of(
+    st.tuples(st.just("scan"),
+              st.integers(0, 4000),                     # start, may wrap
+              st.integers(0, 2600),                     # count, may wrap
+              st.sampled_from((False, False, False, True))),  # inhibited
+    # A dirty line over or beside the table, so scans evict dirty
+    # victims at L1 and the writebacks evict at L2.
+    st.tuples(st.just("write"), st.integers(0, 0x5FFF)),
+)
+
+
+def scan_walker(geometry):
+    """A 2,048-slot table (512 lines) over one of ``SCAN_HIERARCHIES``."""
+    return HardwareWalker(HashedPageTable(groups=256),
+                          SCAN_HIERARCHIES[geometry](),
+                          htab_base_pa=SCAN_BASE)
+
+
 class TestScanWindow:
     """``charge_scan_window`` equals the per-line scalar loop exactly."""
+
+    @pytest.mark.parametrize("geometry", sorted(SCAN_HIERARCHIES))
+    @settings(max_examples=40, deadline=None)
+    @given(operations=st.lists(_scan_op, min_size=1, max_size=16))
+    def test_stream_matches_per_line_loop_on_every_hierarchy(
+        self, geometry, operations
+    ):
+        streamed = scan_walker(geometry)
+        scalar = scan_walker(geometry)
+        for operation in operations:
+            if operation[0] == "write":
+                for walker in (streamed, scalar):
+                    walker.dcache.access(SCAN_BASE + operation[1], write=True)
+            else:
+                _, start, count, inhibited = operation
+                got = streamed.charge_scan_window(start, count, inhibited)
+                assert got == scan_per_line(scalar, start, count, inhibited)
+            assert cache_state(streamed.dcache) == cache_state(scalar.dcache)
+
+    @pytest.mark.parametrize("geometry", sorted(SCAN_HIERARCHIES))
+    def test_window_longer_than_the_l1_sets(self, geometry):
+        streamed = scan_walker(geometry)
+        scalar = scan_walker(geometry)
+        dcache = streamed.dcache
+        # One run of lines over every L1 set and 40 more.
+        slots = (dcache.num_sets + 40) * (dcache.line_size // PTE_BYTES)
+        # Dirty lines over four times the L1, so the scan's victims are
+        # dirty.
+        for offset in range(0, 4 * dcache.size_bytes, 96):
+            for walker in (streamed, scalar):
+                walker.dcache.access(SCAN_BASE + offset, write=True)
+        for _ in range(2):
+            got = streamed.charge_scan_window(8, slots)
+            assert got == scan_per_line(scalar, 8, slots, False)
+            assert cache_state(dcache) == cache_state(scalar.dcache)
+        assert dcache.stats.writebacks > 0
+
+    @pytest.mark.parametrize("geometry", sorted(SCAN_HIERARCHIES))
+    def test_inhibited_window_bypasses_every_line(self, geometry):
+        walker = scan_walker(geometry)
+        cycles = walker.charge_scan_window(3, 64, inhibited=True)
+        # Slots 4, 8, ..., 64: sixteen line-aligned slots.
+        assert cycles == 16 * walker.dcache.word_cycles
+        assert walker.dcache.stats.bypasses == 16
+        assert len(walker.dcache) == 0
 
     @pytest.mark.parametrize("ptes_per_group", [8, 16])
     @pytest.mark.parametrize("base", [0x100000, 0x100000 + 0x7E0])
