@@ -146,7 +146,7 @@ class Cache:
         self._pure_visits.clear()
         next_level = self.next_level
         if next_level is not None:
-            cycles = next_level.access(line_addr * self.line_size, write=False)
+            cycles = next_level.access(line_addr * self.line_size, False)
         else:
             cycles = self.mem_cycles
         if len(tags) >= self.assoc:
@@ -158,7 +158,7 @@ class Cache:
                 stats.writebacks += 1
                 if next_level is not None:
                     cycles += next_level.access(
-                        victim_line * self.line_size, write=True
+                        victim_line * self.line_size, True
                     )
                 else:
                     cycles += self.mem_cycles // 2

@@ -12,16 +12,21 @@ This lives in ``hw`` — the ledger is the machine's clock, owned by
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, Dict, Optional
+from collections import defaultdict
+from typing import Callable, DefaultDict, Dict, Optional
 
 
 class CycleLedger:
-    """Accumulates cycles by category."""
+    """Accumulates cycles by category.
+
+    Like the monitor's, the category store is a ``defaultdict(int)``
+    read only through ``.get``: ``add(0, category)`` records the
+    category and a read adds none.
+    """
 
     def __init__(self) -> None:
         self.total = 0
-        self._by_category: "Counter[str]" = Counter()
+        self._by_category: DefaultDict[str, int] = defaultdict(int)
         #: Optional ``observer(total)`` callback invoked after every
         #: charge.  The observability sampler rides this hook; observers
         #: must be read-only (they see the ledger after the charge and

@@ -201,11 +201,15 @@ class HashedPageTable:
         """
         self.searches += 1
         key = (vsid << _KEY_PAGE_BITS) | page_index
-        primary = self.group_index(vsid, page_index, False)
+        # One hash for both buckets: the secondary is its complement
+        # (``group_index``, inline).
+        hashed = primary_hash(vsid, page_index)
+        group_mask = self.groups - 1
+        primary = hashed & group_mask
         flat, examined = self._find_in_group(primary, key, 0)
         probes = [(primary, examined)]
         if flat < 0:
-            secondary = self.group_index(vsid, page_index, True)
+            secondary = ~hashed & _HASH_MASK_19 & group_mask
             flat, examined = self._find_in_group(secondary, key, 1)
             probes.append((secondary, examined))
             if flat < 0:

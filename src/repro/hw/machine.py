@@ -19,10 +19,9 @@ from typing import Callable, Optional
 
 from repro.errors import ConfigError, TranslationError
 from repro.hw.access import AccessKind
-from repro.hw.addr import ea_page_index, physical_address
 from repro.hw.cpu import CpuState
 from repro.hw.hashtable import HashedPageTable
-from repro.hw.pte import WIMG_CACHE_INHIBIT
+from repro.hw.pte import PP_RO, WIMG_CACHE_INHIBIT
 from repro.hw.tlb import TlbEntry
 from repro.params import (
     C603_MISS_INVOKE_CYCLES,
@@ -30,12 +29,18 @@ from repro.params import (
     HTAB_GROUPS,
     KERNELBASE,
     MachineSpec,
+    PAGE_INDEX_MASK,
     PAGE_OFFSET_MASK,
     PAGE_SHIFT,
     PTE_BYTES,
     PTES_PER_GROUP,
     RAM_BYTES,
 )
+
+#: The access kinds, bound once: a module global reads in a fraction of
+#: the time of an enum member (``AccessKind.INSTRUCTION``).
+_INSTRUCTION = AccessKind.INSTRUCTION
+_DATA = AccessKind.DATA
 
 
 @dataclass(slots=True)
@@ -176,25 +181,31 @@ class MachineModel:
 
     # The private paths below return plain ``(pa, cycles, path,
     # cache_inhibited)`` tuples, the fields of a TranslationResult, so
-    # the per-visit hot path builds no result object.
+    # the per-visit hot path builds no result object.  They run once
+    # per page visit, so they also pay no interpreter overhead that
+    # computes nothing: enum members are read from module globals,
+    # calls are positional and address arithmetic is written inline
+    # (``ea_page_index``, ``physical_address``) with the
+    # ``repro.params`` constants.
 
     def _translate(self, ea: int, kind: AccessKind, write: bool) -> tuple:
         # Block address translation proceeds in parallel with the page
         # lookup and wins if it matches (§3) — zero added latency.
-        bat = self.bats.lookup(ea, instruction=kind is AccessKind.INSTRUCTION)
+        instruction = kind is _INSTRUCTION
+        bat = self.bats.lookup(ea, instruction)
         if bat is not None:
             self.monitor.count("bat_translation")
             return bat.translate(ea), 0, "bat", bool(bat.wimg & WIMG_CACHE_INHIBIT)
 
         vsid = self.segments.vsid_for(ea)
-        page_index = ea_page_index(ea)
-        if kind is AccessKind.INSTRUCTION:
+        page_index = (ea >> PAGE_SHIFT) & PAGE_INDEX_MASK
+        if instruction:
             tlb, miss_event = self.itlb, "itlb_miss"
         else:
             tlb, miss_event = self.dtlb, "dtlb_miss"
         entry = tlb.lookup(vsid, page_index)
         if entry is not None:
-            pa = physical_address(entry.ppn, ea & PAGE_OFFSET_MASK)
+            pa = (entry.ppn << PAGE_SHIFT) | (ea & PAGE_OFFSET_MASK)
             return pa, 0, "tlb", entry.cache_inhibited
         self.monitor.count(miss_event)
         if self._hardware_tablewalk:
@@ -210,18 +221,16 @@ class MachineModel:
             monitor.count("htab_hit")
             rpn, pp, wimg = self.htab.reference(flat, write)
             inhibited = bool(wimg & WIMG_CACHE_INHIBIT)
+            # TlbEntry(vsid, page_index, ppn, writable, cache_inhibited,
+            # is_kernel), positionally.
             tlb.insert(TlbEntry(
-                vsid=vsid,
-                page_index=page_index,
-                ppn=rpn,
-                writable=pp != 0b11,
-                cache_inhibited=inhibited,
-                is_kernel=ea >= KERNELBASE,
+                vsid, page_index, rpn, pp != PP_RO, inhibited,
+                ea >= KERNELBASE,
             ))
             self.clock.add(cycles, "tlb_reload")
             if self.tracer is not None:
                 self.tracer.complete("hw-walk", "mmu", cycles, hex(ea))
-            pa = physical_address(rpn, ea & PAGE_OFFSET_MASK)
+            pa = (rpn << PAGE_SHIFT) | (ea & PAGE_OFFSET_MASK)
             return pa, cycles, "hw_walk", inhibited
         # Hash-table miss: trap to the kernel.
         monitor.count("htab_miss")
@@ -244,15 +253,16 @@ class MachineModel:
         self.clock.add(cycles, "tlb_reload")
         if refill.entry is None:
             raise TranslationError(ea, "refill handler could not map address")
-        tlb.insert(refill.entry)
-        pa = physical_address(refill.entry.ppn, ea & PAGE_OFFSET_MASK)
-        return pa, cycles, "handler", refill.entry.cache_inhibited
+        entry = refill.entry
+        tlb.insert(entry)
+        pa = (entry.ppn << PAGE_SHIFT) | (ea & PAGE_OFFSET_MASK)
+        return pa, cycles, "handler", entry.cache_inhibited
 
     # -- memory accesses ---------------------------------------------------------
 
     def data_access(self, ea: int, write: bool = False) -> int:
         """Translate + one data-cache access; returns total cycles."""
-        result = self.translate(ea, AccessKind.DATA, write)
+        result = self.translate(ea, _DATA, write)
         cycles = self.dcache.access(
             result.pa, write=write, inhibited=result.cache_inhibited
         )
@@ -263,7 +273,7 @@ class MachineModel:
 
     def instruction_fetch(self, ea: int) -> int:
         """Translate + one instruction-cache access."""
-        result = self.translate(ea, AccessKind.INSTRUCTION, write=False)
+        result = self.translate(ea, _INSTRUCTION, False)
         cycles = self.icache.access(result.pa, inhibited=result.cache_inhibited)
         if not result.cache_inhibited and cycles > 1:
             self.monitor.count("icache_miss")
@@ -292,7 +302,7 @@ class MachineModel:
                 ea, kind, write, TranslationResult(*outcome)
             )
         pa, cycles, _path, inhibited = outcome
-        if kind is AccessKind.INSTRUCTION:
+        if kind is _INSTRUCTION:
             cache, miss_event = self.icache, "icache_miss"
         else:
             cache, miss_event = self.dcache, "dcache_miss"
@@ -326,7 +336,6 @@ class MachineModel:
         monitor = self.monitor
         clock = self.clock
         sanitizer = self.sanitizer
-        instruction = AccessKind.INSTRUCTION
         for ea, lines, write, kind, first_line, pa in route:
             if pa is None:
                 self.access_page(ea, lines, write, kind, first_line)
@@ -336,7 +345,7 @@ class MachineModel:
                 sanitizer.check_translation(
                     ea, kind, write, TranslationResult(pa, 0, "bat")
                 )
-            if kind is instruction:
+            if kind is _INSTRUCTION:
                 cache, miss_event = self.icache, "icache_miss"
             else:
                 cache, miss_event = self.dcache, "dcache_miss"
@@ -356,7 +365,7 @@ class MachineModel:
         lookup = self.bats.lookup
         route = []
         for ea, lines, write, kind, first_line in visits:
-            bat = lookup(ea, instruction=kind is AccessKind.INSTRUCTION)
+            bat = lookup(ea, kind is _INSTRUCTION)
             pa: Optional[int] = None
             if bat is not None and not bat.wimg & WIMG_CACHE_INHIBIT:
                 pa = bat.translate(ea)
@@ -397,13 +406,13 @@ class MachineModel:
         paper proposes them for context-switch and interrupt entry code,
         where hundreds of cycles of register work can hide the fills).
         """
-        bat = self.bats.lookup(ea, instruction=False)
+        bat = self.bats.lookup(ea, False)
         if bat is not None:
             pa_base: Optional[int] = bat.translate(ea) & ~PAGE_OFFSET_MASK
             inhibited = bool(bat.wimg & WIMG_CACHE_INHIBIT)
         else:
             vsid = self.segments.vsid_for(ea)
-            entry = self.dtlb.peek(vsid, ea_page_index(ea))
+            entry = self.dtlb.peek(vsid, (ea >> PAGE_SHIFT) & PAGE_INDEX_MASK)
             pa_base = None if entry is None else entry.ppn << PAGE_SHIFT
             inhibited = entry is not None and entry.cache_inhibited
         if pa_base is None or inhibited:

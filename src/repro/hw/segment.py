@@ -12,8 +12,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ConfigError
-from repro.hw.addr import ea_segment
-from repro.params import NUM_SEGMENT_REGISTERS, VSID_MASK
+from repro.params import NUM_SEGMENT_REGISTERS, SEGMENT_SHIFT, VSID_MASK
+
+#: Selects the segment register number from ``ea >> SEGMENT_SHIFT``.
+_SEGMENT_INDEX_MASK = NUM_SEGMENT_REGISTERS - 1
 
 
 class SegmentRegisterFile:
@@ -47,8 +49,11 @@ class SegmentRegisterFile:
         self._vsids[:] = vsids
 
     def vsid_for(self, ea: int) -> int:
-        """The VSID the hardware selects for an effective address."""
-        return self._vsids[ea_segment(ea)]
+        """The VSID the hardware selects for an effective address.
+
+        Runs on every translation, so ``ea_segment`` is written inline.
+        """
+        return self._vsids[(ea >> SEGMENT_SHIFT) & _SEGMENT_INDEX_MASK]
 
     def snapshot(self) -> tuple:
         """Current contents, for assertions and context-switch checks."""

@@ -89,7 +89,8 @@ class HardwareWalker:
         line_size = dcache.line_size
         # Lines the run touches (a PTEG starts a line or fits in one).
         lines = -(-count // (line_size // PTE_BYTES))
-        base = self.pte_physical_address(group_index, 0)
+        # The group's first PTE (``pte_physical_address``, inline).
+        base = self.htab_base_pa + group_index * self.pteg_bytes
         cycles = 0
         for line in range(lines):
             cycles += dcache.access(base + line * line_size)
@@ -186,12 +187,11 @@ class HardwareWalker:
         inhibited = not self.cache_ptes
         event, probes = self.htab.insert(pte)
         cycles = self._charge_probes(probes, WALK_CYCLES_PER_REF, inhibited)
-        # The final PTE store (two words; one line).
+        # The final PTE store (two words; one line), at the group's
+        # first PTE (``pte_physical_address``, inline).
         group_index = self.htab.group_index(pte.vsid, pte.page_index, pte.secondary)
         cycles += self.dcache.access(
-            self.pte_physical_address(group_index, 0),
-            write=True,
-            inhibited=inhibited,
+            self.htab_base_pa + group_index * self.pteg_bytes, True, inhibited
         )
         event["cycles"] = cycles
         return event

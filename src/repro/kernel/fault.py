@@ -22,7 +22,7 @@ into the hash table (so the next hardware walk hits), reload the TLB.
 from __future__ import annotations
 
 from repro.hw.machine import AccessKind, MachineModel, RefillResult
-from repro.hw.pte import WIMG_CACHE_INHIBIT
+from repro.hw.pte import PP_RO, WIMG_CACHE_INHIBIT
 from repro.hw.tlb import TlbEntry
 from repro.params import (
     C_HANDLER_EXTRA_CYCLES,
@@ -59,26 +59,21 @@ class MissHandlers:
         # stores through the data cache), dispatch.
         cycles = C_HANDLER_EXTRA_CYCLES
         stack_base = self.kernel.kernel_stack_pa
+        dcache = self.machine.dcache
         for line in range(C_HANDLER_STATE_LINES):
-            cycles += self.machine.dcache.access(
-                stack_base + line * self.machine.dcache.line_size, write=True
-            )
+            cycles += dcache.access(stack_base + line * dcache.line_size, True)
         return cycles
 
     def _charge_pte_tree_walk(self, mm, ea: int):
         """Walk the Linux tree, charging its loads as cache accesses."""
         lookup = mm.page_table.lookup(ea)
-        cycles = 0
         inhibited = not self.config.cache_page_tables
+        access = self.machine.dcache.access
         # Load 1: the pgd base out of the task struct.
-        cycles += self.machine.dcache.access(
-            self.kernel.task_struct_pa, write=False, inhibited=inhibited
-        )
+        cycles = access(self.kernel.task_struct_pa, False, inhibited)
         # Loads 2..3: pgd entry, then pte entry.
         for pa in lookup.load_addresses:
-            cycles += self.machine.dcache.access(
-                pa, write=False, inhibited=inhibited
-            )
+            cycles += access(pa, False, inhibited)
         return lookup.pte, cycles
 
     # -- the handler proper ---------------------------------------------------------
@@ -95,7 +90,8 @@ class MissHandlers:
         """Resolve a miss the hardware could not.
 
         Invoked on every TLB miss on the 603, and on hash-table misses on
-        the 604 (hardware already searched the table).
+        the 604 (hardware already searched the table).  Its own calls
+        are positional, like the machine's miss path.
         """
         cycles = self._handler_overhead()
         mm = self.kernel.mm_for_address(ea)
@@ -105,10 +101,8 @@ class MissHandlers:
         if self.kernel.uses_htab and not machine.spec.hardware_tablewalk:
             machine.monitor.count("htab_search")
             flat, search_cycles = machine.walker.charged_search(
-                vsid,
-                page_index,
-                cycles_per_ref=SW_PROBE_CYCLES,
-                inhibited=not self.config.cache_page_tables,
+                vsid, page_index, SW_PROBE_CYCLES,
+                not self.config.cache_page_tables,
             )
             cycles += search_cycles
             if flat >= 0:
@@ -116,11 +110,11 @@ class MissHandlers:
                 rpn, pp, wimg = machine.htab.reference(flat, write)
                 self._trace_refill(ea, "htab", cycles)
                 return RefillResult(
-                    entry=self._tlb_entry(
-                        ea, vsid, page_index, rpn, pp != 0b11,
+                    self._tlb_entry(
+                        ea, vsid, page_index, rpn, pp != PP_RO,
                         bool(wimg & WIMG_CACHE_INHIBIT),
                     ),
-                    cycles=cycles,
+                    cycles,
                 )
             machine.monitor.count("htab_miss")
 
@@ -142,15 +136,11 @@ class MissHandlers:
 
         self._trace_refill(ea, resolution, cycles)
         return RefillResult(
-            entry=self._tlb_entry(
-                ea,
-                vsid,
-                page_index,
-                linux_pte.pfn,
-                linux_pte.writable,
+            self._tlb_entry(
+                ea, vsid, page_index, linux_pte.pfn, linux_pte.writable,
                 linux_pte.cache_inhibited,
             ),
-            cycles=cycles,
+            cycles,
         )
 
     def _trace_refill(self, ea: int, resolution: str, cycles: int) -> None:
@@ -161,11 +151,9 @@ class MissHandlers:
 
     @staticmethod
     def _tlb_entry(ea, vsid, page_index, pfn, writable, cache_inhibited):
+        # TlbEntry(vsid, page_index, ppn, writable, cache_inhibited,
+        # is_kernel), positionally.
         return TlbEntry(
-            vsid=vsid,
-            page_index=page_index,
-            ppn=pfn,
-            writable=writable,
-            cache_inhibited=cache_inhibited,
-            is_kernel=ea >= KERNELBASE,
+            vsid, page_index, pfn, writable, cache_inhibited,
+            ea >= KERNELBASE,
         )

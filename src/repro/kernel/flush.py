@@ -87,7 +87,8 @@ class FlushEngine:
             kernel._mm_in_bump = None
         mm.user_vsids = list(new_vsids)
         cycles = VSID_BUMP_CYCLES
-        if kernel.current_task is not None and kernel.current_task.mm is mm:
+        current = kernel.current_task
+        if current is not None and current.mm is mm:
             # Reload the live segment registers so the new VSIDs take
             # effect immediately (counted inside the machine call).
             self.machine.context_switch_segments(mm.segment_vsids())

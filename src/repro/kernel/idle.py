@@ -25,6 +25,11 @@ from __future__ import annotations
 
 from repro.kernel.config import IdlePageClearPolicy
 
+#: Policies bound once: the idle loop reads them per unit of work.
+_OFF = IdlePageClearPolicy.OFF
+_UNCACHED_NO_LIST = IdlePageClearPolicy.UNCACHED_NO_LIST
+_UNCACHED_LIST = IdlePageClearPolicy.UNCACHED_LIST
+
 #: Hash-table slots examined per unit of idle work.  One chunk is still
 #: only a few microseconds, so wakeup latency is unaffected.
 RECLAIM_CHUNK_SLOTS = 256
@@ -63,7 +68,7 @@ class IdleTask:
             did_work = False
             if self.config.idle_zombie_reclaim:
                 did_work |= self._reclaim_chunk()
-            if self.config.idle_page_clear is not IdlePageClearPolicy.OFF:
+            if self.config.idle_page_clear is not _OFF:
                 did_work |= self._clear_one_page()
             if not did_work:
                 remaining = window_cycles - ledger.since(start)
@@ -108,15 +113,15 @@ class IdleTask:
         pfn = palloc.pop_free_for_preclear()
         if pfn is None:
             return False
-        inhibited = policy in (
-            IdlePageClearPolicy.UNCACHED_NO_LIST,
-            IdlePageClearPolicy.UNCACHED_LIST,
-        ) or self.config.idle_uncached
+        inhibited = (
+            policy in (_UNCACHED_NO_LIST, _UNCACHED_LIST)
+            or self.config.idle_uncached
+        )
         palloc.clear_page(pfn, inhibited=inhibited, category="idle_clear")
         self.pages_cleared += 1
         if self.machine.tracer is not None:
             self.machine.tracer.instant("preclear-page", "idle", pfn)
-        if policy is IdlePageClearPolicy.UNCACHED_NO_LIST:
+        if policy is _UNCACHED_NO_LIST:
             # The control experiment: the work is thrown away.
             palloc.return_uncleared(pfn)
         else:

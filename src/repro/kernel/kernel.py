@@ -48,6 +48,14 @@ from repro.params import (
     PIPE_WAKEUP_CYCLES,
 )
 
+#: Enum members bound once: the switch and wakeup paths read them per
+#: call, and a module global reads far faster than an enum member.
+_DATA = AccessKind.DATA
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_SLEEPING = TaskState.SLEEPING
+_EXITED = TaskState.EXITED
+
 #: Kernel image: 2 MB of text+static data at the bottom of RAM.
 KERNEL_IMAGE_PAGES = 512
 #: Offset of the kernel's hot data region within the image.
@@ -282,9 +290,10 @@ class Kernel:
     def mm_for_address(self, ea: int):
         if ea >= KERNELBASE or IO_BASE_EA <= ea:
             return self.kernel_mm
-        if self.current_task is None:
+        task = self.current_task
+        if task is None:
             raise KernelPanic(f"user address {ea:#x} with no current task")
-        return self.current_task.mm
+        return task.mm
 
     def kernel_ea_for_frame(self, pfn: int) -> int:
         return KERNELBASE + (pfn << PAGE_SHIFT)
@@ -401,22 +410,32 @@ class Kernel:
         first_line: int = 0,
     ) -> int:
         """One page-visit by a user task (must be current)."""
+        self.check_current(task)
+        return self.machine.access_page(ea, lines, write, kind, first_line)
+
+    def check_current(self, task: Task) -> None:
+        """Raise unless ``task`` runs on the current CPU.
+
+        User memory is reachable only through the running task's
+        segment registers.  The executive's ``work`` action checks once
+        per action and then visits through the machine directly.
+        """
         if task is not self.current_task:
             raise KernelPanic(
                 f"task {task.pid} accessed memory while not current"
             )
-        return self.machine.access_page(
-            ea, lines=lines, write=write, kind=kind, first_line=first_line
-        )
 
     # -- context switching -------------------------------------------------------------------
 
     def switch_to(self, task: Task) -> int:
         """Full context-switch path onto ``task``."""
-        if task.state is TaskState.EXITED:
+        if task.state is _EXITED:
             raise KernelPanic(f"switch to exited task {task.pid}")
-        if task is self.current_task:
-            task.state = TaskState.RUNNING
+        # Nothing below switches tasks before the slot is written at
+        # the end, so one read of the property serves the whole path.
+        previous = self.current_task
+        if task is previous:
+            task.state = _RUNNING
             return 0
         machine = self.machine
         if self.config.ctxsw_cycles is not None:
@@ -431,7 +450,7 @@ class Kernel:
             # §10.2: touch the switch path's data ahead of using it; the
             # fills hide under the register save/restore below.
             for ea, lines, _write, kind, first_line in _KERNEL_VISITS["ctxsw"]:
-                if kind is AccessKind.DATA:
+                if kind is _DATA:
                     machine.prefetch_page_lines(
                         ea, lines=lines, first_line=first_line
                     )
@@ -440,9 +459,8 @@ class Kernel:
             )
         machine.clock.add(cycles, "context_switch")
         self.touch_kernel("ctxsw")
-        previous = self.current_task
-        if previous is not None and previous.state is TaskState.RUNNING:
-            previous.state = TaskState.READY
+        if previous is not None and previous.state is _RUNNING:
+            previous.state = _READY
         # Scrub this CPU's deferred remote invalidations before the new
         # task's segment registers make their VSIDs reachable again.
         self.shootdown.drain_current_cpu()
@@ -456,7 +474,7 @@ class Kernel:
             machine.bats.clear(USER_IO_BAT_SLOT, instruction=False)
             machine.clock.add(3, "context_switch")
         machine.monitor.count("context_switch")
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
         task.last_scheduled = machine.clock.total
         self.current_task = task
         if machine.tracer is not None:
@@ -637,7 +655,7 @@ class Kernel:
         self._drop_user_pages(task.mm)
         task.mm.page_table.release_frames(self.palloc.free_page)
         self.vsid_allocator.retire(task.mm.user_vsids)
-        task.state = TaskState.EXITED
+        task.state = _EXITED
         task.exit_code = code
         self.scheduler.dequeue(task)
         for cpu, current in enumerate(self._current_tasks):
@@ -847,7 +865,7 @@ class Kernel:
 
     def _wake_all(self, waiters: List[Task]) -> None:
         for task in waiters:
-            if task.state is TaskState.SLEEPING:
+            if task.state is _SLEEPING:
                 self.scheduler.enqueue(task)
                 self.machine.clock.add(PIPE_WAKEUP_CYCLES, "wakeup")
         waiters.clear()

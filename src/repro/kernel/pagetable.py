@@ -98,12 +98,11 @@ class TwoLevelPageTable:
         """Walk the tree for ``ea``; never allocates."""
         pte_page = self._pgd.get(pgd_index(ea))
         if pte_page is None:
-            return PteLookup(pte=None, load_addresses=(self.pgd_entry_pa(ea),))
+            return PteLookup(None, (self.pgd_entry_pa(ea),))
         index = pte_index(ea)
-        pte = pte_page.entries.get(index)
         return PteLookup(
-            pte=pte,
-            load_addresses=(self.pgd_entry_pa(ea), pte_page.entry_pa(index)),
+            pte_page.entries.get(index),
+            (self.pgd_entry_pa(ea), pte_page.entry_pa(index)),
         )
 
     def set_pte(self, ea: int, pte: LinuxPte) -> None:

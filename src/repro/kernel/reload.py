@@ -31,16 +31,15 @@ RECLAIM_CYCLES_PER_SLOT = 3
 
 
 def hash_pte_from_linux(vsid: int, page_index: int, pte: LinuxPte) -> HashPte:
-    """Translate a Linux leaf PTE into an architected hash-table PTE."""
+    """Translate a Linux leaf PTE into an architected hash-table PTE.
+
+    Every reload builds one, so the fields go in positionally: vsid,
+    page_index, rpn, valid, secondary, referenced, changed, wimg, pp.
+    """
     return HashPte(
-        vsid=vsid,
-        page_index=page_index,
-        rpn=pte.pfn,
-        valid=True,
-        referenced=True,
-        changed=pte.dirty,
-        wimg=WIMG_CACHE_INHIBIT if pte.cache_inhibited else 0,
-        pp=PP_RW if pte.writable else PP_RO,
+        vsid, page_index, pte.pfn, True, False, True, pte.dirty,
+        WIMG_CACHE_INHIBIT if pte.cache_inhibited else 0,
+        PP_RW if pte.writable else PP_RO,
     )
 
 

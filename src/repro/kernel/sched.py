@@ -25,6 +25,11 @@ from repro.errors import KernelPanic
 from repro.kernel.task import Task, TaskState
 from repro.params import SCHED_PICK_CYCLES
 
+#: Task states bound once: the run queue reads them per dispatch.
+_READY = TaskState.READY
+_SLEEPING = TaskState.SLEEPING
+_EXITED = TaskState.EXITED
+
 
 class Scheduler:
     """Per-CPU round-robin run queues plus per-CPU timer queues."""
@@ -52,9 +57,9 @@ class Scheduler:
     # -- run queue -----------------------------------------------------------
 
     def enqueue(self, task: Task) -> None:
-        if task.state is TaskState.EXITED:
+        if task.state is _EXITED:
             raise KernelPanic(f"enqueue of exited task {task.pid}")
-        task.state = TaskState.READY
+        task.state = _READY
         self._queues[task.cpu].append(task)
 
     def dequeue(self, task: Task) -> None:
@@ -69,7 +74,7 @@ class Scheduler:
         queue = self._queues[self.kernel.machine.current_cpu]
         while queue:
             task = queue.popleft()
-            if task.state is not TaskState.EXITED:
+            if task.state is not _EXITED:
                 return task
         return None
 
@@ -78,13 +83,13 @@ class Scheduler:
             1
             for queue in self._queues
             for task in queue
-            if task.state is not TaskState.EXITED
+            if task.state is not _EXITED
         )
 
     # -- timed sleeps (I/O completion) ----------------------------------------
 
     def sleep_until(self, task: Task, wakeup_cycle: int) -> None:
-        task.state = TaskState.SLEEPING
+        task.state = _SLEEPING
         self._timer_seq += 1
         heapq.heappush(
             self._timers[task.cpu], (wakeup_cycle, self._timer_seq, task)
@@ -98,7 +103,7 @@ class Scheduler:
         if cpu is None:
             cpu = self.kernel.machine.current_cpu
         timers = self._timers[cpu]
-        while timers and timers[0][2].state is TaskState.EXITED:
+        while timers and timers[0][2].state is _EXITED:
             heapq.heappop(timers)
         if not timers:
             return None
@@ -112,7 +117,7 @@ class Scheduler:
         woken = []
         while timers and timers[0][0] <= now:
             _deadline, _seq, task = heapq.heappop(timers)
-            if task.state is TaskState.SLEEPING:
+            if task.state is _SLEEPING:
                 self.enqueue(task)
                 woken.append(task)
         tracer = self.kernel.machine.tracer

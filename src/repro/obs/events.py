@@ -334,9 +334,10 @@ class EventTracer:
 
     def _tid_now(self) -> int:
         kernel = self.kernel
-        if kernel is None or kernel.current_task is None:
+        if kernel is None:
             return 0
-        return kernel.current_task.pid
+        task = kernel.current_task
+        return 0 if task is None else task.pid
 
     def _push(self, ph: str, category: str, name: str, ts: int, dur: int,
               tid: int, values: Tuple[Any, ...]) -> None:

@@ -57,6 +57,11 @@ from repro.params import USER_COMPUTE_PER_LINE_CYCLES
 Body = Generator[tuple, object, None]
 BodyFactory = Callable[[Task], Body]
 
+#: Enum members bound once: the dispatch loop reads them per action.
+_INSTRUCTION = AccessKind.INSTRUCTION
+_SLEEPING = TaskState.SLEEPING
+_EXITED = TaskState.EXITED
+
 #: Safety valve against runaway workloads.
 DEFAULT_MAX_DISPATCHES = 5_000_000
 
@@ -184,7 +189,7 @@ class Executive:
             if status == "block":
                 # value is the waiter list to join; the action retries
                 # when the task is woken.
-                task.state = TaskState.SLEEPING
+                task.state = _SLEEPING
                 value.append(task)
                 self._pending[task] = action
                 return
@@ -194,7 +199,7 @@ class Executive:
             raise KernelPanic(f"unknown dispatch status {status!r}")
 
     def _finish(self, task: Task, code: int = 0) -> None:
-        if task.state is not TaskState.EXITED:
+        if task.state is not _EXITED:
             self.kernel.sys_exit(task, code)
         self._bodies.pop(task, None)
         self._pending.pop(task, None)
@@ -215,18 +220,25 @@ class Executive:
         if kind == "itouch":
             _, ea, lines = action
             return "done", kernel.user_access(
-                task, ea, lines, write=False, kind=AccessKind.INSTRUCTION
+                task, ea, lines, False, _INSTRUCTION
             )
         if kind == "work":
+            # The check ``Kernel.user_access`` makes per visit, made once
+            # per action: no visit switches tasks.  Each visit then goes
+            # to the machine positionally.
+            kernel.check_current(task)
+            machine = kernel.machine
+            access_page = machine.access_page
             cycles = 0
-            alu = 0
+            lines = 0
             for visit in action[1]:
-                cycles += kernel.user_access(
-                    task, visit.ea, visit.lines, visit.write, visit.kind,
-                    first_line=visit.first_line,
+                cycles += access_page(
+                    visit.ea, visit.lines, visit.write, visit.kind,
+                    visit.first_line,
                 )
-                alu += visit.lines * USER_COMPUTE_PER_LINE_CYCLES
-            kernel.machine.clock.add(alu, "user_compute")
+                lines += visit.lines
+            alu = lines * USER_COMPUTE_PER_LINE_CYCLES
+            machine.clock.add(alu, "user_compute")
             return "done", cycles + alu
         if kind == "compute":
             kernel.machine.clock.add(action[1], "user_compute")
@@ -277,7 +289,7 @@ class Executive:
             return "done", None
         if kind == "waitpid":
             child = action[1]
-            if child.state is TaskState.EXITED:
+            if child.state is _EXITED:
                 return "done", child.exit_code
             waiters = kernel.exit_waiters.setdefault(child.pid, [])
             return "block", waiters

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.errors import KernelPanic, SyscallError
+from repro.hw.access import AccessKind
 from repro.kernel.config import KernelConfig
+from repro.kernel.kernel import USER_DATA_BASE, USER_TEXT_BASE
 from repro.kernel.task import TaskState
-from repro.params import M604_185, PAGE_SIZE
+from repro.params import M604_185, PAGE_SIZE, USER_COMPUTE_PER_LINE_CYCLES
+from repro.sim.process import Executive
 from repro.sim.simulator import Simulator
+from repro.sim.trace import PageVisit
 
 
 @pytest.fixture
@@ -291,3 +295,56 @@ class TestMemoryActions:
         sim.run()
         # The cold read includes the disk wait.
         assert waits[0] > sim.spec.us_to_cycles(50)
+
+
+#: A work action's visits: data reads and writes, instruction fetches,
+#: several lines, staggered first lines, one page visited twice.
+WORK_VISITS = [
+    PageVisit(USER_DATA_BASE, 3, True, AccessKind.DATA, 5),
+    PageVisit(USER_TEXT_BASE + PAGE_SIZE, 2, False,
+              AccessKind.INSTRUCTION, 120),
+    PageVisit(USER_DATA_BASE + 2 * PAGE_SIZE, 1, False),
+    PageVisit(USER_DATA_BASE, 4, False, AccessKind.DATA, 126),
+    PageVisit(USER_TEXT_BASE, 1, False, AccessKind.INSTRUCTION),
+]
+
+
+class TestWorkAction:
+    """``work`` checks the task once, then visits through the machine."""
+
+    def run_body(self, body):
+        sim = Simulator(M604_185, KernelConfig.optimized())
+        results = []
+        sim.executive.spawn("p", lambda task: body(sim, task, results),
+                            text_pages=4, data_pages=4)
+        sim.run()
+        machine = sim.machine
+        return (results, machine.clock.breakdown(),
+                machine.monitor.snapshot(), sim.executive.dispatches)
+
+    def test_matches_per_visit_user_access(self):
+        def work(sim, task, results):
+            results.append((yield ("work", WORK_VISITS)))
+
+        def per_visit(sim, task, results):
+            cycles = sum(
+                sim.kernel.user_access(task, visit.ea, visit.lines,
+                                       visit.write, visit.kind,
+                                       visit.first_line)
+                for visit in WORK_VISITS
+            )
+            alu = USER_COMPUTE_PER_LINE_CYCLES * sum(
+                visit.lines for visit in WORK_VISITS
+            )
+            yield ("compute", alu)
+            results.append(cycles + alu)
+
+        assert self.run_body(work) == self.run_body(per_visit)
+
+    def test_task_not_current_panics(self, sim):
+        kernel = sim.kernel
+        first = kernel.spawn("first", data_pages=4)
+        second = kernel.spawn("second", data_pages=4)
+        kernel.switch_to(first)
+        with pytest.raises(KernelPanic, match="while not current"):
+            Executive(kernel)._dispatch(second, ("work", WORK_VISITS[:1]))

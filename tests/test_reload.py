@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.pte import PP_RO, PP_RW
+from repro.hw.pte import HashPte, PP_RO, PP_RW, WIMG_CACHE_INHIBIT
 from repro.kernel.config import KernelConfig
 from repro.kernel.pagetable import LinuxPte
 from repro.kernel.reload import hash_pte_from_linux
@@ -28,6 +28,20 @@ class TestPteTranslation:
             1, 2, LinuxPte(pfn=3, cache_inhibited=True)
         )
         assert pte.cache_inhibited
+
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("dirty", [True, False])
+    @pytest.mark.parametrize("inhibited", [True, False])
+    def test_every_field_lands_in_place(self, writable, dirty, inhibited):
+        """The PTE is built positionally; compare it field by field."""
+        linux = LinuxPte(pfn=3, writable=writable, dirty=dirty,
+                         cache_inhibited=inhibited)
+        assert hash_pte_from_linux(5, 9, linux) == HashPte(
+            vsid=5, page_index=9, rpn=3, valid=True, secondary=False,
+            referenced=True, changed=dirty,
+            wimg=WIMG_CACHE_INHIBIT if inhibited else 0,
+            pp=PP_RW if writable else PP_RO,
+        )
 
 
 class TestInstall:
