@@ -24,19 +24,16 @@ Subcommands:
   config variants of one experiment run under the recorder.
 * ``bench compare BASELINE NEW`` — the regression sentinel: compare a
   fresh bench artifact against the committed baseline leaf for leaf;
-  exit 1 on any changed, missing or extra leaf.
-* ``bench append RESULTS`` — append a run (with git provenance and an
-  optional sentinel verdict) to the BENCH_history.jsonl ledger.
-* ``trend`` — per-PR deltas over the history ledger: exact cycle
-  movers and per-category movers (``--json`` for the machine-readable
-  trend document).
+  exit 1 on any changed, missing or extra leaf.  Every revision's
+  baseline is in git, so ``bench compare <(git show
+  REV:BENCH_baseline.json) BENCH_baseline.json`` compares any two.
 * ``capacity`` — sweep offered load across flush/shootdown strategies
   with the open-loop service workload and print the throughput-vs-p99
   capacity table (``--json``/``--out`` for the machine-readable
   document).
 * ``report --out report.html`` — render the observatory dashboard (a
-  deterministic, self-contained HTML file; ``--history`` adds the
-  trend section, ``--capacity`` the capacity curves).
+  deterministic, self-contained HTML file; ``--capacity`` adds the
+  capacity curves).
 * ``lint [paths...]`` — run the domain-aware static analysis over the
   package (``--list-rules`` for the rule catalog).
 * ``table1`` / ``table2`` / ``table3`` — shortcuts for the paper's tables.
@@ -67,19 +64,26 @@ def _positive_number(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a positive integer."""
+def _integer_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not an integer: {text!r}"
         ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer: {text!r}"
-        )
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {what}: {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: a positive integer."""
+    return _integer_at_least(text, 1, "a positive integer")
+
+
+def _positive_int_or_zero(text: str) -> int:
+    """argparse type: a positive integer, or 0."""
+    return _integer_at_least(text, 0, "a positive integer or 0")
 
 
 def _cmd_list(_args) -> int:
@@ -379,68 +383,10 @@ def _cmd_diff_variants(args) -> int:
     return 0
 
 
-def _git_rev(ref: str) -> Optional[str]:
-    """Resolve a git ref to a full SHA; None when git/repo is absent.
-
-    The only place the observatory touches git: provenance for the
-    history ledger lives in the CLI layer so ``repro.obs`` stays pure.
-    """
-    import subprocess
-
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", ref],
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
-
-
-def _cmd_bench_append(args) -> int:
-    import json
-
-    from repro.obs import history, metrics
-
-    try:
-        doc = metrics.load_bench_doc(args.results)
-    except (OSError, ValueError) as exc:
-        print(f"bench append: {exc}", file=sys.stderr)
-        return 2
-    verdict = None
-    if args.verdict:
-        try:
-            verdict = json.loads(open(args.verdict).read())
-        except (OSError, ValueError) as exc:
-            print(f"bench append: {args.verdict}: {exc}", file=sys.stderr)
-            return 2
-    sha = args.sha if args.sha else _git_rev("HEAD")
-    parent = args.parent if args.parent else _git_rev("HEAD^")
-    try:
-        entry = history.entry_from_doc(
-            doc, label=args.label, sha=sha, parent=parent, verdict=verdict
-        )
-        count = history.append_entry(args.history, entry)
-    except (OSError, ValueError) as exc:
-        print(f"bench append: {exc}", file=sys.stderr)
-        return 2
-    summary = entry["summary"]
-    print(
-        f"{args.history}: entry {count} "
-        f"(label={entry['label'] or '-'}, sha={(sha or '-')[:12]}, "
-        f"{summary['experiments']} experiments, "
-        f"{summary['total_cycles']} cycles)"
-    )
-    return 0
-
-
 def _cmd_bench(args) -> int:
     from repro.obs import diff as obs_diff
     from repro.obs import metrics
 
-    if args.bench_command == "append":
-        return _cmd_bench_append(args)
     try:
         baseline_doc = metrics.load_bench_doc(args.baseline)
         new_doc = metrics.load_bench_doc(args.new)
@@ -457,22 +403,6 @@ def _cmd_bench(args) -> int:
     else:
         print(obs_diff.render_verdict(verdict, args.baseline, args.new))
     return 0 if verdict["ok"] else 1
-
-
-def _cmd_trend(args) -> int:
-    from repro.obs import history, metrics, trend
-
-    try:
-        entries = history.load_history(args.history)
-        doc = trend.trend_doc(entries)
-    except (OSError, ValueError) as exc:
-        print(f"trend: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(metrics.dumps(doc), end="")
-        return 0
-    print(trend.render_trend(doc, limit=args.limit), end="")
-    return 0
 
 
 def _cmd_capacity(args) -> int:
@@ -538,16 +468,6 @@ def _cmd_report(args) -> int:
             source="python -m repro report",
         )
         metrics.validate_bench_doc(doc)
-    trend_doc = None
-    if args.history:
-        from repro.obs import history, trend
-
-        try:
-            entries = history.load_history(args.history)
-            trend_doc = trend.trend_doc(entries)
-        except (OSError, ValueError) as exc:
-            print(f"report: {args.history}: {exc}", file=sys.stderr)
-            return 2
     capacity_doc = None
     if args.capacity:
         import json as json_module
@@ -561,7 +481,7 @@ def _cmd_report(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"report: {args.capacity}: {exc}", file=sys.stderr)
             return 2
-    html = obs_report.render_report(doc, title=args.title, trend=trend_doc,
+    html = obs_report.render_report(doc, title=args.title,
                                     capacity=capacity_doc)
     with open(args.out, "w") as handle:
         handle.write(html)
@@ -610,7 +530,7 @@ def main(argv=None) -> int:
         help="run the full registry in sorted order",
     )
     run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="fan experiments out across N worker processes "
              "(default 1; output is byte-identical to serial)",
     )
@@ -644,7 +564,8 @@ def main(argv=None) -> int:
         help="check the full registry (default when no ids given)",
     )
     chk.add_argument(
-        "--sweep-every", type=int, default=50_000, metavar="N",
+        "--sweep-every", type=_positive_int_or_zero, default=50_000,
+        metavar="N",
         help="full invariant sweep every N checked translations "
              "(default 50000, 0 disables periodic sweeps)",
     )
@@ -712,38 +633,9 @@ def main(argv=None) -> int:
         help="print the full machine-readable diff",
     )
     bench = sub.add_parser(
-        "bench", help="benchmark-trajectory tools (compare, append)"
+        "bench", help="the regression sentinel (compare)"
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    app_parser = bench_sub.add_parser(
-        "append",
-        help="append one run to the longitudinal history ledger",
-    )
-    app_parser.add_argument(
-        "results", metavar="RESULTS",
-        help="bench artifact to record (from run --bench-out)",
-    )
-    app_parser.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="FILE",
-        help="ledger file to append to (default BENCH_history.jsonl)",
-    )
-    app_parser.add_argument(
-        "--label", default=None, metavar="LABEL",
-        help="entry label, e.g. the PR name (default: none)",
-    )
-    app_parser.add_argument(
-        "--sha", default=None, metavar="SHA",
-        help="git revision the run measured (default: git rev-parse HEAD)",
-    )
-    app_parser.add_argument(
-        "--parent", default=None, metavar="SHA",
-        help="parent revision (default: git rev-parse HEAD^)",
-    )
-    app_parser.add_argument(
-        "--verdict", default=None, metavar="FILE",
-        help="sentinel verdict record to fold in "
-             "(from bench compare --out)",
-    )
     cmp_parser = bench_sub.add_parser(
         "compare",
         help="compare a fresh bench artifact against a baseline, leaf "
@@ -760,21 +652,6 @@ def main(argv=None) -> int:
     cmp_parser.add_argument(
         "--out", default=None, metavar="FILE",
         help="also write the verdict record to FILE (CI artifact)",
-    )
-    trd = sub.add_parser(
-        "trend", help="per-PR deltas over the bench history ledger"
-    )
-    trd.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="FILE",
-        help="ledger file to read (default BENCH_history.jsonl)",
-    )
-    trd.add_argument(
-        "--limit", type=int, default=5, metavar="N",
-        help="movers shown per step in the prose report (default 5)",
-    )
-    trd.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable trend document",
     )
     cap = sub.add_parser(
         "capacity",
@@ -805,7 +682,7 @@ def main(argv=None) -> int:
         help="interarrival schedule kind (default exponential)",
     )
     cap.add_argument(
-        "--cpus", type=int, default=2, metavar="N",
+        "--cpus", type=_positive_int, default=2, metavar="N",
         help="CPUs in the simulated machine (default 2)",
     )
     cap.add_argument(
@@ -825,7 +702,7 @@ def main(argv=None) -> int:
     rpt.add_argument("--all", action="store_true",
                      help="include the full registry")
     rpt.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="fan experiments out across N worker processes "
              "(the report is byte-identical regardless)",
     )
@@ -837,11 +714,6 @@ def main(argv=None) -> int:
         "--from", dest="from_doc", default=None, metavar="FILE",
         help="render an existing bench artifact instead of running "
              "experiments",
-    )
-    rpt.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="history ledger; adds the perf-trajectory section "
-             "(sparklines + latest per-PR deltas) to the dashboard",
     )
     rpt.add_argument(
         "--capacity", default=None, metavar="FILE",
@@ -927,8 +799,6 @@ def main(argv=None) -> int:
         return _cmd_diff(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "trend":
-        return _cmd_trend(args)
     if args.command == "capacity":
         return _cmd_capacity(args)
     if args.command == "report":

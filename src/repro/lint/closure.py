@@ -18,8 +18,8 @@ a simulator run:
   ``analysis/specs.py`` has a benchmark consumer asserting its paper
   shape and a row in the repo's EXPERIMENTS.md table.
 
-The observatory's derived tables (analytics, flamegraph, trend) are
-built from those registries at import time, so they need no pass.
+The observatory's derived tables (analytics, flamegraph) are built
+from those registries at import time, so they need no pass.
 """
 
 from __future__ import annotations

@@ -184,10 +184,10 @@ def _svg_histogram(bars: List[int], width: int = 640,
 
 def _svg_sparkline(values: List, width: int = 150, height: int = 28,
                    color: str = "#4e79a7") -> str:
-    """A small inline trend line (one per experiment in the ledger).
+    """A small inline line over one capacity curve's load points.
 
-    ``values`` may contain ``None`` for entries where the experiment
-    was absent; those break the polyline into segments.
+    ``values`` may contain ``None`` for points that lack the value;
+    those break the polyline into segments.
     """
     numbers = [v for v in values if v is not None]
     if len(numbers) < 2 or len(values) < 2:
@@ -359,101 +359,6 @@ def _summary_table(records: List[Dict]) -> str:
     return "".join(rows)
 
 
-def _trend_delta_cell(delta: int) -> str:
-    if delta == 0:
-        return '<td class="meta">=</td>'
-    color = "#c0392b" if delta > 0 else "#2a9d4a"
-    return f'<td style="color:{color}">{delta:+,}</td>'
-
-
-def _trend_section(trend: Dict) -> str:
-    """The longitudinal section: ledger table, sparklines, latest deltas.
-
-    ``trend`` is a :func:`repro.obs.trend.trend_doc` document.  The
-    section is a pure function of it, so the dashboard stays
-    byte-deterministic for a given history file.
-    """
-    entries = trend.get("entries", [])
-    if not entries:
-        return ""
-    parts = ['<h2 id="trend">perf trajectory '
-             f'({len(entries)} recorded runs)</h2>']
-    rows = ["<table><tr><th>run</th><th>sha</th><th>total cycles</th>"
-            "<th>shapes</th><th>sentinel</th></tr>"]
-    for entry in entries:
-        verdict = entry.get("verdict")
-        verdict_cell = "&mdash;" if verdict is None else (
-            "ok" if verdict.get("ok") else "REGRESSION"
-        )
-        rows.append(
-            f"<tr><td>{_esc(entry['name'])}</td>"
-            f"<td>{_esc((entry.get('sha') or '')[:12])}</td>"
-            f"<td>{_fmt(entry['total_cycles'])}</td>"
-            f"<td>{_fmt(entry['shapes_holding'])}/"
-            f"{_fmt(entry['experiments'])}</td>"
-            f"<td>{verdict_cell}</td></tr>"
-        )
-    rows.append("</table>")
-    parts.append("".join(rows))
-    series = trend.get("series", {})
-    spark_ids = [key for key in series if key != "__total__"]
-    spark_ids.sort(key=lambda k: int(k[1:]))
-    spark_rows = ["<table><tr><th>experiment</th><th>cycles trend</th>"
-                  "<th>latest</th></tr>"]
-    total = series.get("__total__", [])
-    spark_rows.append(
-        "<tr><td>all experiments</td>"
-        f"<td>{_svg_sparkline(total)}</td>"
-        f"<td>{_fmt(total[-1] if total else '')}</td></tr>"
-    )
-    for key in spark_ids:
-        values = series[key]
-        latest = next(
-            (v for v in reversed(values) if v is not None), ""
-        )
-        spark_rows.append(
-            f'<tr><td><a href="#{_esc(key)}">{_esc(key)}</a></td>'
-            f"<td>{_svg_sparkline(values)}</td>"
-            f"<td>{_fmt(latest)}</td></tr>"
-        )
-    spark_rows.append("</table>")
-    parts.append(f"<h4>per-experiment cycle series "
-                 f"(last {_fmt(trend.get('series_window', 0))} runs)</h4>")
-    parts.append("".join(spark_rows))
-    steps = trend.get("steps", [])
-    if steps:
-        change = steps[-1]
-        parts.append(
-            f"<h4>latest step: {_esc(change['from']['name'])} &rarr; "
-            f"{_esc(change['to']['name'])}</h4>"
-        )
-        rows = ["<table><tr><th>experiment</th><th>cycles before</th>"
-                "<th>cycles after</th><th>&Delta; cycles</th></tr>"]
-        for key in sorted(change["experiments"],
-                          key=lambda k: int(k[1:])):
-            entry = change["experiments"][key]
-            cycles = entry["cycles"]
-            rows.append(
-                f"<tr><td>{_esc(key)}</td><td>{_fmt(cycles['old'])}</td>"
-                f"<td>{_fmt(cycles['new'])}</td>"
-                + _trend_delta_cell(cycles["delta"]) + "</tr>"
-            )
-        rows.append("</table>")
-        parts.append("".join(rows))
-        if change["category_movers"]:
-            movers = ["<table><tr><th>path category</th>"
-                      "<th>&Delta; cycles</th></tr>"]
-            for mover in change["category_movers"]:
-                movers.append(
-                    f"<tr><td>{_esc(mover['category'])}</td>"
-                    + _trend_delta_cell(mover["delta"]) + "</tr>"
-                )
-            movers.append("</table>")
-            parts.append("<h4>where the cycles went</h4>")
-            parts.append("".join(movers))
-    return "".join(parts)
-
-
 def _capacity_section(capacity: Dict) -> str:
     """The request-level capacity curves: one table + p99 sparklines.
 
@@ -505,15 +410,12 @@ def _capacity_section(capacity: Dict) -> str:
 
 
 def render_report(doc: Dict, title: Optional[str] = None,
-                  trend: Optional[Dict] = None,
                   capacity: Optional[Dict] = None) -> str:
     """The full dashboard HTML for a validated bench doc.
 
-    ``trend`` (a :func:`repro.obs.trend.trend_doc` document) adds the
-    longitudinal section between the summary table and the
-    per-experiment sections; ``capacity`` (a
-    :func:`repro.analysis.capacity.capacity_sweep` document) adds the
-    request-level capacity curves after it.
+    ``capacity`` (a :func:`repro.analysis.capacity.capacity_sweep`
+    document) adds the request-level capacity curves between the
+    summary table and the per-experiment sections.
     """
     records = doc.get("experiments", [])
     summary = doc.get("summary", {})
@@ -530,8 +432,6 @@ def render_report(doc: Dict, title: Optional[str] = None,
         "(repro.obs)</p>",
         _summary_table(records),
     ]
-    if trend is not None:
-        parts.append(_trend_section(trend))
     if capacity is not None:
         parts.append(_capacity_section(capacity))
     for record in records:

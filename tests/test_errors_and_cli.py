@@ -78,6 +78,13 @@ class TestCli:
         ("--loads", ["capacity", "--loads", "2000", "-5"]),
         ("--requests", ["capacity", "--requests", "0"]),
         ("--requests", ["capacity", "--requests", "-3"]),
+        ("--cpus", ["capacity", "--cpus", "0"]),
+        ("--cpus", ["capacity", "--cpus", "-1"]),
+        ("--jobs", ["run", "E1", "--jobs", "0"]),
+        ("--jobs", ["run", "E1", "--jobs", "-2"]),
+        ("--jobs", ["report", "E1", "--jobs", "0"]),
+        ("--jobs", ["report", "E1", "--jobs", "-2"]),
+        ("--sweep-every", ["check", "E1", "--sweep-every", "-1000"]),
     ], ids=lambda value: value if isinstance(value, str) else
         " ".join(value[:1] + value[-1:]))
     def test_bad_numeric_flag_is_a_usage_error(self, flag, argv, capsys):

@@ -12,7 +12,7 @@ import json
 import subprocess
 import sys
 
-from repro.obs import history, report, trend
+from repro.obs import report
 from repro.obs.metrics import BENCH_SCHEMA
 
 
@@ -112,54 +112,6 @@ class TestRenderReport:
         doc["experiments"][0]["shape_holds"] = False
         doc["summary"]["shapes_holding"] = 0
         assert "shape broken" in report.render_report(doc)
-
-
-def fixture_ledger(path):
-    """A two-entry ledger derived from the fixture doc (one mover)."""
-    first = fixture_doc()
-    second = fixture_doc()
-    record = second["experiments"][0]
-    record["total_cycles"] = 900
-    record["attribution"] = {"user-compute": 600, "tlb-reload": 300}
-    record["derived"] = dict(record["derived"], total_cycles=900)
-    second["summary"]["total_cycles"] = 900
-    history.append_entry(
-        path, history.entry_from_doc(first, label="PR6", sha="aaa111")
-    )
-    history.append_entry(
-        path, history.entry_from_doc(second, label="PR7", sha="bbb222")
-    )
-    return history.load_history(path)
-
-
-class TestTrendSection:
-    def test_trend_section_rendered(self, tmp_path):
-        entries = fixture_ledger(tmp_path / "h.jsonl")
-        html = report.render_report(
-            fixture_doc(), trend=trend.trend_doc(entries)
-        )
-        assert '<h2 id="trend">perf trajectory' in html
-        assert "PR6" in html and "PR7" in html
-        # The E5 delta (-100 cycles) lands in the latest-step table.
-        assert "100" in html
-        assert "tlb-reload" in html
-
-    def test_without_trend_no_section(self):
-        assert '<h2 id="trend">' not in report.render_report(fixture_doc())
-
-    def test_trend_render_is_deterministic(self, tmp_path):
-        entries = fixture_ledger(tmp_path / "h.jsonl")
-        doc = trend.trend_doc(entries)
-        assert report.render_report(fixture_doc(), trend=doc) == \
-            report.render_report(fixture_doc(), trend=doc)
-
-    def test_trend_html_stays_self_contained(self, tmp_path):
-        entries = fixture_ledger(tmp_path / "h.jsonl")
-        html = report.render_report(
-            fixture_doc(), trend=trend.trend_doc(entries)
-        )
-        assert "http" not in html
-        assert "<script" not in html
 
 
 def fixture_capacity():
@@ -279,44 +231,6 @@ class TestReportCli:
         assert outs[0] == outs[1]
         assert b'id="E1"' in outs[0]
         assert b'id="E12"' in outs[0]
-
-    def test_history_report_is_byte_deterministic(self, tmp_path):
-        ledger = tmp_path / "h.jsonl"
-        fixture_ledger(ledger)
-        doc_path = tmp_path / "bench.json"
-        doc_path.write_text(json.dumps(fixture_doc()))
-        outs = []
-        for name in ("a.html", "b.html"):
-            out = tmp_path / name
-            proc = run_cli("report", "--from", str(doc_path),
-                           "--history", str(ledger), "--out", str(out))
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        assert b'id="trend"' in outs[0]
-
-    def test_history_report_identical_across_jobs(self, tmp_path):
-        ledger = tmp_path / "h.jsonl"
-        fixture_ledger(ledger)
-        outs = []
-        for name, jobs in (("serial.html", "1"), ("parallel.html", "2")):
-            out = tmp_path / name
-            proc = run_cli("report", "E1", "E12", "--jobs", jobs,
-                           "--history", str(ledger), "--out", str(out))
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        assert b'id="trend"' in outs[0]
-
-    def test_corrupt_history_is_an_error(self, tmp_path):
-        ledger = tmp_path / "h.jsonl"
-        ledger.write_text("{not json\n")
-        doc_path = tmp_path / "bench.json"
-        doc_path.write_text(json.dumps(fixture_doc()))
-        proc = run_cli("report", "--from", str(doc_path),
-                       "--history", str(ledger),
-                       "--out", str(tmp_path / "x.html"))
-        assert proc.returncode != 0
 
     def test_invalid_doc_is_an_error(self, tmp_path):
         doc_path = tmp_path / "bench.json"
