@@ -2,9 +2,10 @@
 
 Subcommands:
 
-* ``list`` — show the experiment registry (DESIGN.md's E1..E16 index).
-* ``run E6 E11 ...`` — run experiments and print their reports
-  (``--json`` for machine-readable records).  ``--all`` runs the whole
+* ``list`` — show the experiment registry (DESIGN.md's E1..E21 index).
+* ``run E6 E11 ...`` — run experiments and print their reports, each
+  with its paper-claims block (``--json`` for machine-readable records);
+  exit 1 when any claim's gate fails.  ``--all`` runs the whole
   registry, ``--jobs N`` fans it out across processes (output is
   byte-identical to serial), ``--no-cache``/``--rerun`` control the
   on-disk result cache, ``--matrix NAME`` runs a config-matrix sweep,
@@ -126,6 +127,7 @@ def _cmd_run(args) -> int:
     if args.json:
         return _cmd_run_json(args, ids)
     from repro.analysis import engine
+    from repro.analysis.tables import format_claims
 
     progress = None
     if args.jobs > 1:
@@ -143,6 +145,7 @@ def _cmd_run(args) -> int:
     )
     for result in run.results:
         print(result.report)
+        print("\n".join(format_claims(result.claims)))
         if result.notes:
             print(f"  notes: {result.notes}")
         print(f"  shape_holds: {result.shape_holds}")

@@ -32,7 +32,8 @@ from repro.analysis.spec import ExperimentResult, ExperimentSpec
 #: v3: array-backed hot core — results are bit-identical to v2, but the
 #: rewrite touched every kernel that feeds an entry, so cached v2 runs
 #: are retired rather than trusted across the swap.
-CACHE_SCHEMA = 3
+#: v4: results carry claim records in place of the paper dict.
+CACHE_SCHEMA = 4
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

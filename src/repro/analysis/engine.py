@@ -1,10 +1,10 @@
 """The experiment engine: one execution path for every spec.
 
-Every consumer of the registry — the CLI, the benchmark suite,
-``repro check``, the obs session — funnels through :func:`execute`:
-look the spec up, run its workload over its machine/config matrix,
-JSON-round-trip the measured numbers, apply the shape predicate, and
-return an :class:`ExperimentResult`.  The round-trip is deliberate:
+Every consumer of the registry — the CLI, ``repro check``, the obs
+session — funnels through :func:`execute`: look the spec up, run its
+workload over its machine/config matrix, JSON-round-trip the measured
+numbers, evaluate the spec's claims over them, and return an
+:class:`ExperimentResult`.  The round-trip is deliberate:
 a freshly-computed result and one loaded from the on-disk cache are
 the *same value*, so callers never need to care which they got.
 
@@ -26,7 +26,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.analysis import specs
 from repro.analysis.cache import ResultCache, spec_fingerprint
-from repro.analysis.spec import ExperimentResult, ExperimentSpec
+from repro.analysis.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    evaluate_claims,
+)
 from repro.obs import analytics
 from repro.obs.metrics import json_safe
 
@@ -44,7 +48,7 @@ def execute(
     params: Optional[Dict[str, object]] = None,
     derive: bool = False,
 ) -> ExperimentResult:
-    """Run one spec's workload and shape-check the measured numbers.
+    """Run one spec's workload and check its claims.
 
     No caching: this is the pure path the sanitizer runner and the obs
     session wrap with their own hooks.  ``derive=True`` runs the
@@ -58,16 +62,16 @@ def execute(
         return _execute_derived(spec, params)
     measurement = spec.workload(spec, **(params or {}))
     # Round-trip through JSON so cached and fresh results are equal as
-    # values (and so a shape predicate can never depend on a type that
-    # would not survive the cache).
+    # values (and so a claim can never depend on a type that would not
+    # survive the cache).
     measured = json.loads(json.dumps(json_safe(measurement.measured)))
-    paper = json.loads(json.dumps(json_safe(specs.paper_for(spec))))
+    shape_holds, claims = evaluate_claims(spec, measured)
     return ExperimentResult(
         experiment=spec.id,
         title=spec.title,
         measured=measured,
-        paper=paper,
-        shape_holds=bool(spec.shape(measured)),
+        claims=json.loads(json.dumps(json_safe(claims))),
+        shape_holds=shape_holds,
         report="\n".join(measurement.lines),
         notes=spec.notes,
     )

@@ -1,32 +1,41 @@
-"""The declarative experiment registry (DESIGN.md's E1..E16).
+"""The declarative experiment registry (DESIGN.md's E1..E21).
 
 Each entry in :data:`SPECS` is an :class:`ExperimentSpec` — the
 machine/config matrix one paper result needs, the workload that
-measures it, and the shape predicate over the measured numbers.  The
-engine (:mod:`repro.analysis.engine`) executes them all through one
-path for every consumer (the CLI, the benchmark suite, the obs
+measures it, and the table of paper claims checked over the measured
+numbers.  The engine (:mod:`repro.analysis.engine`) executes them all
+through one path for every consumer (the CLI, ``repro check``, the obs
 session).
 
-Shape checks, not absolute checks: the substrate is a simulator, so
-each spec's ``shape`` is "the paper's qualitative claim is true of the
+Shape checks, not absolute checks: the substrate is a simulator, so a
+claim's *gate* is "the paper's qualitative claim is true of the
 measured numbers" (who wins, roughly by how much, where the crossover
-sits).  Shapes read only the measured dict, so a cached (JSON
-round-tripped) result reproduces the same verdict.
+sits), and its status says how close the magnitude came.  Claims read
+only the measured dict, by key, so a cached (JSON round-tripped,
+key-sorted) result reproduces the same verdict.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.spec import (
+    BAND,
+    CONJECTURE,
+    DIRECTION,
+    EXACT,
+    Claim,
     ConfigVariant,
     ExperimentSpec,
+    KeyPath,
     MatrixSpec,
     Measurement,
     experiment_sort_key,
+    lookup,
 )
-from repro.hw.addr import decompose_ea, make_virtual_address
+from repro.hw.addr import EA_MASK, decompose_ea, make_virtual_address
 from repro.hw.hashtable import primary_hash, secondary_hash
 from repro.kernel.config import (
     IdlePageClearPolicy,
@@ -44,7 +53,9 @@ from repro.params import (
     MachineSpec,
     PAGE_SIZE,
     SEGMENT_SHIFT,
+    VSID_MASK,
 )
+from repro.oscompare.runner import PAPER_TABLE3, run_table3
 from repro.analysis.capacity import (
     DEFAULT_LOADS,
     DEFAULT_STRATEGIES,
@@ -64,6 +75,65 @@ from repro.workloads.lmbench import (
     pipe_latency,
 )
 from repro.workloads.mixes import multiprogram_mix
+
+
+# ---------------------------------------------------------------------------
+# Claim helpers
+# ---------------------------------------------------------------------------
+
+
+def _ratio(numerator: KeyPath, denominator: KeyPath):
+    """A claim measure: one measured value over another, each by key."""
+    return lambda m: lookup(m, numerator) / lookup(m, denominator)  # type: ignore[operator]
+
+
+def _difference(minuend: KeyPath, subtrahend: KeyPath):
+    """A claim measure: one measured value minus another, each by key.
+
+    Exact for orderings: ``a - b > 0`` exactly when ``a > b``.
+    """
+    return lambda m: lookup(m, minuend) - lookup(m, subtrahend)  # type: ignore[operator]
+
+
+def _row(label: str, key: str) -> Tuple[str, str, str]:
+    """The key path of one variant row's value (``measured["rows"]``)."""
+    return ("rows", label, key)
+
+
+@dataclass(frozen=True)
+class _PaperTable:
+    """A paper table's cells and where the workload measured them."""
+
+    cells: Mapping[str, Mapping[str, float]]
+    #: Table column -> the measured key holding it.
+    columns: Dict[str, str]
+    source: str
+    #: Key path to the measured rows (``measured[*path][row][key]``).
+    path: Tuple[str, ...] = ()
+
+    def ratio(self, name: str, row: str, base: str, column: str, gate: str,
+              kind: str = BAND) -> Claim:
+        """``row`` over ``base`` on one column, measured and in the paper."""
+        key = self.columns[column]
+        return Claim(
+            name, self.cells[row][column] / self.cells[base][column], kind,
+            gate, ratio=True,
+            measure=_ratio((*self.path, row, key), (*self.path, base, key)),
+        )
+
+    def cell_claims(self) -> Tuple[Claim, ...]:
+        """One band claim per cell the workload measured."""
+        reason = (
+            f"a {self.source} cell: compared, not gated (one fixed "
+            "calibration serves every cell; the gated claims are the "
+            "table's headline)"
+        )
+        return tuple(
+            Claim(f"{row} {column}", cells[column], BAND, reason=reason,
+                  measure=(*self.path, row, key))
+            for row, cells in self.cells.items()
+            for column, key in self.columns.items()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +170,7 @@ def _measure_e1(
         "page_index": fields.page_index,
         "offset": fields.offset,
         "va_bits": va.value.bit_length(),
+        "va_width": make_virtual_address(VSID_MASK, EA_MASK).value.bit_length(),
         "live_path": result.path,
         "ea": ea,
         "hash1": h1,
@@ -108,12 +179,24 @@ def _measure_e1(
     return Measurement(measured, lines)
 
 
-def _shape_e1(m: Dict[str, object]) -> bool:
-    return bool(
-        m["segment"] == (m["ea"] >> SEGMENT_SHIFT)  # type: ignore[operator]
-        and m["va_bits"] <= 52  # type: ignore[operator]
-        and m["hash2"] == (~m["hash1"]) & ((1 << 19) - 1)  # type: ignore[operator]
-    )
+#: Why an architected width is compared but not gated.
+_ARCHITECTED = (
+    "an architected field width: equal by construction, so not gated"
+)
+
+_E1_CLAIMS = (
+    Claim("va_width", 52, EXACT, reason=_ARCHITECTED),
+    Claim("segment_bits", 4, EXACT, reason=_ARCHITECTED,
+          measure=lambda m: decompose_ea(EA_MASK).segment.bit_length()),
+    Claim("page_index_bits", 16, EXACT, reason=_ARCHITECTED,
+          measure=lambda m: decompose_ea(EA_MASK).page_index.bit_length()),
+    Claim("example_va_fits", None, DIRECTION, "<= 52", measure="va_bits"),
+    # For the default EA 0x30012ABC, the SR# is 3.
+    Claim("sr_is_top_ea_bits", None, DIRECTION, "== true",
+          measure=lambda m: m["segment"] == m["ea"] >> SEGMENT_SHIFT),  # type: ignore[operator]
+    Claim("hash2_is_ones_complement", None, DIRECTION, "== true",
+          measure=lambda m: m["hash2"] == (~m["hash1"]) & ((1 << 19) - 1)),  # type: ignore[operator]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +241,17 @@ def _measure_e2(spec: ExperimentSpec, units: int = 6) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e2(m: Dict[str, object]) -> bool:
-    return bool(
-        m["tlb_ratio"] < 1.0  # type: ignore[operator]
-        and m["htab_ratio"] <= 1.0  # type: ignore[operator]
-        and m["kernel_tlb_slots_after"] <= 4  # type: ignore[operator]
-        and m["wall_ratio"] <= 1.02  # type: ignore[operator]
-    )
+_E2_CLAIMS = (
+    Claim("tlb_ratio", 0.90, BAND, "0.65 <= x <= 0.99", ratio=True),
+    Claim("htab_ratio", 0.81, BAND, "<= 1.0", ratio=True),
+    Claim("kernel_tlb_slots_after", 4, DIRECTION, "<= 4"),
+    Claim("wall_ratio", 0.80, BAND, "<= 1.02", ratio=True, reason=(
+        "the scaled compile is cache-bound where the 1999 system was "
+        "reload-bound (219M misses, about one per 500 cycles), so removing "
+        "kernel TLB misses moves wall time by 0-2%, not 20%; the miss "
+        "reductions and the footprint collapse (the mechanism) reproduce"
+    )),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +311,37 @@ def _measure_e3(
         f"({processes} procs x {pages_per_process} pages, "
         f"{processes * pages_per_process} inserts into {HTAB_PTE_SLOTS} slots)",
         *rows,
-        "  paper: 37% (naive) -> 57% (scattered) -> 75% (kernel PTEs removed)",
     ]
     return Measurement(dict(occupancies), lines)
 
 
-def _shape_e3(m: Dict[str, object]) -> bool:
-    # The ladder: each scatter improvement raises occupancy; the BAT
-    # variant must not regress it.
-    values: List[float] = list(m.values())  # type: ignore[arg-type]
-    return bool(
-        values[0] < values[1] < values[2]
-        and values[3] >= values[2] - 0.02
-    )
+#: E3's variant labels, which key its measured occupancies.
+_E3_NAIVE = "pid<<11 (pow2: all pids share buckets)"
+_E3_MILD = "pid<<4  (pow2, milder aliasing)"
+_E3_SCATTERED = "pid*37  (non-pow2 scatter)"
+_E3_BAT = "pid*37 + kernel via BAT"
+#: §5.2's occupancies: naive VSIDs, tuned scatter, kernel PTEs removed.
+_E3_PAPER = {_E3_NAIVE: 0.37, _E3_SCATTERED: 0.57, _E3_BAT: 0.75}
+_E3_LEVELS = (
+    "absolute occupancy is compared, not gated: the reproduction claims "
+    "the ladder and the scatter gain, not the 1999 levels"
+)
+
+_E3_CLAIMS = tuple(
+    Claim(name, _E3_PAPER[label], BAND, reason=_E3_LEVELS, measure=label)
+    for name, label in (("naive", _E3_NAIVE), ("scattered", _E3_SCATTERED),
+                        ("kernel_removed", _E3_BAT))
+) + (
+    # Each scatter improvement raises occupancy; BAT must not regress it.
+    Claim("scatter_ladder", None, DIRECTION, "== true",
+          measure=lambda m: m[_E3_NAIVE] < m[_E3_MILD] < m[_E3_SCATTERED]),  # type: ignore[operator]
+    Claim("bat_keeps_occupancy", None, DIRECTION, ">= -0.02",
+          measure=_difference(_E3_BAT, _E3_SCATTERED)),
+    # Power-of-two aliasing costs occupancy against the tuned constant.
+    Claim("scatter_gain", _E3_PAPER[_E3_SCATTERED] - _E3_PAPER[_E3_NAIVE],
+          BAND, "> 0.25",
+          measure=_difference(_E3_SCATTERED, _E3_NAIVE)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +384,11 @@ def _measure_e4(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e4(m: Dict[str, object]) -> bool:
-    return bool(
-        m["ctxsw_ratio"] < 0.8  # type: ignore[operator]
-        and m["pipe_latency_ratio"] < 0.92  # type: ignore[operator]
-        and m["compile_ratio"] < 1.0  # type: ignore[operator]
-    )
+_E4_CLAIMS = (
+    Claim("ctxsw_ratio", 0.67, BAND, "< 0.8", ratio=True),
+    Claim("pipe_latency_ratio", 0.85, BAND, "< 0.92", ratio=True),
+    Claim("compile_ratio", 0.85, BAND, "< 1.0", ratio=True),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +446,26 @@ def _measure_e5(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e5(m: Dict[str, object]) -> bool:
-    # The paper's headline: the 180MHz 603 keeps pace with the 604s.
-    m603: Dict[str, float] = m["603 180MHz (no htab)"]  # type: ignore[assignment]
-    m603_htab: Dict[str, float] = m["603 180MHz (htab)"]  # type: ignore[assignment]
-    m604: Dict[str, float] = m["604 185MHz"]  # type: ignore[assignment]
-    return bool(
-        m603["pipe_bw"] >= 0.75 * m604["pipe_bw"]
-        and m603["ctxsw_us"] <= 1.6 * m604["ctxsw_us"]
-        and m603["pstart_ms"] <= m603_htab["pstart_ms"]
-    )
+_TABLE1 = _PaperTable(PAPER_TABLE1, {
+    "pstart": "pstart_ms", "ctxsw": "ctxsw_us", "pipelat": "pipe_lat_us",
+    "pipebw": "pipe_bw", "reread": "reread",
+}, "Table 1")
+_E5_HTAB, _E5_NOHTAB, _E5_604 = (
+    "603 180MHz (htab)", "603 180MHz (no htab)", "604 185MHz",
+)
+
+_E5_CLAIMS = (
+    # The paper's headline: the 180MHz 603 keeps pace with the 604s ...
+    _TABLE1.ratio("603_keeps_pace_pipe_bw", _E5_NOHTAB, _E5_604, "pipebw",
+                  ">= 0.75", DIRECTION),
+    _TABLE1.ratio("603_keeps_pace_ctxsw", _E5_NOHTAB, _E5_604, "ctxsw",
+                  "<= 1.6", DIRECTION),
+    _TABLE1.ratio("603_keeps_pace_reread", _E5_NOHTAB, _E5_604, "reread",
+                  ">= 0.75", DIRECTION),
+    # ... and process start improves without the hash table.
+    _TABLE1.ratio("no_htab_pstart_ratio", _E5_NOHTAB, _E5_HTAB, "pstart",
+                  "<= 1.0"),
+) + _TABLE1.cell_claims()
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +513,6 @@ def _measure_e6(spec: ExperimentSpec) -> Measurement:
         by_label["604 185MHz"].mmap_latency_us
         / by_label["604 185MHz (tune)"].mmap_latency_us
     )
-    lines.append(
-        f"  mmap improvement: 603 {improvement_603:.0f}x (paper 79x), "
-        f"604 {improvement_604:.0f}x (paper 83x)"
-    )
     measured = {
         "mmap_improvement_603": improvement_603,
         "mmap_improvement_604": improvement_604,
@@ -417,11 +527,19 @@ def _measure_e6(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e6(m: Dict[str, object]) -> bool:
-    return bool(
-        m["mmap_improvement_603"] > 40  # type: ignore[operator]
-        and m["mmap_improvement_604"] > 40  # type: ignore[operator]
-    )
+_TABLE2 = _PaperTable(PAPER_TABLE2, {"mmap": "mmap_us", "pipebw": "pipe_bw"},
+                      "Table 2", path=("rows",))
+
+_E6_CLAIMS = (
+    # The ~80x mmap improvements ...
+    _TABLE2.ratio("mmap_improvement_603", "603 133MHz", "603 133MHz (lazy)",
+                  "mmap", "> 40"),
+    _TABLE2.ratio("mmap_improvement_604", "604 185MHz", "604 185MHz (tune)",
+                  "mmap", "> 40"),
+    # ... and lazy flushing must not hurt pipe bandwidth (paper: +5 MB/s).
+    _TABLE2.ratio("lazy_pipe_bw_ratio", "603 133MHz (lazy)", "603 133MHz",
+                  "pipebw", ">= 0.98"),
+) + _TABLE2.cell_claims()
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +576,6 @@ def _measure_e7(
         f"{reclaim.live_entries:8.0f}{reclaim.zombie_entries:8.0f}"
         f"{reclaim.evict_ratio:14.2f}{reclaim.htab_hit_rate:10.2f}",
         f"  zombies reclaimed: {reclaim.zombies_reclaimed}",
-        "  paper: table fills with zombies; evict ratio >90% -> ~30%;",
-        "  occupancy 600-700 -> 1400-2200 of 16384; hit rate 85% -> 98%",
     ]
     measured = {
         "evict_ratio_before": no_reclaim.evict_ratio,
@@ -473,14 +589,39 @@ def _measure_e7(
     return Measurement(measured, lines)
 
 
-def _shape_e7(m: Dict[str, object]) -> bool:
-    return bool(
-        m["valid_before"] > 0.85 * HTAB_PTE_SLOTS  # type: ignore[operator]
-        and m["valid_after"] < 0.6 * m["valid_before"]  # type: ignore[operator]
-        and m["evict_ratio_after"]  # type: ignore[operator]
-        < 0.5 * max(m["evict_ratio_before"], 1e-9)  # type: ignore[type-var]
-        and m["zombies_reclaimed"] > 0  # type: ignore[operator]
-    )
+#: §7's evict-to-reload ratios without and with the idle-task reclaim.
+_E7_EVICT = {"evict_ratio_before": 0.90, "evict_ratio_after": 0.30}
+_E7_LEVELS = (
+    "an absolute level of the multiprogramming mix, compared, not gated: "
+    "the mix is a scaled stand-in for the paper's workload; the gated "
+    "claims are the fill and the reclaim's relative effect"
+)
+_E7_HIT_RATE = (
+    "not gated, and short of the paper: the mix's hash-table hit rate "
+    "rises only from 0.57 to 0.61 with reclaim, against the paper's "
+    "85% -> 98%; the mix is a scaled stand-in for the paper's workload, "
+    "and the reproduction claims the fill and the evict-ratio collapse"
+)
+
+_E7_CLAIMS = (
+    # "Very quickly the entire hash table fills up" without reclaim ...
+    Claim("table_fills", None, DIRECTION, "> 0.85",
+          measure=lambda m: m["valid_before"] / HTAB_PTE_SLOTS),  # type: ignore[operator]
+    Claim("reclaim_frees_slots", None, DIRECTION, "< 0.6",
+          measure=_ratio("valid_after", "valid_before")),
+    # ... and reclaim collapses the evict ratio.
+    Claim("evict_ratio_drop", _E7_EVICT["evict_ratio_after"]
+          / _E7_EVICT["evict_ratio_before"], BAND, "< 0.5",
+          ratio=True, measure=lambda m: m["evict_ratio_after"]  # type: ignore[operator]
+          / max(m["evict_ratio_before"], 1e-9)),  # type: ignore[type-var]
+    Claim("zombies_reclaimed", None, DIRECTION, "> 1000"),
+) + tuple(
+    Claim(name, paper, BAND, reason=_E7_LEVELS)
+    for name, paper in _E7_EVICT.items()
+) + (
+    Claim("hit_rate_before", 0.85, BAND, reason=_E7_HIT_RATE),
+    Claim("hit_rate_after", 0.98, BAND, reason=_E7_HIT_RATE),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +686,6 @@ def _measure_e8(spec: ExperimentSpec) -> Measurement:
             f"  {label:<20}{pure_us:11.1f} us{large_us:11.1f} us"
             f"{small_us:11.1f} us{misses:12d}"
         )
-    lines.append(
-        "  paper: cutoff 20 pages -> mmap latency 80x better, "
-        "'at no cost to the TLB hit rate'"
-    )
     by_label = {entry[0]: entry for entry in sweep}
     search = by_label["search (no lazy)"]
     tuned = by_label["cutoff 20 (tuned)"]
@@ -567,14 +704,19 @@ def _measure_e8(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e8(m: Dict[str, object]) -> bool:
-    return bool(
-        m["improvement"] > 40  # type: ignore[operator] # the 80x-class improvement on big ranges
-        and m["cutoff_inf_us"] > 5 * m["cutoff20_us"]  # type: ignore[operator] # no cutoff -> back to search cost
-        and m["misses_cutoff20"] <= m["misses_search"] * 1.10  # type: ignore[operator] # no extra TLB misses
-        and m["small_region_cutoff20_us"]  # type: ignore[operator]
-        <= m["small_region_search_us"] * 1.25  # type: ignore[operator] # small ranges stay cheap
-    )
+_E8_CLAIMS = (
+    # The 80x-class improvement on big ranges; no cutoff is back to the
+    # search cost ...
+    Claim("improvement", 80.0, BAND, "> 40", ratio=True),
+    Claim("no_cutoff_is_search_cost", None, DIRECTION, "> 5",
+          measure=_ratio("cutoff_inf_us", "cutoff20_us")),
+    # ... "at no cost to the TLB hit rate", and small ranges stay cheap.
+    Claim("tlb_miss_ratio", 1.0, DIRECTION, "<= 1.10",
+          measure=_ratio("misses_cutoff20", "misses_search")),
+    Claim("small_region_ratio", None, DIRECTION, "<= 1.25",
+          measure=_ratio("small_region_cutoff20_us",
+                         "small_region_search_us")),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +793,14 @@ def _measure_e9(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e9(m: Dict[str, object]) -> bool:
-    return bool(
-        m["new_cache_lines_per_refill"] <= 18  # type: ignore[operator]
-        and m["storm_uncached_misses"] < m["storm_cached_misses"]  # type: ignore[operator]
-    )
+_E9_CLAIMS = (
+    Claim("worst_case_refs", 34, BAND, "30 <= x <= 36"),
+    # "Up to 18" new cache lines per refill, which uncached page tables
+    # avoid.
+    Claim("new_cache_lines_per_refill", 18, DIRECTION, "1 <= x <= 18"),
+    Claim("uncached_miss_ratio", None, DIRECTION, "< 1.0",
+          measure=_ratio("storm_uncached_misses", "storm_cached_misses")),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -735,10 +880,6 @@ def _measure_e10(spec: ExperimentSpec, units: int = 5) -> Measurement:
         lines.append(
             f"    {label:<18} {value:10.1f} ({value / walls[off]:.3f}x)"
         )
-    lines.append(
-        "  paper: cached+list ~2x slower; uncached w/o list: no change; "
-        "uncached+list: faster"
-    )
     measured = {
         "pollution_cached_ratio":
             busy[IdlePageClearPolicy.CACHED_LIST.value] / busy[off],
@@ -754,13 +895,29 @@ def _measure_e10(spec: ExperimentSpec, units: int = 5) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e10(m: Dict[str, object]) -> bool:
-    return bool(
-        m["pollution_cached_ratio"] > 1.05  # type: ignore[operator] # cached clearing hurts
-        and 0.97 < m["pollution_uncached_nolist_ratio"] < 1.03  # type: ignore[operator] # uncached w/o list: no change
-        and m["compile_uncached_list_ratio"] < 0.97  # type: ignore[operator] # uncached + list wins
-        and 0.97 < m["compile_uncached_nolist_ratio"] < 1.03  # type: ignore[operator]
-    )
+#: §9: clearing pages through the cache made the system ~2x slower.
+_E10_CACHED_PENALTY = 2.0
+_E10_CONTENTION = (
+    "the tag-only cache model carries no bus contention, which the paper's "
+    "own SMP footnote names as the other half of the cached-clearing cost"
+)
+
+_E10_CLAIMS = (
+    # Cached clearing hurts; uncached clearing without the list is a
+    # wash; uncached clearing onto the list wins the compile.
+    Claim("pollution_cached_ratio", _E10_CACHED_PENALTY, BAND,
+          "> 1.05", ratio=True, reason=_E10_CONTENTION),
+    Claim("pollution_uncached_nolist_ratio", 1.0, DIRECTION,
+          "0.97 < x < 1.03"),
+    Claim("compile_uncached_nolist_ratio", 1.0, DIRECTION, "0.97 < x < 1.03"),
+    Claim("compile_uncached_list_ratio", 0.9, BAND, "< 0.97", ratio=True),
+    Claim("compile_cached_ratio", _E10_CACHED_PENALTY, BAND,
+          ratio=True, reason=(
+              "not gated, and the compile comes out 3% faster, not 2x "
+              "slower: " + _E10_CONTENTION + ", so the pre-cleared pages' "
+              "saving (0.90x uncached) outweighs the pollution"
+          )),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +927,6 @@ def _shape_e10(m: Dict[str, object]) -> bool:
 
 def _measure_e11(spec: ExperimentSpec) -> Measurement:
     """Table 3: Linux/PPC vs unoptimized vs Rhapsody vs MkLinux vs AIX."""
-    from repro.oscompare.runner import PAPER_TABLE3, run_table3
-
     rows = run_table3()
     lines = ["E11 — Table 3: LmBench summary for Linux/PPC and other OSes"]
     for row in rows:
@@ -795,26 +950,46 @@ def _measure_e11(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e11(m: Dict[str, object]) -> bool:
-    linux: Dict[str, float] = m["Linux/PPC"]  # type: ignore[assignment]
+_TABLE3_COLUMNS = {"null": "null_us", "ctxsw": "ctxsw_us",
+                   "pipelat": "pipe_lat_us", "pipebw": "pipe_bw"}
+_TABLE3 = _PaperTable({
+    os_name: dict(zip(_TABLE3_COLUMNS, cells))
+    for os_name, cells in PAPER_TABLE3.items()
+}, _TABLE3_COLUMNS, "Table 3")
+_LINUX = "Linux/PPC"
+
+
+def _linux_wins_every_point(m: Dict[str, object]) -> bool:
+    linux: Dict[str, float] = m[_LINUX]  # type: ignore[assignment]
     return all(
         linux["null_us"] < other["null_us"]  # type: ignore[index]
         and linux["ctxsw_us"] < other["ctxsw_us"]  # type: ignore[index]
         and linux["pipe_lat_us"] < other["pipe_lat_us"]  # type: ignore[index]
         and linux["pipe_bw"] > other["pipe_bw"]  # type: ignore[index]
         for os_name, other in m.items()
-        if os_name != "Linux/PPC"
+        if os_name != _LINUX
     )
 
 
-def _paper_table3() -> Dict[str, Dict[str, object]]:
-    from repro.oscompare.runner import PAPER_TABLE3
+def _vs_linux(os_name: str, column: str, gate: str) -> Claim:
+    return _TABLE3.ratio(f"{os_name} {column} vs Linux", os_name, _LINUX,
+                         column, gate)
 
-    return {
-        os_name: dict(zip(("null_us", "ctxsw_us", "pipe_lat_us", "pipe_bw"),
-                          values))
-        for os_name, values in PAPER_TABLE3.items()
-    }
+
+_E11_CLAIMS = (
+    Claim("linux_wins_every_point", None, DIRECTION, "== true",
+          measure=_linux_wins_every_point),
+    # The microkernels lose big on switches and IPC (paper: 10x+) ...
+    _vs_linux("Rhapsody 5.0", "ctxsw", "> 5"),
+    _vs_linux("MkLinux", "ctxsw", "> 5"),
+    _vs_linux("Rhapsody 5.0", "pipelat", "> 4"),
+    _vs_linux("MkLinux", "pipelat", "> 4"),
+    _vs_linux("Rhapsody 5.0", "pipebw", "< 0.4"),
+    _vs_linux("MkLinux", "pipebw", "< 0.4"),
+    # ... AIX is competitive but behind (paper: ~2-5x on latency points).
+    _vs_linux("AIX", "null", "> 3"),
+    _vs_linux("AIX", "ctxsw", "> 2"),
+) + _TABLE3.cell_claims()
 
 
 # ---------------------------------------------------------------------------
@@ -866,8 +1041,10 @@ def _measure_e12(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e12(m: Dict[str, object]) -> bool:
-    return bool(0.95 < m["cycle_ratio"] < 1.02)  # type: ignore[operator]
+_E12_CLAIMS = (
+    # "Did not improve these measures significantly."
+    Claim("cycle_ratio", 1.0, DIRECTION, "0.95 < x < 1.02"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -903,10 +1080,12 @@ def _measure_e13(spec: ExperimentSpec, units: int = 5) -> Measurement:
     return Measurement({"compile_ratio": ratio, "vs_604_200": vs604}, lines)
 
 
-def _shape_e13(m: Dict[str, object]) -> bool:
-    return bool(
-        m["compile_ratio"] < 1.0 and m["vs_604_200"] < 1.35  # type: ignore[operator]
-    )
+_E13_CLAIMS = (
+    # Removing the hash table helps the compile, in the paper's ~5% band,
+    # and the no-htab 603@180 keeps pace with the 604@200.
+    Claim("compile_ratio", 0.95, BAND, "0.85 <= x < 1.0", ratio=True),
+    Claim("vs_604_200", None, DIRECTION, "< 1.35"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -928,14 +1107,14 @@ def _measure_e14(spec: ExperimentSpec) -> Measurement:
         "E14 — §10.1 ablation: cache-inhibited idle task",
         f"  idle cached:       busy {normal} cycles",
         f"  idle cache-inhibited: busy {uncached} cycles (ratio {ratio:.3f})",
-        "  paper (conjecture): uncaching the idle task avoids polluting "
-        "the cache",
     ]
     return Measurement({"busy_ratio": ratio}, lines)
 
 
-def _shape_e14(m: Dict[str, object]) -> bool:
-    return bool(m["busy_ratio"] < 1.0)  # type: ignore[operator]
+_E14_CLAIMS = (
+    # Uncaching the idle task avoids polluting the cache.
+    Claim("busy_ratio", None, CONJECTURE, "< 1.0"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -982,15 +1161,15 @@ def _measure_e15(spec: ExperimentSpec) -> Measurement:
         "E15 — §10.2 ablation: cache preloads in the context-switch path",
         f"  cache-cold switch cost: {base:6.1f} -> {preloaded:6.1f} cycles "
         f"(ratio {ratio:.3f})",
-        "  paper (conjecture): 'we can make significant gains with "
-        "intelligent use of cache preloads in context switching'",
     ]
     measured = {"ctxsw8_ratio": ratio, "base_us": base, "preload_us": preloaded}
     return Measurement(measured, lines)
 
 
-def _shape_e15(m: Dict[str, object]) -> bool:
-    return bool(m["ctxsw8_ratio"] < 0.99)  # type: ignore[operator]
+_E15_CLAIMS = (
+    # "Significant gains with intelligent use of cache preloads."
+    Claim("ctxsw8_ratio", None, CONJECTURE, "< 0.99"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,8 +1233,6 @@ def _measure_e16(spec: ExperimentSpec) -> Measurement:
         f"{idle_worst:8d}",
         f"  {'on-demand scavenge':<22}{dem_mean:8.1f}{dem_p99:8d}"
         f"{dem_worst:8d}   ({bursts} scavenge bursts)",
-        "  paper: the on-demand design was rejected because performance "
-        "'would be inconsistent'",
     ]
     measured = {
         "idle_worst": idle_worst,
@@ -1067,11 +1244,12 @@ def _measure_e16(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e16(m: Dict[str, object]) -> bool:
-    return bool(
-        m["demand_worst"] > 3 * m["idle_worst"]  # type: ignore[operator]
-        and m["scavenge_bursts"] > 0  # type: ignore[operator]
-    )
+_E16_CLAIMS = (
+    # Performance "would be inconsistent": worst-case latency spikes.
+    Claim("inconsistency", None, DIRECTION, "> 3",
+          measure=_ratio("demand_worst", "idle_worst")),
+    Claim("scavenge_bursts", None, DIRECTION, "> 0"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1092,10 +1270,10 @@ def _e3_variants() -> Tuple[ConfigVariant, ...]:
     # multipliers alias in the low hash bits; the larger the power, the
     # fewer distinct buckets the processes can reach.
     cells = (
-        ("pid<<11 (pow2: all pids share buckets)", 2048, False),
-        ("pid<<4  (pow2, milder aliasing)", 16, False),
-        ("pid*37  (non-pow2 scatter)", 37, False),
-        ("pid*37 + kernel via BAT", 37, True),
+        (_E3_NAIVE, 2048, False),
+        (_E3_MILD, 16, False),
+        (_E3_SCATTERED, 37, False),
+        (_E3_BAT, 37, True),
     )
     return tuple(
         ConfigVariant(
@@ -1367,11 +1545,6 @@ def _measure_smp(spec: ExperimentSpec, n_cpus: int) -> Measurement:
             f"{row['ipi_sent']:>7}{row['shootdown_deferred']:>9}"
             f"{row['shootdown_drained']:>8}{row['reuse_pool_hit']:>6}"
         )
-    lines.append(
-        "  expectation: broadcast IPIs every flush; targeted IPIs none "
-        "(fixed affinity); lazy defers and drains at ctxsw; mmap_reuse "
-        "additionally skips munmap flushes by pooling the region"
-    )
     broadcast = rows["broadcast"]
     targeted = rows["targeted"]
     lazy = rows["lazy"]
@@ -1391,24 +1564,51 @@ def _measure_smp(spec: ExperimentSpec, n_cpus: int) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_smp(m: Dict[str, object]) -> bool:
-    rows = m["rows"]  # type: ignore[index]
-    broadcast = rows["broadcast"]  # type: ignore[index]
-    targeted = rows["targeted"]  # type: ignore[index]
-    lazy = rows["lazy"]  # type: ignore[index]
-    reuse = rows["mmap_reuse"]  # type: ignore[index]
-    return bool(
-        broadcast["ipi_sent"] > 0  # broadcast really IPIs remotes
-        and broadcast["ipi_sent"] == broadcast["ipi_received"]
-        and targeted["ipi_sent"] == 0  # fixed affinity: nothing to IPI
-        and broadcast["shootdown_cycles"] > targeted["shootdown_cycles"]
-        and lazy["ipi_sent"] <= broadcast["ipi_sent"]
-        and lazy["shootdown_deferred"] > 0  # deferral actually engaged
-        and lazy["shootdown_drained"] > 0  # ... and drained at ctxsw
-        and reuse["reuse_pool_hit"] > 0  # the second mmap revived a vma
-        and reuse["flush_skipped_reuse"] > 0
-        and reuse["flush_cycles"] < broadcast["flush_cycles"]
-        and reuse["total_cycles"] < broadcast["total_cycles"]
+#: The SMP experiments extend the paper (its §9 footnote defers SMP);
+#: their expectations come from the shootdown literature instead:
+#: targeted IPIs track the mm's CPU mask, lazy deferral cuts IPIs
+#: without losing coherence, and pooling munmapped regions for
+#: intra-process reuse skips the flush outright.
+_NUMAPTE = "arXiv 2401.15558 (lazy deferral)"
+_MMAP_REUSE = "arXiv 2409.10946 (mmap reuse)"
+
+
+def _smp_claims(*extra: Claim) -> Tuple[Claim, ...]:
+    broadcast = _row("broadcast", "ipi_sent")
+    return (
+        # Broadcast IPIs every remote on every flush; targeted never
+        # needs to under fixed affinity.
+        Claim("broadcast_ipis_remotes", None, DIRECTION, "> 0",
+              measure=broadcast),
+        Claim("broadcast_ipis_delivered", None, DIRECTION, "== 0",
+              measure=_difference(broadcast,
+                                  _row("broadcast", "ipi_received"))),
+        Claim("targeted_ipis", None, DIRECTION, "== 0",
+              measure=_row("targeted", "ipi_sent")),
+        Claim("targeted_saves_shootdown", None, DIRECTION, "> 0",
+              measure=_difference(_row("broadcast", "shootdown_cycles"),
+                                  _row("targeted", "shootdown_cycles"))),
+        # Lazy converts eager IPIs into deferred work drained at ctxsw.
+        Claim("lazy_ipis_vs_broadcast", None, DIRECTION, "<= 0",
+              source=_NUMAPTE,
+              measure=_difference(_row("lazy", "ipi_sent"), broadcast)),
+        Claim("lazy_defers", None, DIRECTION, "> 0", source=_NUMAPTE,
+              measure=_row("lazy", "shootdown_deferred")),
+        Claim("lazy_drains", None, DIRECTION, "> 0", source=_NUMAPTE,
+              measure=_row("lazy", "shootdown_drained")),
+        # Mmap-reuse pools the munmapped region and revives it flush-free.
+        Claim("reuse_pool_hits", None, DIRECTION, "> 0", source=_MMAP_REUSE,
+              measure=_row("mmap_reuse", "reuse_pool_hit")),
+        Claim("mmap_reuse_skips_flushes", None, DIRECTION, "> 0",
+              source=_MMAP_REUSE,
+              measure=_row("mmap_reuse", "flush_skipped_reuse")),
+        Claim("reuse_flush_ratio", None, DIRECTION, "< 1.0",
+              source=_MMAP_REUSE,
+              measure=_ratio(_row("mmap_reuse", "flush_cycles"),
+                             _row("broadcast", "flush_cycles"))),
+        Claim("reuse_vs_broadcast", None, DIRECTION, "< 1.0",
+              source=_MMAP_REUSE),
+        *extra,
     )
 
 
@@ -1489,12 +1689,6 @@ def _measure_e20(spec: ExperimentSpec) -> Measurement:
             f"{row['zombie_peak']:>7}"
             f"{row['zombie_queue_correlation']:>+8.3f}"
         )
-    lines.append(
-        "  expectation: every request completes; the open-loop tail is "
-        "ordered p50 <= p90 <= p99 <= p99.9; per-request exec churn "
-        "accrues zombies under every lazy strategy, most under "
-        "mmap_reuse (munmap flushes skipped)"
-    )
     measured: Dict[str, object] = {
         "offered_per_s": _SERVICE_LOAD,
         "requests": _SERVICE_REQUESTS,
@@ -1504,27 +1698,40 @@ def _measure_e20(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e20(m: Dict[str, object]) -> bool:
-    rows = m["rows"]  # type: ignore[index]
-    ordered = True
-    completed = True
-    zombies = True
-    for row in rows.values():  # type: ignore[union-attr]
-        slo = row["slo"]
-        ordered = ordered and (
-            slo["latency_p50_us"] <= slo["latency_p90_us"]
-            <= slo["latency_p99_us"] <= slo["latency_p999_us"]
-        )
-        completed = completed and row["completed"] == row["requests"]
-        zombies = zombies and row["zombie_peak"] > 0
-    broadcast = rows["broadcast"]  # type: ignore[index]
-    reuse = rows["mmap_reuse"]  # type: ignore[index]
-    return bool(
-        ordered and completed and zombies
-        # mmap_reuse skips munmap flushes, so its zombie backlog is
-        # strictly deeper than the eagerly-flushing baseline's.
-        and reuse["zombie_peak"] > broadcast["zombie_peak"]
+def _service_rows(m: Dict[str, object]) -> List[Dict[str, object]]:
+    return list(m["rows"].values())  # type: ignore[attr-defined]
+
+
+def _tail_ordered(slo: Dict[str, float]) -> bool:
+    return (
+        slo["latency_p50_us"] <= slo["latency_p90_us"]
+        <= slo["latency_p99_us"] <= slo["latency_p999_us"]
     )
+
+
+#: The service experiments extend the paper: §7's zombie economics
+#: measured request-side, with open-loop (coordinated-omission-free)
+#: SLO percentiles as the observable.
+_E20_CLAIMS = (
+    # Open loop: the offered schedule was fully served, and the tail is
+    # a real distribution, not a constant ...
+    Claim("open_loop", None, DIRECTION, "== true",
+          measure=lambda m: all(row["completed"] == row["requests"]
+                                for row in _service_rows(m))),
+    Claim("tail_ordered", None, DIRECTION, "== true",
+          measure=lambda m: all(_tail_ordered(row["slo"])  # type: ignore[arg-type]
+                                for row in _service_rows(m))),
+    # ... per-request exec churn leaves zombie entries behind, and
+    # mmap_reuse skips munmap flushes, so its zombie backlog is strictly
+    # deeper than the eagerly-flushing baseline's.
+    Claim("zombies_accrue", None, DIRECTION, "> 0",
+          measure=lambda m: min(row["zombie_peak"]  # type: ignore[type-var]
+                                for row in _service_rows(m))),
+    Claim("reuse_deepens_backlog", None, DIRECTION, "> 0",
+          source=_MMAP_REUSE,
+          measure=_difference(_row("mmap_reuse", "zombie_peak"),
+                              _row("broadcast", "zombie_peak"))),
+)
 
 
 def _measure_e21(spec: ExperimentSpec) -> Measurement:
@@ -1551,38 +1758,43 @@ def _measure_e21(spec: ExperimentSpec) -> Measurement:
     return Measurement(measured, lines)
 
 
-def _shape_e21(m: Dict[str, object]) -> bool:
-    doc = m["capacity"]  # type: ignore[index]
-    curves = {
+def _curves(m: Dict[str, object]) -> Dict[str, List[Dict[str, float]]]:
+    """Strategy -> capacity points, lowest load first."""
+    return {
         curve["strategy"]: curve["points"]
-        for curve in doc["curves"]  # type: ignore[index]
+        for curve in m["capacity"]["curves"]  # type: ignore[index]
     }
-    ok = len(curves) >= 2
-    for points in curves.values():
-        base, top = points[0], points[-1]
-        ok = ok and (
-            # The knee: the tail explodes across the ladder ...
-            top["latency_p99_us"] > 3 * base["latency_p99_us"]
-            # ... because the top rung is past capacity ...
-            and top["throughput_per_s"] < top["offered_per_s"]
-            # ... and the zombie backlog deepens with the load.
-            and top["zombie_peak"] > base["zombie_peak"]
-        )
-    broadcast = curves["broadcast"]
-    reuse = curves["mmap_reuse"]
-    return bool(
-        ok and reuse[-1]["zombie_peak"] > broadcast[-1]["zombie_peak"]
-    )
 
 
-#: The service experiments extend the paper: §7's zombie economics
-#: measured request-side, with open-loop (coordinated-omission-free)
-#: SLO percentiles as the observable.
-SERVICE_PAPER: Dict[str, object] = {
-    "open_loop": True,
-    "p99_knee_exists": True,
-    "zombie_pressure_grows_with_load": True,
-}
+def _rungs(m: Dict[str, object]):
+    """``(base, top)`` load points of every capacity curve."""
+    return [(points[0], points[-1]) for points in _curves(m).values()]
+
+
+_E21_CLAIMS = (
+    Claim("strategies", None, DIRECTION, ">= 2",
+          measure=lambda m: len(_curves(m))),
+    Claim("loads_ascending", None, DIRECTION, "== true",
+          measure=lambda m: m["capacity"]["loads"] == sorted(  # type: ignore[index]
+              m["capacity"]["loads"])),  # type: ignore[index]
+    # The knee: the open-loop tail explodes across the ladder, because
+    # the top rung is past capacity ...
+    Claim("p99_knee_exists", None, DIRECTION, "> 3",
+          measure=lambda m: min(top["latency_p99_us"] / base["latency_p99_us"]
+                                for base, top in _rungs(m))),
+    Claim("top_rung_saturates", None, DIRECTION, "< 1.0",
+          measure=lambda m: max(top["throughput_per_s"] / top["offered_per_s"]
+                                for _base, top in _rungs(m))),
+    # ... and the zombie backlog deepens with the load.
+    Claim("zombie_pressure_grows_with_load", None, DIRECTION, "> 0",
+          measure=lambda m: min(top["zombie_peak"] - base["zombie_peak"]
+                                for base, top in _rungs(m))),
+    Claim("reuse_deepest_at_top", None, DIRECTION, "> 0",
+          source=_MMAP_REUSE,
+          measure=lambda m: _curves(m)["mmap_reuse"][-1]["zombie_peak"]
+          - _curves(m)["broadcast"][-1]["zombie_peak"]),
+)
+
 
 SERVICE_NOTES = (
     "Extension beyond the paper: request-level telemetry over the SMP "
@@ -1596,26 +1808,13 @@ SERVICE_NOTES = (
 # The registry
 # ---------------------------------------------------------------------------
 
-#: The SMP experiments extend the paper (its §9 footnote defers SMP);
-#: reference expectations come from the shootdown literature instead:
-#: targeted IPIs track the mm's CPU mask, lazy deferral cuts IPIs
-#: without losing coherence (arXiv 2401.15558), and pooling munmapped
-#: regions for intra-process reuse skips the flush outright
-#: (arXiv 2409.10946).
-SMP_PAPER: Dict[str, object] = {
-    "targeted_ipis": 0,
-    "lazy_defers": True,
-    "mmap_reuse_skips_flushes": True,
-}
-
 SMP_NOTES = (
     "Extension beyond the paper: the original defers SMP (§9 footnote). "
     "Fixed task affinity makes targeted shootdown IPI-free; the lazy "
     "and mmap-reuse strategies model arXiv 2401.15558 / 2409.10946."
 )
 
-#: Experiment id -> spec, as indexed in DESIGN.md.  Keep this a dict
-#: literal: the ``experiment-registry`` lint pass reads its keys.
+#: Experiment id -> spec, as indexed in DESIGN.md.
 SPECS: Dict[str, ExperimentSpec] = {
     "E1": ExperimentSpec(
         id="E1",
@@ -1623,8 +1822,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="Figure 1",
         variants=(ConfigVariant("fig1", M604_185, KernelConfig.optimized()),),
         workload=_measure_e1,
-        shape=_shape_e1,
-        paper={"va_bits": 52, "segment_bits": 4, "page_index_bits": 16},
+        claims=_E1_CLAIMS,
     ),
     "E2": ExperimentSpec(
         id="E2",
@@ -1632,13 +1830,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§5.1",
         variants=_e2_variants(),
         workload=_measure_e2,
-        shape=_shape_e2,
-        paper={
-            "tlb_ratio": 0.90,
-            "htab_ratio": 0.81,
-            "kernel_tlb_slots_after": 4,
-            "wall_ratio": 0.80,
-        },
+        claims=_E2_CLAIMS,
         notes=(
             "Wall-clock effect under-reproduces: our scaled compile is "
             "cache-bound where the original was reload-bound, so removing "
@@ -1651,8 +1843,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§5.2",
         variants=_e3_variants(),
         workload=_measure_e3,
-        shape=_shape_e3,
-        paper={"naive": 0.37, "scattered": 0.57, "kernel_removed": 0.75},
+        claims=_E3_CLAIMS,
     ),
     "E4": ExperimentSpec(
         id="E4",
@@ -1660,12 +1851,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§6.1",
         variants=_e4_variants(),
         workload=_measure_e4,
-        shape=_shape_e4,
-        paper={
-            "ctxsw_ratio": 0.67,
-            "pipe_latency_ratio": 0.85,
-            "compile_ratio": 0.85,
-        },
+        claims=_E4_CLAIMS,
     ),
     "E5": ExperimentSpec(
         id="E5",
@@ -1673,8 +1859,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="Table 1",
         variants=_e5_variants(),
         workload=_measure_e5,
-        shape=_shape_e5,
-        paper=PAPER_TABLE1,
+        claims=_E5_CLAIMS,
         notes=(
             "The in-noise per-cell differences between htab and no-htab "
             "(pipe bw +-6%, reread +-9%) do not fully reproduce; the "
@@ -1688,8 +1873,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="Table 2",
         variants=_e6_variants(),
         workload=_measure_e6,
-        shape=_shape_e6,
-        paper={"mmap_improvement_603": 79.0, "mmap_improvement_604": 82.8},
+        claims=_E6_CLAIMS,
     ),
     "E7": ExperimentSpec(
         id="E7",
@@ -1697,13 +1881,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§7",
         variants=_e7_variants(),
         workload=_measure_e7,
-        shape=_shape_e7,
-        paper={
-            "evict_ratio_before": 0.90,
-            "evict_ratio_after": 0.30,
-            "hit_rate_before": 0.85,
-            "hit_rate_after": 0.98,
-        },
+        claims=_E7_CLAIMS,
         notes=(
             "Live-entry growth (600-700 -> 1400-2200) reproduces only "
             "partially: with round-robin bucket replacement, evicts land "
@@ -1717,8 +1895,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§7",
         variants=_e8_variants(),
         workload=_measure_e8,
-        shape=_shape_e8,
-        paper={"improvement": 80.0},
+        claims=_E8_CLAIMS,
     ),
     "E9": ExperimentSpec(
         id="E9",
@@ -1726,8 +1903,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§8",
         variants=_e9_variants(),
         workload=_measure_e9,
-        shape=_shape_e9,
-        paper={"worst_case_refs": 34, "new_cache_lines_per_refill": 18},
+        claims=_E9_CLAIMS,
     ),
     "E10": ExperimentSpec(
         id="E10",
@@ -1735,12 +1911,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§9",
         variants=_e10_variants(),
         workload=_measure_e10,
-        shape=_shape_e10,
-        paper={
-            "pollution_cached_ratio": 2.0,
-            "pollution_uncached_nolist_ratio": 1.0,
-            "compile_uncached_list_ratio": 0.9,
-        },
+        claims=_E10_CLAIMS,
         notes=(
             "The cached-clearing penalty reproduces in direction (slower) "
             "but not the full 2x: the tag-only cache model has no bus "
@@ -1754,8 +1925,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="Table 3",
         variants=(),
         workload=_measure_e11,
-        shape=_shape_e11,
-        paper={},  # filled lazily by paper_for() (imports oscompare)
+        claims=_E11_CLAIMS,
     ),
     "E12": ExperimentSpec(
         id="E12",
@@ -1763,8 +1933,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§5.1",
         variants=_e12_variants(),
         workload=_measure_e12,
-        shape=_shape_e12,
-        paper={"cycle_ratio": 1.0},
+        claims=_E12_CLAIMS,
     ),
     "E13": ExperimentSpec(
         id="E13",
@@ -1772,8 +1941,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§6.2",
         variants=_e13_variants(),
         workload=_measure_e13,
-        shape=_shape_e13,
-        paper={"compile_ratio": 0.95},
+        claims=_E13_CLAIMS,
     ),
     "E14": ExperimentSpec(
         id="E14",
@@ -1781,8 +1949,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§10.1",
         variants=_e14_variants(),
         workload=_measure_e14,
-        shape=_shape_e14,
-        paper={"busy_ratio": 1.0},
+        claims=_E14_CLAIMS,
     ),
     "E15": ExperimentSpec(
         id="E15",
@@ -1790,8 +1957,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§10.2",
         variants=_e15_variants(),
         workload=_measure_e15,
-        shape=_shape_e15,
-        paper={"ctxsw8_ratio": 1.0},
+        claims=_E15_CLAIMS,
     ),
     "E16": ExperimentSpec(
         id="E16",
@@ -1799,8 +1965,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§7",
         variants=_e16_variants(),
         workload=_measure_e16,
-        shape=_shape_e16,
-        paper={"inconsistency": "worst-case latency spikes"},
+        claims=_E16_CLAIMS,
         seed=11,
     ),
     "E17": ExperimentSpec(
@@ -1809,8 +1974,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§9 SMP footnote (ext.)",
         variants=_smp_variants(),
         workload=_measure_e17,
-        shape=_shape_smp,
-        paper=SMP_PAPER,
+        claims=_smp_claims(),
         notes=SMP_NOTES,
     ),
     "E18": ExperimentSpec(
@@ -1819,8 +1983,9 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§9 SMP footnote (ext.)",
         variants=_smp_variants(),
         workload=_measure_e18,
-        shape=_shape_smp,
-        paper=SMP_PAPER,
+        claims=_smp_claims(
+            Claim("n_cpus", None, DIRECTION, "== 4"),
+        ),
         notes=SMP_NOTES,
     ),
     "E19": ExperimentSpec(
@@ -1829,8 +1994,10 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§9 SMP footnote (ext.)",
         variants=_smp_variants(),
         workload=_measure_e19,
-        shape=_shape_smp,
-        paper=SMP_PAPER,
+        claims=_smp_claims(
+            # More remote CPUs: more broadcast IPI traffic per flush.
+            Claim("broadcast_ipis", None, DIRECTION, "> 0"),
+        ),
         notes=SMP_NOTES,
     ),
     "E20": ExperimentSpec(
@@ -1839,8 +2006,7 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§7 zombie pressure (ext.)",
         variants=_service_variants(),
         workload=_measure_e20,
-        shape=_shape_e20,
-        paper=SERVICE_PAPER,
+        claims=_E20_CLAIMS,
         notes=SERVICE_NOTES,
     ),
     "E21": ExperimentSpec(
@@ -1849,22 +2015,14 @@ SPECS: Dict[str, ExperimentSpec] = {
         section="§7 zombie pressure (ext.)",
         variants=_service_variants(),
         workload=_measure_e21,
-        shape=_shape_e21,
-        paper=SERVICE_PAPER,
+        claims=_E21_CLAIMS,
         notes=SERVICE_NOTES,
     ),
 }
 
 
-def paper_for(spec: ExperimentSpec) -> Dict[str, object]:
-    """A spec's paper-reference values (E11's import oscompare lazily)."""
-    if spec.id == "E11" and not spec.paper:
-        return _paper_table3()
-    return spec.paper
-
-
 def sorted_ids(ids: Optional[Sequence[str]] = None) -> List[str]:
-    """Registry IDs in numeric order (E1, E2, ..., E16)."""
+    """Registry IDs in numeric order (E1, E2, ..., E21)."""
     return sorted(ids if ids is not None else SPECS, key=experiment_sort_key)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.check.report import Violation, ViolationReporter
-from repro.check.sanitizer import Sanitizer
+from repro.check.sanitizer import Sanitizer, check_sweep_every
 from repro.check.shadow import ShadowMMU
 
 __all__ = [
@@ -54,6 +54,7 @@ def enable_global_sanitizer(
     reporter: Optional[ViolationReporter] = None, sweep_every: int = 0
 ) -> ViolationReporter:
     """Attach a sanitizer to every subsequently-built Simulator."""
+    check_sweep_every(sweep_every)
     _GLOBAL.active = True
     _GLOBAL.reporter = reporter if reporter is not None else ViolationReporter()
     _GLOBAL.sweep_every = sweep_every

@@ -22,8 +22,22 @@ from typing import Optional
 from repro.check.invariants import full_sweep
 from repro.check.report import ViolationReporter
 from repro.check.shadow import ShadowMMU
+from repro.errors import ConfigError
 from repro.hw.access import AccessKind
 from repro.params import PAGE_INDEX_MASK, PAGE_SHIFT
+
+
+def check_sweep_every(sweep_every: int) -> int:
+    """The periodic-sweep cadence, or ConfigError if it is negative.
+
+    A negative cadence would sweep on every checked translation
+    (``n % -1 == 0``) instead of never.
+    """
+    if not isinstance(sweep_every, int) or sweep_every < 0:
+        raise ConfigError(
+            f"sweep_every must be a non-negative int, got {sweep_every!r}"
+        )
+    return sweep_every
 
 
 class Sanitizer:
@@ -42,7 +56,7 @@ class Sanitizer:
         self.shadow = ShadowMMU(kernel)
         #: Run a (non-stable) full sweep every N checked translations;
         #: 0 disables periodic sweeps.
-        self.sweep_every = sweep_every
+        self.sweep_every = check_sweep_every(sweep_every)
         self.label = label
         self.translations_checked = 0
         self.sweeps = 0

@@ -1,6 +1,6 @@
 """The cross-file closure rules.
 
-Four registries anchor runtime guarantees; these passes close them
+Three registries anchor runtime guarantees; these passes close them
 statically, so deleting a registry entry (or adding an unregistered
 publisher) fails lint instead of failing — or worse, silently skewing —
 a simulator run:
@@ -13,10 +13,7 @@ a simulator run:
   ``obs/events.py``, and every tracer publication passes one value per
   key its entry registers;
 * every invariant defined in ``check/invariants.py`` is registered in
-  the ``full_sweep`` suite;
-* every experiment spec in the ``SPECS`` registry of
-  ``analysis/specs.py`` has a benchmark consumer asserting its paper
-  shape and a row in the repo's EXPERIMENTS.md table.
+  the ``full_sweep`` suite.
 
 The observatory's derived tables (analytics, flamegraph) are built
 from those registries at import time, so they need no pass.
@@ -25,9 +22,7 @@ from those registries at import time, so they need no pass.
 from __future__ import annotations
 
 import ast
-import pathlib
-import re
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.base import (
     FileContext,
@@ -425,103 +420,3 @@ class InvariantRegistrationRule(ProjectRule):
                     f"called from {self.SUITE}(); it would silently "
                     "not run",
                 )
-
-
-# -- experiment registry -----------------------------------------------------
-
-
-class ExperimentRegistryRule(ProjectRule):
-    id = "experiment-registry"
-    description = (
-        "every experiment spec id in analysis/specs.py has a "
-        "benchmarks/test_bench_*.py consumer and an EXPERIMENTS.md row"
-    )
-
-    REGISTRY = "analysis/specs.py"
-    REGISTRY_NAME = "SPECS"
-    BENCH_DIR = "benchmarks"
-    BENCH_GLOB = "test_bench_*.py"
-    DOC = "EXPERIMENTS.md"
-    #: An EXPERIMENTS.md table row whose first cell names an experiment,
-    #: e.g. ``| E8 (§7) | ... |``.
-    _DOC_ROW = re.compile(r"^\|\s*(E\d+)\b")
-
-    def check_project(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        registry_ctx = _find_context(contexts, self.REGISTRY)
-        if registry_ctx is None:
-            return
-        keys = _dict_literal_keys(registry_ctx.tree, self.REGISTRY_NAME)
-        if keys is None:
-            report(
-                registry_ctx, registry_ctx.tree,
-                f"{self.REGISTRY_NAME} in {self.REGISTRY} must be a "
-                "literal dict of experiment-id -> spec entries",
-            )
-            return
-        repo_root = self._repo_root(registry_ctx.path)
-        if repo_root is None:
-            # Scanned tree is a bare package (the mutation tests lint
-            # such copies): with no benchmarks/ + EXPERIMENTS.md beside
-            # it there is nothing to close over.
-            return
-        bench_ids = self._bench_literals(repo_root / self.BENCH_DIR)
-        doc_ids = self._documented_ids(repo_root / self.DOC)
-        for experiment_id, key_node in keys.items():
-            if experiment_id not in bench_ids:
-                report(
-                    registry_ctx, key_node,
-                    f"spec {experiment_id!r} has no "
-                    f"{self.BENCH_DIR}/{self.BENCH_GLOB} consumer; "
-                    "nothing asserts its paper shape",
-                )
-            if experiment_id not in doc_ids:
-                report(
-                    registry_ctx, key_node,
-                    f"spec {experiment_id!r} has no row in {self.DOC}; "
-                    "the paper-vs-measured table is stale",
-                )
-        for doc_id in sorted(doc_ids - set(keys)):
-            report(
-                registry_ctx, registry_ctx.tree,
-                f"{self.DOC} documents {doc_id!r}, which is not in the "
-                f"{self.REGISTRY_NAME} registry; delete the stale row",
-            )
-
-    def _repo_root(self, registry_path: pathlib.Path) -> Optional[pathlib.Path]:
-        """Nearest ancestor holding both benchmarks/ and EXPERIMENTS.md."""
-        for candidate in registry_path.resolve().parents:
-            if (
-                (candidate / self.BENCH_DIR).is_dir()
-                and (candidate / self.DOC).is_file()
-            ):
-                return candidate
-        return None
-
-    def _bench_literals(self, bench_dir: pathlib.Path) -> Set[str]:
-        """Every string literal in the benchmark files.
-
-        The consumer contract is ``run_spec(benchmark, "E8")``, but any
-        literal mention counts — the rule polices existence of a
-        consumer, not its calling convention.
-        """
-        literals: Set[str] = set()
-        for path in sorted(bench_dir.glob(self.BENCH_GLOB)):
-            try:
-                tree = ast.parse(path.read_text())
-            except SyntaxError:
-                continue  # the file-parses rule owns unparsable files
-            for node in ast.walk(tree):
-                literal = str_const(node)
-                if literal is not None:
-                    literals.add(literal)
-        return literals
-
-    def _documented_ids(self, doc_path: pathlib.Path) -> Set[str]:
-        ids: Set[str] = set()
-        for line in doc_path.read_text().splitlines():
-            match = self._DOC_ROW.match(line)
-            if match is not None:
-                ids.add(match.group(1))
-        return ids

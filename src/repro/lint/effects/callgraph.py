@@ -626,7 +626,7 @@ class _FunctionLinker:
     def _resolve_attr_call(self, func: ast.Attribute) -> List[str]:
         method = func.attr
         receiver = func.value
-        # Fully-dotted module functions: ``specs.paper_for(...)``.
+        # Fully-dotted module functions: ``specs.sorted_ids(...)``.
         dotted = dotted_name(func)
         if dotted is not None:
             resolved = self.mod._resolve_dotted_function(dotted)

@@ -40,7 +40,6 @@ ALL_RULES: List[Rule] = [
     closure.LedgerTaxonomyRule(),
     closure.EventRegistryRule(),
     closure.InvariantRegistrationRule(),
-    closure.ExperimentRegistryRule(),
 ]
 
 #: Ids a pragma may name: rules, the engine's pseudo-rules, and the

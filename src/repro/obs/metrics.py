@@ -14,6 +14,8 @@ import pathlib
 import re
 from typing import Any, Dict, List, Optional
 
+from repro.analysis.spec import CLAIM_FIELDS, STATUSES
+
 #: Schema version for bench-doc consumers.  v2: records are
 #: emitted in sorted_ids() order under a ``schema_version`` field, and
 #: an optional ``timings`` section carries wall seconds per experiment
@@ -30,7 +32,9 @@ from typing import Any, Dict, List, Optional
 #: section — the document is deterministic end to end, so the sentinel
 #: compares every leaf exactly — and every record's ``total_cycles``
 #: must equal its ``derived.total_cycles`` and its attribution's sum.
-BENCH_SCHEMA = 5
+#: v6: ``claims`` replaces ``paper`` — one record per paper claim
+#: (name, source, kind, paper, measured, gate, status, reason).
+BENCH_SCHEMA = 6
 
 
 def json_safe(value: Any) -> Any:
@@ -76,7 +80,7 @@ def experiment_record(result: Any, spec: Any = None,
         "total_cycles": block.get("total_cycles", 0),
         "shape_holds": result.shape_holds,
         "measured": json_safe(result.measured),
-        "paper": json_safe(result.paper),
+        "claims": json_safe(result.claims),
         "attribution": dict(block.get("attribution", {}).get("cycles", {})),
         "derived": block,
     }
@@ -121,7 +125,7 @@ def bench_doc(
 #: :func:`experiment_record`, and :func:`validate_bench_doc` rejects a
 #: record missing any of them.
 RECORD_REQUIRED = ("id", "title", "machines", "total_cycles",
-                   "shape_holds", "measured", "paper", "attribution",
+                   "shape_holds", "measured", "claims", "attribution",
                    "derived")
 
 _RECORD_ID = re.compile(r"^E\d+$")
@@ -180,9 +184,10 @@ def validate_bench_doc(doc: Any) -> Dict[str, int]:
                 "producer bug, and summary.total_cycles would be "
                 "silently understated)"
             )
-        for key in ("measured", "paper", "attribution", "derived"):
+        for key in ("measured", "attribution", "derived"):
             if not isinstance(record[key], dict):
                 raise ValueError(f"{record_id}: {key!r} must be an object")
+        _validate_claims(record_id, record["claims"])
         if not isinstance(record["machines"], list):
             raise ValueError(f"{record_id}: 'machines' must be a list")
         attributed = list(record["attribution"].values())
@@ -218,6 +223,28 @@ def validate_bench_doc(doc: Any) -> Dict[str, int]:
             f"does not match the records ({total})"
         )
     return counts
+
+
+def _validate_claims(record_id: str, claims: Any) -> None:
+    """Each claim is complete, has a known status, and a gate or a reason."""
+    if not isinstance(claims, list):
+        raise ValueError(f"{record_id}: 'claims' must be a list")
+    for index, claim in enumerate(claims):
+        if not isinstance(claim, dict):
+            raise ValueError(f"{record_id}: claim {index} is not an object")
+        missing = [key for key in CLAIM_FIELDS if key not in claim]
+        name = claim.get("name", index)
+        if missing:
+            raise ValueError(f"{record_id}: claim {name!r} missing {missing}")
+        if claim["status"] not in STATUSES:
+            raise ValueError(
+                f"{record_id}: claim {name!r} has unknown status "
+                f"{claim['status']!r}"
+            )
+        if not claim["gate"] and not claim["reason"]:
+            raise ValueError(
+                f"{record_id}: claim {name!r} has neither a gate nor a reason"
+            )
 
 
 def load_bench_doc(path: Any) -> Dict:

@@ -12,8 +12,9 @@ byte-identical files.
 The per-experiment sections visualize the derived analytics: a stacked
 cycle-attribution bar, latency percentile tables for the traced path
 categories, the occupancy/zombie timeline polyline, and the §5.2
-hash-table histograms.  The experiments behind the paper's Tables 1–3
-(E5, E6, E11) get their measured-vs-paper tables flagged as such.
+hash-table histograms, and each record's paper claims (paper value,
+measured value, status).  The experiments behind the paper's Tables 1–3
+(E5, E6, E11) are flagged as such.
 """
 
 from __future__ import annotations
@@ -233,19 +234,20 @@ def _svg_sparkline(values: List, width: int = 150, height: int = 28,
 # -- section renderers -------------------------------------------------------
 
 
-def _measured_table(record: Dict) -> str:
-    measured = record.get("measured", {})
-    paper = record.get("paper", {})
-    keys = sorted(set(measured) | set(paper))
-    if not keys:
+def _claims_table(record: Dict) -> str:
+    """One row per paper claim: its paper and measured values, status."""
+    claims = record.get("claims", [])
+    if not claims:
         return ""
-    rows = ["<table><tr><th>metric</th><th>measured</th>"
-            "<th>paper</th></tr>"]
-    for key in keys:
+    rows = ["<table><tr><th>claim</th><th>paper</th><th>measured</th>"
+            "<th>status</th></tr>"]
+    for claim in claims:
+        paper = claim.get("paper")
         rows.append(
-            f"<tr><td>{_esc(key)}</td>"
-            f"<td>{_fmt(measured.get(key, ''))}</td>"
-            f"<td>{_fmt(paper.get(key, ''))}</td></tr>"
+            f"<tr><td>{_esc(claim.get('name', ''))}</td>"
+            f"<td>{'&mdash;' if paper is None else _fmt(paper)}</td>"
+            f"<td>{_fmt(claim.get('measured', ''))}</td>"
+            f"<td>{_esc(claim.get('status', ''))}</td></tr>"
         )
     rows.append("</table>")
     return "".join(rows)
@@ -324,8 +326,8 @@ def _experiment_section(record: Dict) -> str:
     if shares:
         parts.append("<h4>cycle attribution</h4>")
         parts.append(_svg_stacked_bar(shares))
-    parts.append("<h4>measured vs paper</h4>")
-    parts.append(_measured_table(record))
+    parts.append("<h4>paper claims</h4>")
+    parts.append(_claims_table(record))
     latency = _latency_table(derived)
     if latency:
         parts.append("<h4>path latencies (cycles)</h4>")

@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite.
 
 Most tests run against small, fast configurations; the heavyweight
-paper-scale runs live in ``benchmarks/``.
+paper-scale runs are ``python -m repro run --all``, whose committed
+output is ``benchmarks/reports.txt``.
 """
 
 from __future__ import annotations

@@ -51,6 +51,7 @@ class TestRegistry:
         )
         assert result.measured["segment"] == 12
         assert result.measured["offset"] == 0xABC
+        assert result.shape_holds
 
     def test_run_ids_subset(self):
         run = engine.run_ids(["E1"], use_cache=False)

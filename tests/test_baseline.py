@@ -29,7 +29,7 @@ def record(number, cycles=100, shape=True, measured=None):
         "total_cycles": cycles,
         "shape_holds": shape,
         "measured": dict(measured or {"ratio": 2.5}),
-        "paper": {},
+        "claims": [],
         "attribution": {"tlb-reload": cycles},
         "derived": {"total_cycles": cycles,
                     "counters": {"tlb_miss": 7 * number}},
@@ -163,6 +163,34 @@ class TestTotalsCrossCheck:
                          "--out", str(html)]) == 2
         assert capsys.readouterr().err.count("E17: total_cycles") == 2
         assert not html.exists()
+
+
+class TestClaimRecords:
+    """Every claim record is complete, known, and gated or explained."""
+
+    CLAIM = {"name": "ratio", "source": "§5.1", "kind": "band",
+             "paper": 0.9, "measured": 0.96, "gate": "< 1.0",
+             "status": "direction only", "reason": ""}
+
+    def with_claim(self, drop=None, **changes):
+        claim = {**self.CLAIM, **changes}
+        claim.pop(drop, None)
+        built = doc([record(1), record(4)])
+        built["experiments"][1]["claims"] = [claim]
+        return built
+
+    @pytest.mark.parametrize("drop, changes, problem", [
+        ("kind", {}, r"missing \['kind'\]"),
+        (None, {"status": "close enough"}, "has unknown status"),
+        (None, {"gate": None}, "has neither a gate nor a reason"),
+    ])
+    def test_validator_names_the_experiment(self, drop, changes, problem):
+        with pytest.raises(ValueError, match=rf"^E4: claim 'ratio' {problem}"):
+            validate_bench_doc(self.with_claim(drop, **changes))
+
+    def test_a_gate_or_a_reason_suffices(self):
+        for changes in ({}, {"gate": None, "reason": "a level"}):
+            assert validate_bench_doc(self.with_claim(**changes))
 
 
 def run_cli(*argv):

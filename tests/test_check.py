@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import check
+from repro.check.sanitizer import Sanitizer
+from repro.errors import ConfigError
 from repro.hw.tlb import TlbEntry
 from repro.kernel.config import KernelConfig, VsidPolicy
 from repro.params import M604_185, PAGE_SIZE
@@ -161,6 +163,29 @@ class TestGlobalAttach:
         assert reporter.count("E1") == 1
         assert reporter.contexts() == ["E1", "default"]
         assert "stale-tlb-entry" in reporter.summary()
+
+
+class TestSweepCadence:
+    """A negative ``sweep_every`` would sweep on every translation."""
+
+    def test_sanitizer_rejects_negative_cadence(self):
+        kernel = Simulator(M604_185, lazy_config()).kernel
+        with pytest.raises(ConfigError, match="sweep_every"):
+            Sanitizer(kernel, sweep_every=-1)
+
+    def test_global_enable_rejects_negative_cadence(self):
+        with pytest.raises(ConfigError, match="sweep_every"):
+            check.enable_global_sanitizer(sweep_every=-1)
+        assert Simulator(M604_185, lazy_config()).sanitizer is None
+
+    def test_run_checked_fails_before_running(self):
+        from repro.check.runner import run_checked
+
+        started = []
+        with pytest.raises(ConfigError, match="sweep_every"):
+            run_checked(ids=["E1"], sweep_every=-1, progress=started.append)
+        assert started == []
+        assert Simulator(M604_185, lazy_config()).sanitizer is None
 
 
 # -- the property test: random lifecycle interleavings stay coherent -------

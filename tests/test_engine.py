@@ -12,8 +12,9 @@ The core contracts under test:
 * the ``--bench-out`` doc holds no host time, so it is byte-identical
   across ``--jobs`` levels.
 
-These run the fastest specs only (E1/E12/E15) — the heavyweight
-paper-scale runs live in ``benchmarks/``.
+These run the fastest specs only (E1/E12/E15); ``python -m repro run
+--all`` runs the paper-scale ones, and ``benchmarks/reports.txt`` is
+its committed output.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class TestExecute:
         assert first == second
 
     def test_measured_is_json_plain(self):
-        # The round-trip must leave only JSON-native types, so shape
-        # predicates can never depend on something the cache would lose.
+        # The round-trip must leave only JSON-native types, so claims
+        # can never depend on something the cache would lose.
         result = engine.execute(engine.spec_for("E1"))
 
         def _check(value):
@@ -70,7 +71,7 @@ class TestExecute:
                 )
 
         _check(result.measured)
-        _check(result.paper)
+        _check(result.claims)
 
     def test_spec_for_unknown_id_raises(self):
         with pytest.raises(KeyError):

@@ -5,9 +5,8 @@ Three tiers:
 * fixture pairs — for every rule, a violating snippet caught at the
   right line and a clean snippet that passes;
 * mutation tests — delete a taxonomy entry / event-registry entry /
-  suite registration / benchmark consumer / EXPERIMENTS.md row from a
-  *copy* of the real repo and assert the closure rules fire (proving
-  the gates are live, not vacuous);
+  suite registration from a *copy* of the real package and assert the
+  closure rules fire (proving the gates are live, not vacuous);
 * self-clean — the shipped package lints clean, which is what CI gates.
 """
 
@@ -525,99 +524,6 @@ class TestInvariantRegistration:
 # -- pragmas and baseline ----------------------------------------------------
 
 
-REGISTRY_SPECS = {
-    "analysis/specs.py": """\
-        SPECS = {
-            "E1": "spec one",
-            "E2": "spec two",
-        }
-    """,
-}
-
-REGISTRY_BENCH = """\
-from conftest import run_spec
-
-
-def test_e1(benchmark):
-    run_spec(benchmark, "E1")
-
-
-def test_e2(benchmark):
-    run_spec(benchmark, "E2")
-"""
-
-REGISTRY_DOC = """\
-| Exp | Paper result | Reproduction status |
-|---|---|---|
-| E1 (Fig 1) | something | holds |
-| E2 (§5.1) | something else | holds |
-"""
-
-
-def build_repo(tmp_path, files=None, bench=REGISTRY_BENCH,
-               doc=REGISTRY_DOC):
-    """A package tree with benchmarks/ and EXPERIMENTS.md beside it."""
-    root = build_tree(tmp_path, files or dict(REGISTRY_SPECS))
-    bench_dir = tmp_path / "benchmarks"
-    bench_dir.mkdir(exist_ok=True)
-    (bench_dir / "test_bench_a.py").write_text(bench)
-    (tmp_path / "EXPERIMENTS.md").write_text(doc)
-    return root
-
-
-class TestExperimentRegistry:
-    def test_consumed_and_documented_clean(self, tmp_path):
-        root = build_repo(tmp_path)
-        result = LintEngine(
-            root, lint_rules=single_rule("experiment-registry")
-        ).run()
-        assert result.findings == []
-
-    def test_missing_bench_consumer_flagged(self, tmp_path):
-        bench = REGISTRY_BENCH.replace(
-            'def test_e2(benchmark):\n    run_spec(benchmark, "E2")\n', ""
-        )
-        root = build_repo(tmp_path, bench=bench)
-        result = LintEngine(
-            root, lint_rules=single_rule("experiment-registry")
-        ).run()
-        (finding,) = result.findings
-        assert finding.path == "analysis/specs.py"
-        assert "'E2'" in finding.message
-        assert "consumer" in finding.message
-
-    def test_missing_doc_row_flagged(self, tmp_path):
-        doc = "\n".join(
-            line for line in REGISTRY_DOC.splitlines()
-            if not line.startswith("| E2")
-        )
-        root = build_repo(tmp_path, doc=doc)
-        result = LintEngine(
-            root, lint_rules=single_rule("experiment-registry")
-        ).run()
-        (finding,) = result.findings
-        assert "'E2'" in finding.message
-        assert "EXPERIMENTS.md" in finding.message
-
-    def test_stale_doc_row_flagged(self, tmp_path):
-        doc = REGISTRY_DOC + "| E9 (§8) | ghost | gone |\n"
-        root = build_repo(tmp_path, doc=doc)
-        result = LintEngine(
-            root, lint_rules=single_rule("experiment-registry")
-        ).run()
-        (finding,) = result.findings
-        assert "'E9'" in finding.message
-        assert "stale" in finding.message
-
-    def test_bare_package_skipped(self, tmp_path):
-        # No benchmarks/ or EXPERIMENTS.md anywhere above the package:
-        # the rule has nothing to close over and must stay silent
-        # (mutation tests lint exactly such copies).
-        result = run_lint(tmp_path, dict(REGISTRY_SPECS),
-                          rules=single_rule("experiment-registry"))
-        assert result.findings == []
-
-
 class TestPragmas:
     def test_trailing_pragma_suppresses(self, tmp_path):
         result = run_lint(tmp_path, {"kernel/a.py": """\
@@ -721,21 +627,6 @@ def mutated_package(tmp_path, mutate):
     return root
 
 
-def mutated_repo(tmp_path, mutate):
-    """Like :func:`mutated_package`, with the repo files the
-    experiment-registry closure reads (benchmarks/, EXPERIMENTS.md)
-    copied alongside at ``root.parents[1]``."""
-    root = tmp_path / "src" / "repro"
-    shutil.copytree(default_root(), root,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    repo = default_root().parents[1]
-    shutil.copytree(repo / "benchmarks", tmp_path / "benchmarks",
-                    ignore=shutil.ignore_patterns("__pycache__", "reports"))
-    shutil.copy(repo / "EXPERIMENTS.md", tmp_path / "EXPERIMENTS.md")
-    mutate(root)
-    return root
-
-
 class TestMutations:
     def test_clean_copy_is_clean(self, tmp_path):
         root = mutated_package(tmp_path, lambda _root: None)
@@ -784,35 +675,6 @@ class TestMutations:
         assert finding.rule == "event-registry"
         assert finding.path == "kernel/sched.py"
         assert "'wakeup' passes 2 value(s)" in finding.message
-
-    def test_deleting_bench_consumer_fires(self, tmp_path):
-        def mutate(root):
-            (root.parents[1] / "benchmarks"
-             / "test_bench_range_flush.py").unlink()
-
-        result = LintEngine(mutated_repo(tmp_path, mutate)).run()
-        rules = {f.rule for f in result.findings}
-        assert rules == {"experiment-registry"}
-        assert any(
-            "'E8'" in f.message and "consumer" in f.message
-            for f in result.findings
-        )
-
-    def test_deleting_experiments_md_row_fires(self, tmp_path):
-        def mutate(root):
-            path = root.parents[1] / "EXPERIMENTS.md"
-            source = path.read_text()
-            mutated = re.sub(r"\n\| E8 [^\n]*\n", "\n", source, count=1)
-            assert mutated != source
-            path.write_text(mutated)
-
-        result = LintEngine(mutated_repo(tmp_path, mutate)).run()
-        rules = {f.rule for f in result.findings}
-        assert rules == {"experiment-registry"}
-        assert any(
-            "'E8'" in f.message and "EXPERIMENTS.md" in f.message
-            for f in result.findings
-        )
 
     def test_adding_taxonomy_value_without_derivation_fires(self, tmp_path):
         def mutate(root):

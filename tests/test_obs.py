@@ -309,7 +309,7 @@ class TestMetrics:
         records = [
             {"id": f"E{number}", "title": f"experiment {number}",
              "machines": ["604e/200"], "total_cycles": cycles,
-             "shape_holds": True, "measured": {}, "paper": {},
+             "shape_holds": True, "measured": {}, "claims": [],
              "attribution": {"user-compute": cycles},
              "derived": {"total_cycles": cycles}}
             for number, cycles in ((1, 7), (2, 100), (10, 50))

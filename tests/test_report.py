@@ -60,8 +60,15 @@ def fixture_doc():
         "machines": ["604e/200"],
         "total_cycles": 1000,
         "shape_holds": True,
-        "measured": {"ratio": 2.5},
-        "paper": {"ratio": 2.4},
+        "measured": {"ratio": 2.5, "unclaimed": 7},
+        "claims": [
+            {"name": "ratio", "source": "Table 1", "kind": "band",
+             "paper": 2.4, "measured": 2.5, "gate": "> 2",
+             "status": "reproduced", "reason": ""},
+            {"name": "guess", "source": "§10", "kind": "conjecture",
+             "paper": None, "measured": 0.7, "gate": "< 1.0",
+             "status": "reproduced", "reason": ""},
+        ],
         "attribution": {"user-compute": 600, "tlb-reload": 400},
         "derived": derived,
         "notes": "fixture",
@@ -106,6 +113,15 @@ class TestRenderReport:
     def test_custom_title_escaped(self):
         html = report.render_report(fixture_doc(), title="<tricks>")
         assert "<title>&lt;tricks&gt;</title>" in html
+
+    def test_claims_render_one_row_each(self):
+        html = report.render_report(fixture_doc())
+        assert ("<tr><td>ratio</td><td>2.4</td><td>2.5</td>"
+                "<td>reproduced</td></tr>") in html
+        assert ("<tr><td>guess</td><td>&mdash;</td><td>0.7</td>"
+                "<td>reproduced</td></tr>") in html
+        # A measured value no claim reads gets no row of its own.
+        assert "unclaimed" not in html
 
     def test_shape_broken_badge(self):
         doc = fixture_doc()

@@ -1,7 +1,8 @@
 """Small-scale sanity runs of the paper workloads.
 
-Full paper-scale runs live in ``benchmarks/``; these verify that each
-workload runs end to end and produces sane units.
+Full paper-scale runs are ``python -m repro run --all`` (committed
+output: ``benchmarks/reports.txt``); these verify that each workload
+runs end to end and produces sane units.
 """
 
 import pytest
