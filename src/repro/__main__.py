@@ -749,34 +749,6 @@ def main(argv=None) -> int:
              "package)",
     )
     lnt.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file (default: lint-baseline.json at the repo "
-             "root)",
-    )
-    lnt.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the committed baseline (report everything)",
-    )
-    lnt.add_argument(
-        "--write-baseline", action="store_true",
-        help="snapshot current findings into the baseline file",
-    )
-    lnt.add_argument(
-        "--effects", action="store_true",
-        help="also run the interprocedural effect analyzer (the four "
-             "effect-* property rules)",
-    )
-    lnt.add_argument(
-        "--effects-json", default=None, metavar="FILE",
-        help="write the per-function effect-summary artifact to FILE "
-             "(implies --effects; '-' for stdout)",
-    )
-    lnt.add_argument(
-        "--why", default=None, metavar="CALLEE",
-        help="explain which property roots reach CALLEE and through "
-             "which call chain (implies --effects)",
-    )
-    lnt.add_argument(
         "--fail-on-warn", action="store_true",
         help="exit non-zero on warn-severity findings too",
     )

@@ -67,7 +67,6 @@ def code_version() -> str:
             digest.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
-        # repro-lint: disable=effect-race -- per-process memo: every worker derives the same digest independently
         _code_version_cache = digest.hexdigest()
     return _code_version_cache
 

@@ -16,8 +16,6 @@ this package.  The CLI imports the runner directly.
 
 from __future__ import annotations
 
-# repro-lint: disable-file=effect-race -- _GLOBAL is per-process sanitizer state: a worker inherits a private copy at fork and reports via return values, never through the parent's module
-
 from typing import List, Optional
 
 from repro.check.report import Violation, ViolationReporter

@@ -25,6 +25,9 @@ from repro.check import (
 )
 from repro.check.report import ViolationReporter
 
+#: ``repro check``'s periodic sweep cadence, in checked translations.
+DEFAULT_SWEEP_EVERY = 50_000
+
 
 @dataclass
 class ExperimentCheck:
@@ -90,7 +93,7 @@ class CheckRun:
 
 def run_checked(
     ids: Optional[Sequence[str]] = None,
-    sweep_every: int = 50_000,
+    sweep_every: int = DEFAULT_SWEEP_EVERY,
     progress: Optional[Callable[[str], None]] = None,
 ) -> CheckRun:
     """Run experiments (all by default) with the sanitizer attached.

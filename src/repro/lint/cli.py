@@ -1,7 +1,7 @@
 """``python -m repro lint`` — the CLI front end of the lint engine.
 
-Exit codes: 0 clean (baselined findings do not fail the run), 1 active
-findings, 2 usage error (unknown path).
+Exit codes: 0 clean, 1 findings, 2 usage error (a path that does not
+exist or lies outside the scanned package).
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import BASELINE_NAME, Baseline
-from repro.lint.engine import ALL_RULES, KNOWN_RULE_IDS, LintEngine, rule_catalog
+from repro.lint.engine import LintEngine, rule_catalog
 
 
 def default_root() -> Path:
@@ -23,41 +22,31 @@ def default_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def find_baseline(root: Path) -> Path:
-    """Locate the committed baseline for a package at ``root``.
-
-    Walks up from the package directory looking for an existing
-    baseline file, else for a repo marker (``pyproject.toml`` or
-    ``.git``) naming where a new one should be written.  Falls back to
-    the package's parent directory.
-    """
-    for candidate in [root] + list(root.parents):
-        if (candidate / BASELINE_NAME).exists():
-            return candidate / BASELINE_NAME
-    for candidate in [root] + list(root.parents):
-        if (candidate / "pyproject.toml").exists() or (
-            candidate / ".git"
-        ).exists():
-            return candidate / BASELINE_NAME
-    return root.parent / BASELINE_NAME
-
-
 def _resolve_paths(
     root: Path, raw_paths: Sequence[str]
 ) -> Optional[List[Path]]:
-    """Map CLI path arguments onto the scanned tree (None on error)."""
+    """Map CLI path arguments onto the scanned tree (None on error).
+
+    A path must name the scanned root or lie inside it: the engine
+    reports findings only under the root, so any other path would
+    filter every finding away and pass vacuously.
+    """
     resolved: List[Path] = []
     for raw in raw_paths:
         candidate = Path(raw)
-        if candidate.exists():
-            resolved.append(candidate.resolve())
-            continue
-        inside = root / raw
-        if inside.exists():
-            resolved.append(inside.resolve())
-            continue
-        print(f"repro lint: no such path: {raw}", file=sys.stderr)
-        return None
+        if not candidate.exists():
+            candidate = root / raw
+        if not candidate.exists():
+            print(f"repro lint: no such path: {raw}", file=sys.stderr)
+            return None
+        candidate = candidate.resolve()
+        if candidate != root and root not in candidate.parents:
+            print(
+                f"repro lint: {raw} is outside the scanned package {root}",
+                file=sys.stderr,
+            )
+            return None
+        resolved.append(candidate)
     return resolved
 
 
@@ -81,60 +70,9 @@ def run_lint(args: argparse.Namespace) -> int:
     if paths is None:
         return 2
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline is not None
-        else find_baseline(root)
-    )
-    baseline = (
-        Baseline() if args.no_baseline else Baseline.load(baseline_path)
-    )
+    result = LintEngine(root).run(paths=paths)
 
-    effects_on = bool(
-        getattr(args, "effects", False)
-        or getattr(args, "effects_json", None)
-        or getattr(args, "why", None)
-    )
-    suite = None
-    lint_rules = None
-    if effects_on:
-        from repro.lint.effects import EffectRuleSuite
-
-        suite = EffectRuleSuite(frozenset(KNOWN_RULE_IDS))
-        lint_rules = list(ALL_RULES) + suite.rules()
-
-    engine = LintEngine(root, lint_rules=lint_rules, baseline=baseline)
-    result = engine.run(paths=paths)
-
-    if suite is not None and suite.analysis is not None:
-        from repro.lint.effects.explain import effects_json, explain_why
-
-        assert suite.roots is not None
-        if getattr(args, "effects_json", None):
-            artifact = effects_json(suite.analysis, suite.roots)
-            payload = json.dumps(artifact, indent=2, sort_keys=True)
-            if args.effects_json == "-":
-                print(payload)
-            else:
-                Path(args.effects_json).write_text(payload + "\n")
-                if not args.json:  # keep --json stdout pure JSON
-                    print(
-                        f"wrote effect summaries for "
-                        f"{artifact['totals']['functions']} functions "  # type: ignore[index]
-                        f"to {args.effects_json}"
-                    )
-        if getattr(args, "why", None):
-            print(explain_why(suite.analysis, suite.roots, args.why))
-
-    if args.write_baseline:
-        Baseline.write(baseline_path, result.findings + result.baselined)
-        print(
-            f"wrote {len(result.findings) + len(result.baselined)} "
-            f"finding(s) to {baseline_path}"
-        )
-        return 0
-
-    fail_on_warn = bool(getattr(args, "fail_on_warn", False))
-    failed = (not result.ok) or (fail_on_warn and result.warnings)
+    failed = (not result.ok) or (args.fail_on_warn and result.warnings)
 
     if args.json:
         record = result.to_record()
@@ -154,8 +92,6 @@ def run_lint(args: argparse.Namespace) -> int:
             f" ({len(result.errors)} error, "
             f"{len(result.warnings)} warn)"
         )
-    if result.baselined:
-        summary += f", {len(result.baselined)} baselined"
     if result.pragma_suppressed:
         summary += f", {result.pragma_suppressed} pragma-suppressed"
     print(summary)

@@ -2,9 +2,8 @@
 
 The engine always parses the *whole* package (the closure rules need
 every charge site and publish site), then filters the reported
-findings to the requested sub-paths.  Suppression happens in two
-layers: inline pragmas (exact line), then the committed baseline
-(line-independent fingerprints).
+findings to the requested sub-paths.  Inline pragmas are the one way
+to silence a finding, at its exact line.
 """
 
 from __future__ import annotations
@@ -16,11 +15,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.lint import closure, rules
 from repro.lint.base import FileContext, ProjectRule, Report, Rule
-from repro.lint.baseline import Baseline
-from repro.lint.effects.properties import (
-    EFFECT_RULE_DESCRIPTIONS,
-    EFFECT_RULE_IDS,
-)
 from repro.lint.findings import Finding
 from repro.lint.pragmas import PRAGMA_RULE, FilePragmas, parse_pragmas
 
@@ -42,14 +36,8 @@ ALL_RULES: List[Rule] = [
     closure.InvariantRegistrationRule(),
 ]
 
-#: Ids a pragma may name: rules, the engine's pseudo-rules, and the
-#: four effect properties (always known, so pragmas naming them parse
-#: even when ``--effects`` is off).
-KNOWN_RULE_IDS = (
-    {rule.id for rule in ALL_RULES}
-    | {PRAGMA_RULE, PARSE_RULE}
-    | set(EFFECT_RULE_IDS)
-)
+#: Ids a pragma may name: the rules and the engine's pseudo-rules.
+KNOWN_RULE_IDS = {rule.id for rule in ALL_RULES} | {PRAGMA_RULE, PARSE_RULE}
 
 
 def rule_catalog() -> List[Dict[str, str]]:
@@ -65,13 +53,6 @@ def rule_catalog() -> List[Dict[str, str]]:
         }
         for rule in ALL_RULES
     ]
-    for rule_id in EFFECT_RULE_IDS:
-        catalog.append({
-            "id": rule_id,
-            "description": EFFECT_RULE_DESCRIPTIONS[rule_id],
-            "kind": "effect",
-            "severity": "error",
-        })
     catalog.append({
         "id": PRAGMA_RULE,
         "description": (
@@ -96,8 +77,6 @@ class LintResult:
 
     #: Findings that fail the run (not suppressed), sorted.
     findings: List[Finding] = field(default_factory=list)
-    #: Findings matched (and silenced) by the committed baseline.
-    baselined: List[Finding] = field(default_factory=list)
     #: Count of findings silenced by inline pragmas.
     pragma_suppressed: int = 0
     files_scanned: int = 0
@@ -124,11 +103,7 @@ class LintResult:
             },
             "files_scanned": self.files_scanned,
             "findings": [f.to_record() for f in self.findings],
-            "baselined": [f.to_record() for f in self.baselined],
-            "suppressed": {
-                "baseline": len(self.baselined),
-                "pragma": self.pragma_suppressed,
-            },
+            "suppressed": {"pragma": self.pragma_suppressed},
             "rules": rule_catalog(),
         }
 
@@ -140,14 +115,12 @@ class LintEngine:
         self,
         root: Path,
         lint_rules: Optional[Sequence[Rule]] = None,
-        baseline: Optional[Baseline] = None,
     ) -> None:
         #: Directory of the package to scan (e.g. ``.../src/repro``).
         self.root = Path(root)
         self.rules: List[Rule] = list(
             ALL_RULES if lint_rules is None else lint_rules
         )
-        self.baseline = baseline if baseline is not None else Baseline()
 
     # -- scanning ------------------------------------------------------------
 
@@ -268,11 +241,7 @@ class LintEngine:
             ):
                 result.pragma_suppressed += 1
                 continue
-            if not scoped(finding):
-                continue
-            if self.baseline.matches(finding):
-                result.baselined.append(finding)
-            else:
+            if scoped(finding):
                 result.findings.append(finding)
         return result
 

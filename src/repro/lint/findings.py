@@ -1,9 +1,6 @@
 """Finding records produced by the lint engine.
 
-A finding pins one rule violation to a ``file:line`` location.  The
-``fingerprint`` (rule, path, message — deliberately *not* the line
-number) is what the baseline file stores, so grandfathered findings
-survive unrelated edits that shift lines.
+A finding pins one rule violation to a ``file:line`` location.
 """
 
 from __future__ import annotations
@@ -28,16 +25,11 @@ class Finding:
     #: Human-readable description of the violation.
     message: str
     #: ``error`` findings fail the run; ``warn`` findings fail it only
-    #: under ``--fail-on-warn``.  Excluded from the fingerprint so a
-    #: severity recalibration does not invalidate baselines.
+    #: under ``--fail-on-warn``.
     severity: str = "error"
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def to_record(self) -> Dict[str, object]:
         """Machine-readable form for ``repro lint --json``."""

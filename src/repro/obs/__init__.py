@@ -26,8 +26,6 @@ which imports this package.  The CLI imports the session directly.
 
 from __future__ import annotations
 
-# repro-lint: disable-file=effect-race -- _GLOBAL is per-process recorder state: a worker inherits a private copy at fork and reports via return values, never through the parent's module
-
 from typing import Any, Dict, List, Optional
 
 from repro.obs.events import (

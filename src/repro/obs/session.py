@@ -65,8 +65,13 @@ def run_observed(
     trace: bool = False,
     sample_every_us: Optional[float] = None,
     trace_config: Optional[TraceConfig] = None,
+    params: Optional[Dict[str, object]] = None,
 ) -> ObservedExperiment:
-    """Run one registry experiment with the global recorder enabled."""
+    """Run one registry experiment with the global recorder enabled.
+
+    ``params`` override the spec's workload parameters, as in
+    :func:`engine.execute`.
+    """
     if experiment_id not in specs.SPECS:
         raise KeyError(f"unknown experiment: {experiment_id}")
     enable_global_observability(
@@ -76,7 +81,7 @@ def run_observed(
         trace_config=trace_config,
     )
     try:
-        result = engine.execute(specs.SPECS[experiment_id])
+        result = engine.execute(specs.SPECS[experiment_id], params)
         observed = drain_global_observed()
     finally:
         disable_global_observability()

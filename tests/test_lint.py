@@ -7,7 +7,8 @@ Three tiers:
 * mutation tests — delete a taxonomy entry / event-registry entry /
   suite registration from a *copy* of the real package and assert the
   closure rules fire (proving the gates are live, not vacuous);
-* self-clean — the shipped package lints clean, which is what CI gates.
+* self-clean and CLI — the shipped package lints clean, which is what
+  CI gates, and severities, exit codes and path scoping behave.
 """
 
 import json
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintEngine, Baseline, KNOWN_RULE_IDS, rule_catalog
-from repro.lint.cli import default_root, find_baseline
+from repro.lint import LintEngine, KNOWN_RULE_IDS, rule_catalog
+from repro.lint.cli import default_root
 from repro.lint.engine import ALL_RULES
 from repro.lint.pragmas import parse_pragmas
 
@@ -521,7 +522,7 @@ class TestInvariantRegistration:
         assert "check_htab" in finding.message
 
 
-# -- pragmas and baseline ----------------------------------------------------
+# -- pragmas -----------------------------------------------------------------
 
 
 class TestPragmas:
@@ -575,44 +576,6 @@ class TestPragmas:
         assert pragmas.suppresses("wall-clock", 99)
         assert not pragmas.suppresses("layering", 99)
         assert pragmas.problems == []
-
-
-class TestBaseline:
-    def test_round_trip_silences_findings(self, tmp_path):
-        files = {"kernel/a.py": "import time\nt = time.time()\n"}
-        root = build_tree(tmp_path, files)
-        first = LintEngine(root).run()
-        assert len(first.findings) == 1
-
-        baseline_path = tmp_path / "lint-baseline.json"
-        Baseline.write(baseline_path, first.findings)
-        second = LintEngine(
-            root, baseline=Baseline.load(baseline_path)
-        ).run()
-        assert second.findings == []
-        assert len(second.baselined) == 1
-
-    def test_baseline_matches_across_line_moves(self, tmp_path):
-        files = {"kernel/a.py": "import time\nt = time.time()\n"}
-        root = build_tree(tmp_path, files)
-        baseline_path = tmp_path / "lint-baseline.json"
-        Baseline.write(baseline_path, LintEngine(root).run().findings)
-
-        # Shift the violation down; the fingerprint is line-independent.
-        (root / "kernel/a.py").write_text(
-            "import time\n\n\nt = time.time()\n"
-        )
-        moved = LintEngine(
-            root, baseline=Baseline.load(baseline_path)
-        ).run()
-        assert moved.findings == []
-        assert len(moved.baselined) == 1
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "does-not-exist.json")
-        result = run_lint(tmp_path, {"kernel/a.py": "x = 1\n"})
-        assert result.findings == []
-        assert not any(baseline.matches(f) for f in result.findings)
 
 
 # -- mutation tests on the real tree -----------------------------------------
@@ -786,18 +749,34 @@ def run_cli(*argv):
 class TestSelfClean:
     def test_repo_lints_clean(self):
         """The acceptance gate: the shipped tree has zero findings."""
-        root = default_root()
-        baseline = Baseline.load(find_baseline(root))
-        result = LintEngine(root, baseline=baseline).run()
+        result = LintEngine(default_root()).run()
         assert result.findings == []
         assert result.files_scanned > 50
 
-    def test_committed_baseline_is_empty(self):
-        baseline_path = find_baseline(default_root())
-        if not baseline_path.exists():
-            pytest.skip("no committed baseline")
-        doc = json.loads(baseline_path.read_text())
-        assert doc["findings"] == []
+
+class TestSeverity:
+    def test_catalog_is_self_describing(self):
+        for entry in rule_catalog():
+            assert entry["severity"] in ("error", "warn")
+            assert entry["kind"] in ("file", "project", "pseudo")
+        by_id = {entry["id"]: entry for entry in rule_catalog()}
+        assert by_id["geometry-literal"]["severity"] == "warn"
+
+    def test_warn_findings_do_not_fail(self, tmp_path):
+        result = run_lint(tmp_path, {
+            "kernel/a.py": """\
+                def page_index(ea):
+                    return (ea >> 12) & 0xFFFF
+            """,
+        })
+        assert result.ok  # warn-only trees pass by default
+        assert result.warnings and not result.errors
+        record = result.to_record()
+        assert record["counts"]["error"] == 0
+        assert record["counts"]["warn"] == len(result.warnings)
+        assert all(
+            f["severity"] == "warn" for f in record["findings"]
+        )
 
 
 class TestCli:
@@ -819,7 +798,7 @@ class TestCli:
         root = build_tree(tmp_path, {
             "kernel/a.py": "import time\nt = time.time()\n",
         })
-        proc = run_cli("--root", str(root), "--no-baseline")
+        proc = run_cli("--root", str(root))
         assert proc.returncode == 1
         assert "[wall-clock]" in proc.stdout
 
@@ -828,34 +807,40 @@ class TestCli:
             "kernel/a.py": "import time\nt = time.time()\n",
             "sim/b.py": "import time\nt = time.time()\n",
         })
-        proc = run_cli("--root", str(root), "--no-baseline",
-                       str(root / "kernel"))
+        proc = run_cli("--root", str(root), str(root / "kernel"))
         assert proc.returncode == 1
         assert "kernel/a.py" in proc.stdout
         assert "sim/b.py" not in proc.stdout
 
-    def test_unknown_path_is_usage_error(self):
-        proc = run_cli("no/such/path.py")
-        assert proc.returncode == 2
+    def test_unknown_path_is_usage_error(self, tmp_path):
+        """A missing path, and one outside the package that would filter
+        every finding away, both fail as usage errors."""
+        outside = tmp_path / "README.md"
+        outside.write_text("not part of the package\n")
+        for raw in ("no/such/path.py", str(outside)):
+            proc = run_cli(raw)
+            assert proc.returncode == 2, proc.stdout + proc.stderr
+            assert raw in proc.stderr
 
-    def test_write_baseline_then_clean(self, tmp_path):
+    def test_fail_on_warn(self, tmp_path):
         root = build_tree(tmp_path, {
-            "kernel/a.py": "import time\nt = time.time()\n",
+            "kernel/a.py": """\
+                def page_index(ea):
+                    return (ea >> 12) & 0xFFFF
+            """,
         })
-        baseline = tmp_path / "baseline.json"
-        wrote = run_cli("--root", str(root), "--baseline", str(baseline),
-                        "--write-baseline")
-        assert wrote.returncode == 0
-        assert json.loads(baseline.read_text())["findings"]
-        clean = run_cli("--root", str(root), "--baseline", str(baseline))
-        assert clean.returncode == 0
+        lenient = run_cli("--root", str(root))
+        assert lenient.returncode == 0, lenient.stdout + lenient.stderr
+        strict = run_cli("--root", str(root), "--fail-on-warn")
+        assert strict.returncode == 1
+        assert "warn" in strict.stdout
 
 
 @pytest.mark.skipif(shutil.which("mypy") is None,
                     reason="mypy not installed")
 def test_mypy_clean_over_lint_package():
     """CI installs mypy; locally this runs only where mypy exists."""
-    repo_root = find_baseline(default_root()).parent
+    repo_root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [shutil.which("mypy"), "src/repro"],
         capture_output=True, text=True, cwd=repo_root,

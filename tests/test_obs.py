@@ -19,7 +19,8 @@ import pytest
 
 from repro import __main__ as cli
 from repro import obs
-from repro.analysis import engine, specs
+from repro.analysis import specs
+from repro.check import parity
 from repro.kernel.config import KernelConfig
 from repro.obs import metrics
 from repro.obs import session as obs_session
@@ -241,7 +242,7 @@ class TestGlobalObservability:
 
 
 class TestObservedExperiments:
-    """Experiment-level parity: the ISSUE's acceptance matrix."""
+    """Experiment-level parity: observed runs equal the bare run."""
 
     @pytest.mark.parametrize("experiment_id,params", [
         ("E2", {"units": 2}),
@@ -249,29 +250,11 @@ class TestObservedExperiments:
         ("E7", {"rounds": 60}),
     ], ids=["E2", "E6", "E7"])
     def test_traced_run_bit_identical(self, experiment_id, params):
-        spec = specs.SPECS[experiment_id]
-        baseline = []
-        obs.enable_global_observability(profile=True)
-        try:
-            bare = engine.execute(spec, params)
-            baseline = [
-                (o.machine.spec.name, o.machine.clock.total, o.counters())
-                for o in obs.drain_global_observed()
-            ]
-        finally:
-            obs.disable_global_observability()
-        obs.enable_global_observability(profile=True, trace=True,
-                                        sample_every_us=500)
-        try:
-            traced = engine.execute(spec, params)
-            watched = [
-                (o.machine.spec.name, o.machine.clock.total, o.counters())
-                for o in obs.drain_global_observed()
-            ]
-        finally:
-            obs.disable_global_observability()
-        assert bare.measured == traced.measured
-        assert baseline == watched
+        """``repro run``'s recorder, ``repro trace``'s and ``repro
+        check``'s sanitizer each leave every output of the bare run."""
+        assert parity.compare(experiment_id, params) == {
+            mode: [] for mode in parity.MODES
+        }
 
     def test_run_observed_record(self):
         observed = obs_session.run_observed("E1")
