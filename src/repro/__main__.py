@@ -3,23 +3,24 @@
 Subcommands:
 
 * ``list`` — show the experiment registry (DESIGN.md's E1..E21 index).
-* ``run E6 E11 ...`` — run experiments and print their reports, each
-  with its paper-claims block (``--json`` for machine-readable records);
+* ``run E6 E11 ...`` — run experiments through the engine and print
+  their reports, each with its paper-claims block, or with ``--json``
+  their bench records (one object for one id, a list for several);
   exit 1 when any claim's gate fails.  ``--all`` runs the whole
   registry, ``--jobs N`` fans it out across processes (output is
   byte-identical to serial), ``--no-cache``/``--rerun`` control the
-  on-disk result cache, ``--matrix NAME`` runs a config-matrix sweep,
-  and ``--bench-out FILE`` writes the bench doc (the one producer of
-  ``BENCH_baseline.json``-style artifacts; byte-identical across
-  ``--jobs``).
+  on-disk result cache, and ``--bench-out FILE`` writes the bench doc
+  (the one producer of ``BENCH_baseline.json``-style artifacts;
+  byte-identical across ``--jobs``).
 * ``check [E6 ...|--all]`` — run experiments under the shadow-MMU
   coherence sanitizer and report invariant violations.
 * ``trace E7 --out e7.trace.json`` — run one experiment under the flight
   recorder and write a Chrome trace (open it in Perfetto).
   ``--folded``/``--speedscope`` additionally export flamegraphs
   (collapsed stacks / speedscope JSON) and print the critical path.
-* ``profile E6 ...`` — run experiments and print where the cycles went
-  (every CPU's ledger; host time is ``perfbench/``'s to measure).
+* ``profile E6 ...`` — run experiments and print where the cycles went:
+  each record's attribution (every CPU's ledger; host time is
+  ``perfbench/``'s to measure).
 * ``diff A.json B.json`` / ``diff E7 --variant "no reclaim,idle
   reclaim"`` — structural comparison of two bench artifacts, or of two
   config variants of one experiment run under the recorder.
@@ -28,16 +29,11 @@ Subcommands:
   exit 1 on any changed, missing or extra leaf.  Every revision's
   baseline is in git, so ``bench compare <(git show
   REV:BENCH_baseline.json) BENCH_baseline.json`` compares any two.
-* ``capacity`` — sweep offered load across flush/shootdown strategies
-  with the open-loop service workload and print the throughput-vs-p99
-  capacity table (``--json``/``--out`` for the machine-readable
-  document).
-* ``report --out report.html`` — render the observatory dashboard (a
-  deterministic, self-contained HTML file; ``--capacity`` adds the
-  capacity curves).
+* ``report --from BENCH.json --out report.html`` — render a bench doc
+  as the observatory dashboard (a deterministic, self-contained HTML
+  file; E21's record adds the capacity curves).
 * ``lint [paths...]`` — run the domain-aware static analysis over the
   package (``--list-rules`` for the rule catalog).
-* ``table1`` / ``table2`` / ``table3`` — shortcuts for the paper's tables.
 * ``machines`` — show the modelled machines and their derived timings.
 """
 
@@ -92,10 +88,6 @@ def _cmd_list(_args) -> int:
         workload = specs.SPECS[experiment_id].workload
         doc = (workload.__doc__ or "").strip().splitlines()[0]
         print(f"  {experiment_id:<4} {doc}")
-    print()
-    print("config-matrix sweeps (run --matrix NAME):")
-    for matrix in specs.MATRICES.values():
-        print(f"  {matrix.id:<14} {matrix.title}")
     return 0
 
 
@@ -115,19 +107,15 @@ def _resolve_ids(args) -> "Optional[list]":
 
 
 def _cmd_run(args) -> int:
-    if args.matrix:
-        return _cmd_run_matrix(args)
     ids = _resolve_ids(args)
     if ids is None:
         return 2
     if not ids:
-        print("no experiments given (pass ids, --all, or --matrix NAME)",
-              file=sys.stderr)
+        print("no experiments given (pass ids or --all)", file=sys.stderr)
         return 2
-    if args.json:
-        return _cmd_run_json(args, ids)
     from repro.analysis import engine
     from repro.analysis.tables import format_claims
+    from repro.obs import metrics
 
     progress = None
     if args.jobs > 1:
@@ -143,60 +131,30 @@ def _cmd_run(args) -> int:
         rerun=args.rerun,
         progress=progress,
     )
-    for result in run.results:
-        print(result.report)
-        print("\n".join(format_claims(result.claims)))
-        if result.notes:
-            print(f"  notes: {result.notes}")
-        print(f"  shape_holds: {result.shape_holds}")
-        print()
+    records = [engine.result_record(result) for result in run.results]
+    if args.json:
+        print(metrics.dumps(records[0] if len(records) == 1 else records),
+              end="")
+    else:
+        for result in run.results:
+            print(result.report)
+            print("\n".join(format_claims(result.claims)))
+            if result.notes:
+                print(f"  notes: {result.notes}")
+            print(f"  shape_holds: {result.shape_holds}")
+            print()
     if args.bench_out:
-        _write_bench_artifact(args.bench_out, run)
+        doc = metrics.bench_doc(records)
+        metrics.validate_bench_doc(doc)
+        with open(args.bench_out, "w") as handle:
+            handle.write(metrics.dumps(doc))
+        print(f"bench artifact -> {args.bench_out}", file=sys.stderr)
     if not run.ok:
-        print(f"paper shape did NOT hold for: {', '.join(run.failed_ids())}")
+        failed = ", ".join(run.failed_ids())
+        print(f"paper shape did NOT hold for: {failed}",
+              file=sys.stderr if args.json else sys.stdout)
         return 1
     return 0
-
-
-def _write_bench_artifact(out_path, run) -> None:
-    from repro.analysis import engine
-    from repro.obs import metrics
-
-    doc = metrics.bench_doc(
-        [engine.result_record(result) for result in run.results]
-    )
-    metrics.validate_bench_doc(doc)
-    with open(out_path, "w") as handle:
-        handle.write(metrics.dumps(doc))
-    print(f"bench artifact -> {out_path}", file=sys.stderr)
-
-
-def _cmd_run_matrix(args) -> int:
-    for name in args.matrix:
-        if name not in specs.MATRICES:
-            known = ", ".join(sorted(specs.MATRICES))
-            print(f"unknown matrix {name!r} (known: {known})",
-                  file=sys.stderr)
-            return 2
-    for name in args.matrix:
-        print(specs.MATRICES[name].run())
-        print()
-    return 0
-
-
-def _cmd_run_json(args, ids) -> int:
-    from repro.obs import metrics
-    from repro.obs import session as obs_session
-
-    records = []
-    ok = True
-    for key in ids:
-        observed = obs_session.run_observed(key)
-        records.append(observed.record())
-        ok = ok and observed.result.shape_holds
-    doc = records[0] if len(records) == 1 else records
-    print(metrics.dumps(doc), end="")
-    return 0 if ok else 1
 
 
 def _cmd_check(args) -> int:
@@ -230,7 +188,6 @@ def _cmd_check(args) -> int:
 def _cmd_trace(args) -> int:
     import json
 
-    from repro.obs import metrics
     from repro.obs import session as obs_session
 
     key = args.id.upper()
@@ -238,6 +195,8 @@ def _cmd_trace(args) -> int:
         print(f"unknown experiment {args.id!r} "
               f"(try: python -m repro list)", file=sys.stderr)
         return 2
+    if args.out is None:
+        args.out = f"{key}.trace.json"
     observed = obs_session.run_observed(
         key, trace=True, sample_every_us=args.sample_us
     )
@@ -273,33 +232,21 @@ def _cmd_trace(args) -> int:
         print()
         print(flame.render_critical_path(flame.critical_path(tracers)),
               end="")
-    if args.json:
-        print(metrics.dumps(observed.record()), end="")
     return 0
 
 
 def _cmd_profile(args) -> int:
-    from repro.obs import metrics
-    from repro.obs import session as obs_session
+    from repro.analysis import engine
     from repro.obs.profiler import render_attribution
 
-    records = []
-    for experiment_id in args.ids:
-        key = experiment_id.upper()
-        if key not in specs.SPECS:
-            print(f"unknown experiment {experiment_id!r} "
-                  f"(try: python -m repro list)", file=sys.stderr)
-            return 2
-        record = obs_session.run_observed(key).record()
-        if args.json:
-            records.append(record)
-            continue
-        title = f"{key} — {record['title']} [{record['machine']}]"
+    ids = _resolve_ids(args)
+    if ids is None:
+        return 2
+    for result in engine.run_ids(ids).results:
+        record = engine.result_record(result)
+        title = f"{record['id']} — {record['title']} [{record['machine']}]"
         print(render_attribution(record["attribution"], title))
         print()
-    if args.json:
-        doc = records[0] if len(records) == 1 else records
-        print(metrics.dumps(doc), end="")
     return 0
 
 
@@ -318,11 +265,22 @@ def _cmd_diff(args) -> int:
     docs = []
     for path in (args.a, args.b):
         try:
-            docs.append(json.loads(open(path).read()))
+            with open(path) as handle:
+                doc = json.load(handle)
         except (OSError, ValueError) as exc:
             print(f"diff: {path}: {exc}", file=sys.stderr)
             return 2
-    if all(isinstance(doc, dict) and "experiments" in doc for doc in docs):
+        if not isinstance(doc, dict):
+            print(f"diff: {path}: a JSON {type(doc).__name__}, not a record "
+                  "or a bench doc", file=sys.stderr)
+            return 2
+        docs.append(doc)
+    bench_docs = ["experiments" in doc for doc in docs]
+    if bench_docs[0] != bench_docs[1]:
+        print(f"diff: {args.a} and {args.b}: one is a bench doc, the other "
+              "a record", file=sys.stderr)
+        return 2
+    if all(bench_docs):
         for path, doc in zip((args.a, args.b), docs):
             try:
                 metrics.validate_bench_doc(doc)
@@ -408,88 +366,30 @@ def _cmd_bench(args) -> int:
     return 0 if verdict["ok"] else 1
 
 
-def _cmd_capacity(args) -> int:
-    from repro.analysis import capacity as cap
-    from repro.obs import metrics
-
-    try:
-        doc = cap.capacity_sweep(
-            loads=args.loads or cap.DEFAULT_LOADS,
-            strategies=args.strategies or cap.DEFAULT_STRATEGIES,
-            n_cpus=args.cpus,
-            requests=args.requests,
-            seed=args.seed,
-            schedule=args.schedule,
-        )
-        cap.validate_capacity_doc(doc)
-    except ValueError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(metrics.dumps(doc))
-        print(f"capacity -> {args.out}", file=sys.stderr)
-    if args.json:
-        print(metrics.dumps(doc), end="")
-    else:
-        print(cap.render_capacity(doc), end="")
-    return 0
-
-
 def _cmd_report(args) -> int:
+    from repro.analysis.capacity import validate_capacity_doc
     from repro.obs import metrics
     from repro.obs import report as obs_report
 
-    if args.from_doc:
+    try:
+        doc = metrics.load_bench_doc(args.from_doc)
+    except (OSError, ValueError) as exc:
+        print(f"report: {exc}", file=sys.stderr)
+        return 2
+    capacity = obs_report.capacity_doc(doc)
+    if capacity is not None:
         try:
-            doc = metrics.load_bench_doc(args.from_doc)
-        except (OSError, ValueError) as exc:
-            print(f"report: {exc}", file=sys.stderr)
+            validate_capacity_doc(capacity)
+        except ValueError as exc:
+            print(f"report: {args.from_doc}: "
+                  f"{obs_report.CAPACITY_EXPERIMENT} capacity: {exc}",
+                  file=sys.stderr)
             return 2
-    else:
-        from repro.analysis import engine
-
-        if not args.ids:
-            args.all = True
-        ids = _resolve_ids(args)
-        if ids is None:
-            return 2
-        progress = None
-        if args.jobs > 1:
-            progress = lambda key, hit: print(
-                f"  {key} {'cached' if hit else 'done'}", file=sys.stderr
-            )
-        run = engine.run_ids(
-            ids,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            rerun=args.rerun,
-            progress=progress,
-        )
-        doc = metrics.bench_doc(
-            [engine.result_record(result) for result in run.results],
-            source="python -m repro report",
-        )
-        metrics.validate_bench_doc(doc)
-    capacity_doc = None
-    if args.capacity:
-        import json as json_module
-
-        from repro.analysis import capacity as cap
-
-        try:
-            with open(args.capacity) as handle:
-                capacity_doc = json_module.load(handle)
-            cap.validate_capacity_doc(capacity_doc)
-        except (OSError, ValueError) as exc:
-            print(f"report: {args.capacity}: {exc}", file=sys.stderr)
-            return 2
-    html = obs_report.render_report(doc, title=args.title,
-                                    capacity=capacity_doc)
+    html = obs_report.render_report(doc, title=args.title)
     with open(args.out, "w") as handle:
         handle.write(html)
     print(f"report -> {args.out} ({len(html)} bytes, "
-          f"{len(doc.get('experiments', []))} experiments)", file=sys.stderr)
+          f"{len(doc['experiments'])} experiments)", file=sys.stderr)
     return 0
 
 
@@ -546,17 +446,12 @@ def main(argv=None) -> int:
         help="force execution but refresh the cache with the results",
     )
     run.add_argument(
-        "--matrix", action="append", default=[], metavar="NAME",
-        help="run a config-matrix sweep instead of registry experiments "
-             "(vsid-scatter, flush-cutoff; repeatable)",
-    )
-    run.add_argument(
         "--bench-out", default=None, metavar="FILE",
         help="write the bench doc (BENCH_baseline.json format)",
     )
     run.add_argument(
         "--json", action="store_true",
-        help="print machine-readable records instead of prose reports",
+        help="print the bench records instead of prose reports",
     )
     chk = sub.add_parser(
         "check", help="run experiments under the shadow-MMU sanitizer"
@@ -599,18 +494,10 @@ def main(argv=None) -> int:
         help="also write a speedscope evented-profile JSON "
              "and print the critical path",
     )
-    trc.add_argument(
-        "--json", action="store_true",
-        help="also print the experiment's metrics record",
-    )
     prf = sub.add_parser(
         "profile", help="run experiments and print the cycle attribution"
     )
     prf.add_argument("ids", nargs="+", metavar="EXPERIMENT")
-    prf.add_argument(
-        "--json", action="store_true",
-        help="print machine-readable records instead of tables",
-    )
     dff = sub.add_parser(
         "diff", help="compare two bench artifacts or two config variants"
     )
@@ -656,72 +543,12 @@ def main(argv=None) -> int:
         "--out", default=None, metavar="FILE",
         help="also write the verdict record to FILE (CI artifact)",
     )
-    cap = sub.add_parser(
-        "capacity",
-        help="sweep offered load per flush strategy (capacity curves)",
-    )
-    cap.add_argument(
-        "--loads", type=_positive_number, nargs="+", metavar="REQ_PER_S",
-        default=None,
-        help="offered-load ladder in requests per simulated second, "
-             "monotone ascending (default: 2000 6000 12000)",
-    )
-    cap.add_argument(
-        "--strategies", nargs="+", metavar="NAME", default=None,
-        help="shootdown strategies to sweep (default: broadcast "
-             "mmap_reuse)",
-    )
-    cap.add_argument(
-        "--requests", type=_positive_int, default=120, metavar="N",
-        help="requests per sweep point (default 120)",
-    )
-    cap.add_argument(
-        "--seed", type=int, default=20, metavar="SEED",
-        help="arrival-schedule seed (default 20)",
-    )
-    cap.add_argument(
-        "--schedule", default="exponential", metavar="KIND",
-        choices=("exponential", "uniform", "burst"),
-        help="interarrival schedule kind (default exponential)",
-    )
-    cap.add_argument(
-        "--cpus", type=_positive_int, default=2, metavar="N",
-        help="CPUs in the simulated machine (default 2)",
-    )
-    cap.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable capacity document",
-    )
-    cap.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the capacity document to FILE (feeds "
-             "'report --capacity')",
-    )
     rpt = sub.add_parser(
-        "report", help="render the observatory dashboard HTML"
-    )
-    rpt.add_argument("ids", nargs="*", metavar="EXPERIMENT",
-                     help="experiments to include (default: all)")
-    rpt.add_argument("--all", action="store_true",
-                     help="include the full registry")
-    rpt.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="fan experiments out across N worker processes "
-             "(the report is byte-identical regardless)",
-    )
-    rpt.add_argument("--no-cache", action="store_true",
-                     help="disable the on-disk result cache")
-    rpt.add_argument("--rerun", action="store_true",
-                     help="force execution but refresh the cache")
-    rpt.add_argument(
-        "--from", dest="from_doc", default=None, metavar="FILE",
-        help="render an existing bench artifact instead of running "
-             "experiments",
+        "report", help="render a bench doc as the observatory dashboard"
     )
     rpt.add_argument(
-        "--capacity", default=None, metavar="FILE",
-        help="capacity document (from 'capacity --out'); adds the "
-             "throughput-vs-p99 capacity-curve section",
+        "--from", dest="from_doc", required=True, metavar="FILE",
+        help="the bench doc to render (from 'run --bench-out')",
     )
     rpt.add_argument("--out", default="report.html", metavar="FILE",
                      help="output HTML path (default report.html)")
@@ -752,41 +579,16 @@ def main(argv=None) -> int:
         "--fail-on-warn", action="store_true",
         help="exit non-zero on warn-severity findings too",
     )
-    sub.add_parser("table1", help="reproduce Table 1")
-    sub.add_parser("table2", help="reproduce Table 2")
-    sub.add_parser("table3", help="reproduce Table 3")
     sub.add_parser("machines", help="show the modelled machines")
     args = parser.parse_args(argv)
 
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "trace":
-        if args.out is None:
-            args.out = f"{args.id.upper()}.trace.json"
-        return _cmd_trace(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "capacity":
-        return _cmd_capacity(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "machines":
-        return _cmd_machines(args)
-    shortcut = {"table1": "E5", "table2": "E6", "table3": "E11"}
-    return _cmd_run(argparse.Namespace(
-        ids=[shortcut[args.command]], all=False, jobs=1, no_cache=False,
-        rerun=False, matrix=[], bench_out=None, json=False,
-    ))
+    commands = {
+        "list": _cmd_list, "run": _cmd_run, "check": _cmd_check,
+        "trace": _cmd_trace, "profile": _cmd_profile, "diff": _cmd_diff,
+        "bench": _cmd_bench, "report": _cmd_report, "lint": _cmd_lint,
+        "machines": _cmd_machines,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

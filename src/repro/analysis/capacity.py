@@ -10,7 +10,9 @@ alongside (the paper's §7 pressure, measured request-side).
 
 The sweep document is deterministic: every point is a seeded run on a
 freshly booted simulator, and the renderer is a pure function of the
-document — ``repro capacity`` twice produces byte-identical output.
+document.  E21 runs the default sweep and carries its document as
+``measured["capacity"]``, which the dashboard draws; call
+:func:`capacity_sweep` directly for a custom ladder.
 """
 
 from __future__ import annotations
@@ -133,8 +135,14 @@ def validate_capacity_doc(doc: Dict[str, Any]) -> Dict[str, int]:
             f"{doc.get('schema') if isinstance(doc, dict) else doc!r}"
         )
     loads = doc.get("loads")
-    if not isinstance(loads, list) or not loads:
-        raise ValueError("capacity doc needs a non-empty 'loads' ladder")
+    if not isinstance(loads, list) or not loads or not all(
+        isinstance(load, (int, float)) and not isinstance(load, bool)
+        for load in loads
+    ):
+        raise ValueError(
+            f"capacity doc needs a non-empty 'loads' ladder of numbers: "
+            f"{loads!r}"
+        )
     if loads != sorted(loads) or len(set(loads)) != len(loads):
         raise ValueError(f"capacity loads must be monotone ascending: {loads}")
     curves = doc.get("curves")
@@ -142,6 +150,8 @@ def validate_capacity_doc(doc: Dict[str, Any]) -> Dict[str, int]:
         raise ValueError("capacity doc needs a non-empty 'curves' list")
     counts = {"curves": 0, "points": 0}
     for curve in curves:
+        if not isinstance(curve, dict):
+            raise ValueError(f"malformed curve: {curve!r}")
         strategy = curve.get("strategy")
         points = curve.get("points")
         if not isinstance(strategy, str) or not isinstance(points, list):
@@ -152,6 +162,10 @@ def validate_capacity_doc(doc: Dict[str, Any]) -> Dict[str, int]:
                 f"{len(loads)} loads"
             )
         for index, point in enumerate(points):
+            if not isinstance(point, dict):
+                raise ValueError(
+                    f"curve {strategy!r} point {index} is not an object"
+                )
             for field in CAPACITY_POINT_FIELDS:
                 if field not in point:
                     raise ValueError(
@@ -200,7 +214,7 @@ _TABLE_COLUMNS = (
 
 
 def render_capacity(doc: Dict[str, Any]) -> str:
-    """The sweep as an aligned text table (printed by ``repro capacity``).
+    """The sweep as an aligned text table (printed in E21's report).
 
     Pure function of the document — byte-deterministic.
     """

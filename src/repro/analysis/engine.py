@@ -54,9 +54,9 @@ def execute(
     session wrap with their own hooks.  ``derive=True`` runs the
     workload under the flight recorder and attaches the observatory's
     ``derived`` block to the result; it is a no-op when a global
-    recorder is already active (the outer caller owns the handles then,
-    e.g. ``repro trace`` or ``repro profile``).  Deriving never
-    changes the measured numbers — the recorder is zero-perturbation.
+    recorder is already active (the outer caller owns the handles
+    then).  Deriving never changes the measured numbers — the recorder
+    is zero-perturbation.
     """
     if derive and not obs.global_obs_active():
         return _execute_derived(spec, params)
@@ -222,7 +222,9 @@ def run_ids(
 def result_record(result: ExperimentResult) -> Dict[str, object]:
     """A deterministic bench record built from the result alone.
 
-    A thin wrapper over the one record builder
+    Every record the CLI prints or writes comes from here: ``repro run
+    --json``, ``--bench-out`` and ``repro profile`` render what
+    :func:`run_ids` returns.  A thin wrapper over the one record builder
     (:func:`repro.obs.metrics.experiment_record`), which lifts total
     cycles / machines / attribution from the ``derived`` block the
     engine always attaches — so cold-cache and warm-cache runs emit

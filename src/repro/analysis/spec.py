@@ -255,27 +255,6 @@ class ExperimentSpec:
     notes: str = ""
 
 
-@dataclass
-class MatrixSpec:
-    """A first-class config-matrix sweep (``repro run --matrix NAME``).
-
-    The paper tuned its constants by sweeping them against an
-    instrument (§5.2's miss histogram, §7's cutoff); a MatrixSpec
-    packages one such sweep — the axis values and the per-point
-    measurement — so the tuning process itself runs through the engine
-    instead of living in copy-pasted example loops.
-    """
-
-    #: Sweep name (``vsid-scatter``, ``flush-cutoff``).
-    id: str
-    title: str
-    #: What the axis varies, for the report header.
-    axis: str
-    #: Runs the sweep and returns the rendered report.
-    run: Callable[[], str]
-    notes: str = ""
-
-
 def experiment_sort_key(experiment_id: str) -> int:
     """Numeric ordering for registry ids (E1, E2, ..., E21)."""
     return int(experiment_id[1:])

@@ -30,7 +30,6 @@ from repro.analysis.spec import (
     ConfigVariant,
     ExperimentSpec,
     KeyPath,
-    MatrixSpec,
     Measurement,
     experiment_sort_key,
     lookup,
@@ -2025,70 +2024,3 @@ def sorted_ids(ids: Optional[Sequence[str]] = None) -> List[str]:
     """Registry IDs in numeric order (E1, E2, ..., E21)."""
     return sorted(ids if ids is not None else SPECS, key=experiment_sort_key)
 
-
-# ---------------------------------------------------------------------------
-# Matrix sweeps (repro run --matrix NAME)
-# ---------------------------------------------------------------------------
-
-
-def _run_vsid_matrix() -> str:
-    from repro.analysis.sweep import ascii_bars, sweep_vsid_scatter
-
-    constants = (2048, 256, 16, 13, 37, 111)
-    points = sweep_vsid_scatter(constants, processes=16, pages_per_process=240)
-    lines = [
-        "matrix vsid-scatter — §5.2 hash-table health vs scatter constant",
-        f"  {'constant':<10}{'pow2':<6}{'occupancy':>10}{'evicts':>8}"
-        f"{'hot-spot':>10}{'entropy':>9}",
-    ]
-    for point in points:
-        lines.append(
-            f"  {point.constant:<10}{'yes' if point.is_power_of_two else 'no':<6}"
-            f"{point.occupancy:9.1%}{point.evicts:8d}"
-            f"{point.hot_spot_ratio:10.1f}{point.entropy:9.2f}"
-        )
-    lines.append("")
-    lines.append(
-        ascii_bars(
-            [str(point.constant) for point in points],
-            [point.occupancy for point in points],
-        )
-    )
-    return "\n".join(lines)
-
-
-def _run_cutoff_matrix() -> str:
-    from repro.analysis.sweep import ascii_bars, sweep_flush_cutoff
-
-    cutoffs: Tuple[Optional[int], ...] = (None, 5, 10, 20, 50, 200, 10**6)
-    points = sweep_flush_cutoff(cutoffs)
-    labels = [
-        "search" if point.cutoff is None else f"cutoff {point.cutoff}"
-        for point in points
-    ]
-    lines = [
-        "matrix flush-cutoff — §7 lat_mmap (4MB) vs range-flush cutoff",
-    ]
-    lines.append(
-        ascii_bars(labels, [point.mmap_us for point in points])
-    )
-    lines.append("  (us per mmap+munmap pair; lower is better)")
-    return "\n".join(lines)
-
-
-#: Named config-matrix sweeps: the paper's tuning instruments as
-#: first-class engine citizens.
-MATRICES: Dict[str, MatrixSpec] = {
-    "vsid-scatter": MatrixSpec(
-        id="vsid-scatter",
-        title="§5.2 VSID scatter constant sweep",
-        axis="vsid_scatter_constant",
-        run=_run_vsid_matrix,
-    ),
-    "flush-cutoff": MatrixSpec(
-        id="flush-cutoff",
-        title="§7 range-flush cutoff sweep",
-        axis="range_flush_cutoff",
-        run=_run_cutoff_matrix,
-    ),
-}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.analysis.spec import CLAIM_FIELDS, STATUSES
 
@@ -53,23 +53,21 @@ def json_safe(value: Any) -> Any:
     return str(value)
 
 
-def experiment_record(result: Any, spec: Any = None,
-                      derived: Optional[Dict] = None) -> Dict:
+def experiment_record(result: Any, spec: Any) -> Dict:
     """One structured record for an :class:`ExperimentResult`.
 
-    The *only* bench-record builder: the engine (``repro run
-    --bench-out``, ``repro report``) and the obs session (``repro run
-    --json``, ``repro profile``) both funnel through here, so every
-    record carries the same field set (:data:`RECORD_REQUIRED`).
+    The *only* bench-record builder, reached through
+    :func:`repro.analysis.engine.result_record`: ``repro run --json``,
+    ``repro run --bench-out`` and ``repro profile`` all render the
+    records it builds, so every record carries the same field set
+    (:data:`RECORD_REQUIRED`).
 
     Total cycles, machines, simulator count and the cycle attribution
-    are lifted from the ``derived`` block — the result's own, or the
-    one the caller derived from its drained recorder handles — which
-    sums every CPU's ledger and profiler.  ``spec`` supplies the
-    registry metadata (section, variants) the result itself does not
-    carry; callers that can reach the registry pass it.
+    are lifted from the result's ``derived`` block, which sums every
+    CPU's ledger and profiler.  ``spec`` supplies the registry metadata
+    (section, variants) the result itself does not carry.
     """
-    block = json_safe(result.derived if derived is None else derived)
+    block = json_safe(result.derived)
     machines = list(block.get("machines", []))
     record = {
         "id": result.experiment,
@@ -83,10 +81,9 @@ def experiment_record(result: Any, spec: Any = None,
         "claims": json_safe(result.claims),
         "attribution": dict(block.get("attribution", {}).get("cycles", {})),
         "derived": block,
+        "section": spec.section,
+        "variants": [variant.label for variant in spec.variants],
     }
-    if spec is not None:
-        record["section"] = spec.section
-        record["variants"] = [variant.label for variant in spec.variants]
     if result.notes:
         record["notes"] = result.notes
     return record
@@ -100,14 +97,14 @@ def dumps(record: Any) -> str:
 # -- the bench doc ----------------------------------------------------------
 
 
-def bench_doc(
-    records: List[Dict],
-    source: str = "python -m repro run --bench-out",
-) -> Dict:
-    """The bench document for a list of records in registry order."""
+def bench_doc(records: List[Dict]) -> Dict:
+    """The bench document for a list of records in registry order.
+
+    ``repro run --bench-out`` is its one producer, as ``source`` says.
+    """
     return {
         "schema_version": BENCH_SCHEMA,
-        "source": source,
+        "source": "python -m repro run --bench-out",
         "experiments": records,
         "summary": {
             "experiments": len(records),

@@ -1,9 +1,9 @@
 """The observatory dashboard: one self-contained, deterministic HTML.
 
 ``repro report`` renders a bench doc (every record carrying a
-``derived`` block) into a single HTML file with no external assets —
-inline CSS and inline SVG only, so the artifact opens anywhere and can
-be diffed byte-for-byte.  Determinism is a contract: the renderer is a
+``derived`` block), and nothing else, into a single HTML file with no
+external assets — inline CSS and inline SVG only, so the artifact opens
+anywhere and can be diffed byte-for-byte.  Determinism is a contract: the renderer is a
 pure function of the input document, never consults the clock or the
 environment, and the bench doc itself holds no host time — so
 repeated runs (and ``--jobs 1`` vs ``--jobs 4``) produce
@@ -14,7 +14,8 @@ cycle-attribution bar, latency percentile tables for the traced path
 categories, the occupancy/zombie timeline polyline, and the §5.2
 hash-table histograms, and each record's paper claims (paper value,
 measured value, status).  The experiments behind the paper's Tables 1–3
-(E5, E6, E11) are flagged as such.
+(E5, E6, E11) are flagged as such, and E21's capacity sweep gets a
+section of its own.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from repro.obs.profiler import DISPLAY_ORDER
 
 #: Experiments reproducing the paper's numbered tables.
 PAPER_TABLES = {"E5": "Table 1", "E6": "Table 2", "E11": "Table 3"}
+
+#: The experiment whose measured ``capacity`` is a capacity-sweep doc.
+CAPACITY_EXPERIMENT = "E21"
 
 #: Stacked-bar palette, one color per display-order path category.
 CATEGORY_COLORS = {
@@ -361,6 +365,18 @@ def _summary_table(records: List[Dict]) -> str:
     return "".join(rows)
 
 
+def capacity_doc(doc: Dict) -> Optional[Dict]:
+    """The capacity sweep in the doc's E21 record; None without E21.
+
+    A record that lacks the block yields ``{}``, which the capacity-doc
+    validator rejects.
+    """
+    for record in doc.get("experiments", []):
+        if record.get("id") == CAPACITY_EXPERIMENT:
+            return record.get("measured", {}).get("capacity", {})
+    return None
+
+
 def _capacity_section(capacity: Dict) -> str:
     """The request-level capacity curves: one table + p99 sparklines.
 
@@ -411,13 +427,12 @@ def _capacity_section(capacity: Dict) -> str:
     return "".join(parts)
 
 
-def render_report(doc: Dict, title: Optional[str] = None,
-                  capacity: Optional[Dict] = None) -> str:
+def render_report(doc: Dict, title: Optional[str] = None) -> str:
     """The full dashboard HTML for a validated bench doc.
 
-    ``capacity`` (a :func:`repro.analysis.capacity.capacity_sweep`
-    document) adds the request-level capacity curves between the
-    summary table and the per-experiment sections.
+    A doc with an E21 record gets its request-level capacity curves
+    (:func:`capacity_doc`) between the summary table and the
+    per-experiment sections.
     """
     records = doc.get("experiments", [])
     summary = doc.get("summary", {})
@@ -434,6 +449,7 @@ def render_report(doc: Dict, title: Optional[str] = None,
         "(repro.obs)</p>",
         _summary_table(records),
     ]
+    capacity = capacity_doc(doc)
     if capacity is not None:
         parts.append(_capacity_section(capacity))
     for record in records:

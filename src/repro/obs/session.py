@@ -1,8 +1,12 @@
-"""Run one experiment under the flight recorder.
+"""Run one experiment under the flight recorder, keeping its handles.
 
 Experiments construct their own Simulators internally, so observing one
 means enabling the global recorder around the registry call and draining
 the handles afterwards — the same shape as ``repro.check.runner``.
+This is for the callers that need the live handles: ``repro trace``,
+``repro diff --variant`` and the registry comparison
+(:mod:`repro.check.parity`).  Records come from the engine alone
+(:func:`repro.analysis.engine.result_record`).
 
 Kept out of ``repro.obs.__init__`` on purpose: this module imports the
 experiment registry, which imports the simulator, which imports the
@@ -19,13 +23,11 @@ from repro.analysis.spec import ExperimentResult
 from repro.obs import (
     Observability,
     TraceConfig,
-    analytics,
     chrome_trace,
     disable_global_observability,
     drain_global_observed,
     enable_global_observability,
 )
-from repro.obs.metrics import experiment_record
 
 
 @dataclass
@@ -35,18 +37,6 @@ class ObservedExperiment:
     experiment: str
     result: ExperimentResult
     observed: List[Observability] = field(default_factory=list)
-
-    def record(self) -> Dict:
-        """The bench record, with every CPU's cycles counted.
-
-        Totals, machines and attribution come from the result's
-        ``derived`` block, or — for a run the engine did not derive —
-        from :func:`analytics.derive` over the drained handles.
-        """
-        return experiment_record(
-            self.result, specs.SPECS[self.experiment],
-            derived=self.result.derived or analytics.derive(self.observed),
-        )
 
     def chrome_trace(self) -> Dict:
         tracers = [obs.tracer for obs in self.observed if obs.tracer is not None]

@@ -7,8 +7,11 @@ under its declared config variants and diffed label-against-label.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro import __main__ as cli
 from repro.analysis import engine
 from repro.obs import diff as obs_diff
 from repro.obs import session as obs_session
@@ -138,3 +141,21 @@ class TestRenderDiff:
         diff["unmatched_simulators"] = 2
         text = obs_diff.render_diff(diff, "A", "B")
         assert "2 simulator(s) matched no declared variant" in text
+
+
+class TestDiffCli:
+    @pytest.mark.parametrize("content", [[{"id": "E1"}], "E1"],
+                             ids=["list", "string"])
+    def test_json_that_is_not_an_object_exits_two(self, content, tmp_path,
+                                                  capsys):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps(content))
+        assert cli.main(["diff", str(path), str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"diff: {path}: a JSON ")
+
+    def test_a_bench_doc_against_a_record_exits_two(self, tmp_path, capsys):
+        doc, record = tmp_path / "doc.json", tmp_path / "record.json"
+        doc.write_text(json.dumps({"experiments": []}))
+        record.write_text(json.dumps({"id": "E1"}))
+        assert cli.main(["diff", str(doc), str(record)]) == 2
+        assert "one is a bench doc" in capsys.readouterr().err

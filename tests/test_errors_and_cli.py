@@ -74,16 +74,8 @@ class TestCli:
         ("--sample-us", ["trace", "E1", "--sample-us", "-1"]),
         ("--sample-us", ["diff", "E7", "--variant", "a,b",
                          "--sample-us", "0"]),
-        ("--loads", ["capacity", "--loads", "0"]),
-        ("--loads", ["capacity", "--loads", "2000", "-5"]),
-        ("--requests", ["capacity", "--requests", "0"]),
-        ("--requests", ["capacity", "--requests", "-3"]),
-        ("--cpus", ["capacity", "--cpus", "0"]),
-        ("--cpus", ["capacity", "--cpus", "-1"]),
         ("--jobs", ["run", "E1", "--jobs", "0"]),
         ("--jobs", ["run", "E1", "--jobs", "-2"]),
-        ("--jobs", ["report", "E1", "--jobs", "0"]),
-        ("--jobs", ["report", "E1", "--jobs", "-2"]),
         ("--sweep-every", ["check", "E1", "--sweep-every", "-1000"]),
     ], ids=lambda value: value if isinstance(value, str) else
         " ".join(value[:1] + value[-1:]))

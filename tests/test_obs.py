@@ -19,7 +19,7 @@ import pytest
 
 from repro import __main__ as cli
 from repro import obs
-from repro.analysis import specs
+from repro.analysis import engine, specs
 from repro.check import parity
 from repro.kernel.config import KernelConfig
 from repro.obs import metrics
@@ -53,6 +53,11 @@ def drive(sim: Simulator, pages: int = 48) -> Simulator:
     kernel.flush.flush_range(task.mm, 0x10000000, 0x10000000 + pages * 4096)
     for index in range(pages):
         kernel.user_access(task, 0x10000000 + index * 4096, lines=2)
+    # A hot set touched round after round: only reuse makes a lost
+    # TLB entry cost a miss, so an observer that drops one shows here.
+    for _round in range(20):
+        for index in range(4):
+            kernel.user_access(task, 0x10000000 + index * 4096, lines=8)
     return sim
 
 
@@ -257,8 +262,10 @@ class TestObservedExperiments:
         }
 
     def test_run_observed_record(self):
+        """The engine's record counts every cycle the recorder saw."""
         observed = obs_session.run_observed("E1")
-        record = observed.record()
+        (result,) = engine.run_ids(["E1"], use_cache=False).results
+        record = engine.result_record(result)
         assert record["id"] == "E1"
         assert record["total_cycles"] == sum(
             handle.machine.total_cycles_all_cpus()
@@ -347,6 +354,27 @@ class TestCli:
         assert record["id"] == "E1"
         assert record["total_cycles"] > 0
         assert sum(record["attribution"].values()) == record["total_cycles"]
+
+    @pytest.mark.parametrize("experiment_id", ["E1", "E17"])
+    def test_run_json_prints_the_bench_record(self, experiment_id, tmp_path,
+                                              capsys):
+        out = tmp_path / "bench.json"
+        assert cli.main(["run", experiment_id, "--json", "--no-cache"]) == 0
+        printed = capsys.readouterr().out
+        assert cli.main(["run", experiment_id, "--no-cache",
+                         "--bench-out", str(out)]) == 0
+        capsys.readouterr()
+        (record,) = json.loads(out.read_text())["experiments"]
+        assert printed == metrics.dumps(record)
+
+    def test_run_json_lists_several_and_writes_bench_out(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "bench.json"
+        assert cli.main(["run", "E1", "E12", "--json",
+                         "--bench-out", str(out)]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [record["id"] for record in records] == ["E1", "E12"]
+        assert json.loads(out.read_text())["experiments"] == records
 
     def test_check_json(self, capsys):
         assert cli.main(["check", "e1", "--json"]) == 0

@@ -3,11 +3,13 @@
 The dashboard's contract is byte determinism: the renderer is a pure
 function of the bench doc, and the bench doc holds no host time — so
 repeated invocations, cached or not, serial or parallel, must produce
-identical files.
+identical files.  The doc is its one input: E21's record carries the
+capacity curves.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
@@ -176,19 +178,30 @@ def fixture_capacity():
     }
 
 
+def capacity_fixture_doc(capacity=None):
+    """The fixture doc plus an E21 record carrying ``capacity``."""
+    doc = fixture_doc()
+    record = copy.deepcopy(doc["experiments"][0])
+    record.update(
+        id="E21", title="capacity curves", claims=[],
+        measured={"capacity": fixture_capacity() if capacity is None
+                  else capacity},
+    )
+    doc["experiments"].append(record)
+    doc["summary"] = {"experiments": 2, "shapes_holding": 2,
+                      "total_cycles": 2000}
+    return doc
+
+
 class TestCapacitySection:
     def test_capacity_section_rendered(self):
-        html = report.render_report(
-            fixture_doc(), capacity=fixture_capacity()
-        )
+        html = report.render_report(capacity_fixture_doc())
         assert 'id="capacity"' in html
         assert "broadcast" in html and "mmap_reuse" in html
         assert "scheduled" in html  # the open-loop note
 
     def test_every_column_has_a_header(self):
-        html = report.render_report(
-            fixture_doc(), capacity=fixture_capacity()
-        )
+        html = report.render_report(capacity_fixture_doc())
         for title in report.CAPACITY_COLUMNS.values():
             assert title in html or title.replace("↔", "&harr;") in html
 
@@ -198,22 +211,17 @@ class TestCapacitySection:
         assert set(report.CAPACITY_COLUMNS) <= set(CAPACITY_POINT_FIELDS)
 
     def test_capacity_report_is_deterministic(self):
-        capacity = fixture_capacity()
-        assert report.render_report(fixture_doc(), capacity=capacity) == \
-            report.render_report(fixture_doc(), capacity=capacity)
+        doc = capacity_fixture_doc()
+        assert report.render_report(doc) == report.render_report(doc)
 
     def test_capacity_html_stays_self_contained(self):
-        html = report.render_report(
-            fixture_doc(), capacity=fixture_capacity()
-        )
+        html = report.render_report(capacity_fixture_doc())
         assert "http" not in html
         assert "<script" not in html
 
     def test_empty_capacity_doc_renders_nothing(self):
-        html = report.render_report(
-            fixture_doc(), capacity={"curves": []}
-        )
-        assert 'id="capacity"' not in html
+        for doc in (fixture_doc(), capacity_fixture_doc({"curves": []})):
+            assert 'id="capacity"' not in report.render_report(doc)
 
 
 def run_cli(*argv):
@@ -236,18 +244,6 @@ class TestReportCli:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_run_ids_byte_identical_across_jobs(self, tmp_path):
-        outs = []
-        for name, jobs in (("serial.html", "1"), ("parallel.html", "2")):
-            out = tmp_path / name
-            proc = run_cli("report", "E1", "E12", "--jobs", jobs,
-                           "--out", str(out))
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        assert b'id="E1"' in outs[0]
-        assert b'id="E12"' in outs[0]
-
     def test_invalid_doc_is_an_error(self, tmp_path):
         doc_path = tmp_path / "bench.json"
         doc_path.write_text(json.dumps({"schema_version": 2,
@@ -257,61 +253,28 @@ class TestReportCli:
         assert proc.returncode != 0
 
     def test_capacity_report_is_byte_deterministic(self, tmp_path):
-        cap_path = tmp_path / "capacity.json"
-        cap_path.write_text(json.dumps(fixture_capacity()))
         doc_path = tmp_path / "bench.json"
-        doc_path.write_text(json.dumps(fixture_doc()))
+        doc_path.write_text(json.dumps(capacity_fixture_doc()))
         outs = []
         for name in ("a.html", "b.html"):
             out = tmp_path / name
             proc = run_cli("report", "--from", str(doc_path),
-                           "--capacity", str(cap_path), "--out", str(out))
+                           "--out", str(out))
             assert proc.returncode == 0, proc.stdout + proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert b'id="capacity"' in outs[0]
 
     def test_corrupt_capacity_doc_is_an_error(self, tmp_path):
-        cap_path = tmp_path / "capacity.json"
-        cap_path.write_text(json.dumps({"schema": 99}))
-        doc_path = tmp_path / "bench.json"
-        doc_path.write_text(json.dumps(fixture_doc()))
-        proc = run_cli("report", "--from", str(doc_path),
-                       "--capacity", str(cap_path),
-                       "--out", str(tmp_path / "x.html"))
-        assert proc.returncode != 0
-
-
-class TestCapacityCli:
-    def test_sweep_prints_table_and_writes_doc(self, tmp_path):
-        out = tmp_path / "capacity.json"
-        proc = run_cli("capacity", "--requests", "16",
-                       "--loads", "2000", "12000", "--out", str(out))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "p99 knee" in proc.stdout
-        assert "broadcast" in proc.stdout and "mmap_reuse" in proc.stdout
-        doc = json.loads(out.read_text())
-        from repro.analysis.capacity import validate_capacity_doc
-
-        assert validate_capacity_doc(doc) == {"curves": 2, "points": 4}
-
-    def test_sweep_output_is_byte_deterministic(self, tmp_path):
-        outs = []
-        for _round in range(2):
-            proc = run_cli("capacity", "--requests", "16",
-                           "--loads", "2000", "12000", "--json")
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1]
-
-    def test_bad_ladder_is_an_error(self):
-        proc = run_cli("capacity", "--requests", "8",
-                       "--loads", "9000", "1000")
-        assert proc.returncode == 2
-        assert "monotone" in proc.stderr
-
-    def test_unknown_strategy_is_an_error(self):
-        proc = run_cli("capacity", "--requests", "8",
-                       "--strategies", "smoke-signals")
-        assert proc.returncode == 2
-        assert "unknown strategy" in proc.stderr
+        doc = capacity_fixture_doc({"schema": 99})
+        missing = capacity_fixture_doc()
+        del missing["experiments"][1]["measured"]["capacity"]
+        for broken in (doc, missing):
+            doc_path = tmp_path / "bench.json"
+            doc_path.write_text(json.dumps(broken))
+            out = tmp_path / "x.html"
+            proc = run_cli("report", "--from", str(doc_path),
+                           "--out", str(out))
+            assert proc.returncode == 2
+            assert "E21 capacity" in proc.stderr
+            assert not out.exists()

@@ -211,6 +211,17 @@ class TestCapacitySweep:
         wrong_schema["schema"] = 99
         with pytest.raises(ValueError, match="schema"):
             validate_capacity_doc(wrong_schema)
+        # Wrong types fail as ValueError too, never as a crash.
+        for key, value, message in (
+            ("loads", [2_000, "12000"], "ladder of numbers"),
+            ("curves", ["broadcast"], "malformed curve"),
+            ("curves", [{"strategy": "broadcast", "points": [5, 6]}],
+             "not an object"),
+        ):
+            mistyped = copy.deepcopy(doc)
+            mistyped[key] = value
+            with pytest.raises(ValueError, match=message):
+                validate_capacity_doc(mistyped)
 
 
 class TestServiceParity:
