@@ -9,13 +9,13 @@ the TLB — printing what the hardware did at each step.
 Run:  python examples/figure1_walkthrough.py
 """
 
-from repro import KernelConfig, M604_185, boot
+from repro import KernelConfig, M604_185, Simulator
 from repro.hw.addr import decompose_ea, make_virtual_address
 from repro.hw.hashtable import primary_hash, secondary_hash
 
 
 def main():
-    sim = boot(M604_185, KernelConfig.optimized())
+    sim = Simulator(M604_185, KernelConfig.optimized())
     kernel = sim.kernel
     task = kernel.spawn("fig1", data_pages=8)
     kernel.switch_to(task)

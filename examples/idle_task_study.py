@@ -11,7 +11,7 @@ This is the longest-running example (~1 minute).
 Run:  python examples/idle_task_study.py
 """
 
-from repro import IdlePageClearPolicy, KernelConfig, M604_185, boot
+from repro import IdlePageClearPolicy, KernelConfig, M604_185, Simulator
 from repro.analysis.tables import format_table
 from repro.workloads.kbuild import CACHE_RESIDENT, kernel_compile
 from repro.workloads.mixes import multiprogram_mix
@@ -25,7 +25,7 @@ def zombie_study():
             idle_zombie_reclaim=reclaim
         )
         result = multiprogram_mix(
-            boot(M604_185, config),
+            Simulator(M604_185, config),
             rounds=100, churn_every=6, think_cycles=120000, label=label,
         )
         rows.append([
@@ -60,7 +60,7 @@ def clearing_study():
             idle_page_clear=policy
         )
         result = kernel_compile(
-            boot(M604_185, config), units=4, profile=CACHE_RESIDENT,
+            Simulator(M604_185, config), units=4, profile=CACHE_RESIDENT,
             label=policy.value,
         )
         if baseline is None:

@@ -8,13 +8,13 @@ hash-table zombie accounting that makes the lazy strategy work.
 Run:  python examples/mmap_flush_tuning.py
 """
 
-from repro import KernelConfig, M603_133, M604_185, VsidPolicy, boot
+from repro import KernelConfig, M603_133, M604_185, Simulator, VsidPolicy
 from repro.analysis.tables import format_table
 from repro.workloads.lmbench import mmap_latency
 
 
 def measure(spec, config):
-    sim = boot(spec, config)
+    sim = Simulator(spec, config)
     latency = mmap_latency(sim)
     live, zombie = sim.kernel.htab_zombie_stats()
     return latency, sim.machine.monitor["vsid_bump"], zombie

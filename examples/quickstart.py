@@ -8,7 +8,7 @@ small program on each, and prints where the cycles went.
 Run:  python examples/quickstart.py
 """
 
-from repro import KernelConfig, M604_185, boot
+from repro import KernelConfig, M604_185, Simulator
 from repro.params import PAGE_SIZE
 
 
@@ -35,7 +35,7 @@ def program(task):
 
 
 def run(label, config):
-    sim = boot(M604_185, config)
+    sim = Simulator(M604_185, config)
     task = sim.kernel.spawn("demo", text_pages=8, data_pages=80)
     sim.executive.add(task, program(task))
     sim.run()

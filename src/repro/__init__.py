@@ -4,9 +4,9 @@ simulation of the PowerPC 603/604 MMU and a Linux/PPC-like kernel.
 
 Quick start::
 
-    from repro import KernelConfig, M604_185, boot
+    from repro import KernelConfig, M604_185, Simulator
 
-    sim = boot(M604_185, KernelConfig.optimized())
+    sim = Simulator(M604_185, KernelConfig.optimized())
     task = sim.kernel.spawn("demo")
 
     def body(t):
@@ -42,7 +42,7 @@ from repro.params import (
     MachineSpec,
     machine_by_name,
 )
-from repro.sim.simulator import Simulator, boot
+from repro.sim.simulator import Simulator
 
 __version__ = "1.0.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "SyscallError",
     "TranslationError",
     "VsidPolicy",
-    "boot",
     "machine_by_name",
     "__version__",
 ]

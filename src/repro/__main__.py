@@ -22,8 +22,9 @@ Subcommands:
   each record's attribution (every CPU's ledger; host time is
   ``perfbench/``'s to measure).
 * ``diff A.json B.json`` / ``diff E7 --variant "no reclaim,idle
-  reclaim"`` — structural comparison of two bench artifacts, or of two
-  config variants of one experiment run under the recorder.
+  reclaim"`` — structural comparison of two records (``run --json``),
+  or of two config variants of one experiment run under the recorder.
+  Bench docs are ``bench compare``'s.
 * ``bench compare BASELINE NEW`` — the regression sentinel: compare a
   fresh bench artifact against the committed baseline leaf for leaf;
   exit 1 on any changed, missing or extra leaf.  Every revision's
@@ -162,20 +163,17 @@ def _cmd_check(args) -> int:
     # registry, which is heavy and unneeded for the other subcommands.
     from repro.check import runner as check_runner
 
-    ids = None if (args.all or not args.ids) else args.ids
+    ids = _resolve_ids(args)
+    if ids is None:
+        return 2
     progress = None if args.json else (
         lambda key: print(f"checking {key} ...")
     )
-    try:
-        run = check_runner.run_checked(
-            ids=ids,
-            sweep_every=args.sweep_every,
-            progress=progress,
-        )
-    except KeyError as exc:
-        print(f"unknown experiment {exc.args[0]!r} "
-              f"(try: python -m repro list)", file=sys.stderr)
-        return 2
+    run = check_runner.run_checked(
+        ids=ids or None,
+        sweep_every=args.sweep_every,
+        progress=progress,
+    )
     if args.json:
         from repro.obs import metrics
 
@@ -188,7 +186,8 @@ def _cmd_check(args) -> int:
 def _cmd_trace(args) -> int:
     import json
 
-    from repro.obs import session as obs_session
+    from repro.analysis import engine
+    from repro.obs.events import chrome_trace
 
     key = args.id.upper()
     if key not in specs.SPECS:
@@ -197,24 +196,30 @@ def _cmd_trace(args) -> int:
         return 2
     if args.out is None:
         args.out = f"{key}.trace.json"
-    observed = obs_session.run_observed(
-        key, trace=True, sample_every_us=args.sample_us
+    result, observed = engine.observe(
+        specs.SPECS[key], trace=True, sample_every_us=args.sample_us
     )
-    doc = observed.chrome_trace()
+    tracers = [
+        handle.tracer for handle in observed if handle.tracer is not None
+    ]
+    doc = chrome_trace(
+        tracers,
+        other_data={
+            "experiment": key,
+            "title": result.title,
+            "dropped_events": sum(tracer.dropped for tracer in tracers),
+        },
+    )
     with open(args.out, "w") as handle:
         json.dump(doc, handle, sort_keys=True)
         handle.write("\n")
     events = len(doc["traceEvents"])
-    dropped = doc.get("otherData", {}).get("dropped_events", 0)
+    dropped = doc["otherData"]["dropped_events"]
     print(f"{key}: {events} trace events -> {args.out}"
           + (f" ({dropped} dropped by the ring)" if dropped else ""))
     if args.folded or args.speedscope:
         from repro.obs import flame
 
-        tracers = [
-            handle.tracer for handle in observed.observed
-            if handle.tracer is not None
-        ]
         if args.folded:
             lines = flame.folded(tracers)
             with open(args.folded, "w") as handle:
@@ -222,7 +227,7 @@ def _cmd_trace(args) -> int:
             print(f"{key}: {len(lines)} folded stacks -> {args.folded}")
         if args.speedscope:
             scope = flame.speedscope(tracers, name=f"{key} — "
-                                     f"{observed.result.title}")
+                                     f"{result.title}")
             flame.validate_speedscope(scope)
             with open(args.speedscope, "w") as handle:
                 json.dump(scope, handle, sort_keys=True)
@@ -259,7 +264,7 @@ def _cmd_diff(args) -> int:
     if args.variant:
         return _cmd_diff_variants(args)
     if args.b is None:
-        print("diff needs two artifact paths (or one experiment id with "
+        print("diff needs two record paths (or one experiment id with "
               "--variant A,B)", file=sys.stderr)
         return 2
     docs = []
@@ -271,30 +276,14 @@ def _cmd_diff(args) -> int:
             print(f"diff: {path}: {exc}", file=sys.stderr)
             return 2
         if not isinstance(doc, dict):
-            print(f"diff: {path}: a JSON {type(doc).__name__}, not a record "
-                  "or a bench doc", file=sys.stderr)
+            print(f"diff: {path}: a JSON {type(doc).__name__}, not a record",
+                  file=sys.stderr)
+            return 2
+        if "experiments" in doc:
+            print(f"diff: {path}: a bench doc; compare bench docs with "
+                  "'repro bench compare'", file=sys.stderr)
             return 2
         docs.append(doc)
-    bench_docs = ["experiments" in doc for doc in docs]
-    if bench_docs[0] != bench_docs[1]:
-        print(f"diff: {args.a} and {args.b}: one is a bench doc, the other "
-              "a record", file=sys.stderr)
-        return 2
-    if all(bench_docs):
-        for path, doc in zip((args.a, args.b), docs):
-            try:
-                metrics.validate_bench_doc(doc)
-            except ValueError as exc:
-                print(f"diff: {path}: {exc}", file=sys.stderr)
-                return 2
-        per_experiment = obs_diff.diff_docs(docs[0], docs[1])
-        if args.json:
-            print(metrics.dumps(per_experiment), end="")
-            return 0
-        for line in obs_diff.render_doc_diff(per_experiment, args.a, args.b):
-            print(line)
-        print(f"{len(per_experiment)} experiments compared")
-        return 0
     entry = obs_diff.diff_records(docs[0], docs[1])
     if args.json:
         print(metrics.dumps(entry), end="")
@@ -304,9 +293,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_diff_variants(args) -> int:
+    from repro.analysis import engine
     from repro.obs import diff as obs_diff
     from repro.obs import metrics
-    from repro.obs import session as obs_session
 
     labels = [label.strip() for label in args.variant.split(",")]
     if len(labels) != 2 or not all(labels):
@@ -325,12 +314,12 @@ def _cmd_diff_variants(args) -> int:
             print(f"{key} has no variant {label!r} "
                   f"(variants: {', '.join(spec_labels)})", file=sys.stderr)
             return 2
-    observed = obs_session.run_observed(
-        key, trace=True, sample_every_us=args.sample_us
+    _result, observed = engine.observe(
+        spec, trace=True, sample_every_us=args.sample_us
     )
     try:
         entry = obs_diff.diff_variant_labels(
-            spec, observed.observed, labels[0], labels[1]
+            spec, observed, labels[0], labels[1]
         )
     except KeyError as exc:
         print(f"diff: {exc.args[0]}", file=sys.stderr)
@@ -499,15 +488,14 @@ def main(argv=None) -> int:
     )
     prf.add_argument("ids", nargs="+", metavar="EXPERIMENT")
     dff = sub.add_parser(
-        "diff", help="compare two bench artifacts or two config variants"
+        "diff", help="compare two records or two config variants"
     )
     dff.add_argument(
         "a", metavar="A",
-        help="bench artifact / record JSON, or an experiment id with "
-             "--variant",
+        help="record JSON, or an experiment id with --variant",
     )
     dff.add_argument("b", nargs="?", default=None, metavar="B",
-                     help="second artifact (omit with --variant)")
+                     help="second record (omit with --variant)")
     dff.add_argument(
         "--variant", default=None, metavar="LABEL_A,LABEL_B",
         help="diff the derived analytics of two variants of experiment A "

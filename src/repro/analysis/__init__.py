@@ -1,5 +1,5 @@
 """Experiment registry and paper-style table rendering."""
 
-from repro.analysis.tables import format_table, format_lmbench_rows
+from repro.analysis.tables import format_table
 
-__all__ = ["format_lmbench_rows", "format_table"]
+__all__ = ["format_table"]

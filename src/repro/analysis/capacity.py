@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.kernel.config import KernelConfig, ShootdownStrategy
 from repro.params import M604_185, MachineSpec
-from repro.sim.simulator import boot
+from repro.sim.simulator import Simulator
 from repro.workloads.service import service_run
 
 #: Schema tag of the capacity document (bump on field changes).
@@ -103,7 +103,7 @@ def capacity_sweep(
         )
         points: List[Dict[str, Any]] = []
         for load in ordered_loads:
-            sim = boot(spec, config, n_cpus=n_cpus)
+            sim = Simulator(spec, config, n_cpus=n_cpus)
             run = service_run(
                 sim, requests, load, schedule=schedule, seed=seed,
                 workers_per_cpu=workers_per_cpu,

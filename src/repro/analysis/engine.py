@@ -1,10 +1,12 @@
 """The experiment engine: one execution path for every spec.
 
-Every consumer of the registry — the CLI, ``repro check``, the obs
-session — funnels through :func:`execute`: look the spec up, run its
-workload over its machine/config matrix, JSON-round-trip the measured
-numbers, evaluate the spec's claims over them, and return an
-:class:`ExperimentResult`.  The round-trip is deliberate:
+Every consumer of the registry funnels through :func:`execute`: look
+the spec up, run its workload over its machine/config matrix,
+JSON-round-trip the measured numbers, evaluate the spec's claims over
+them, and return an :class:`ExperimentResult`.  :func:`observe` is the
+one way to run it watched: ``repro run``'s derive, ``repro trace``,
+``check`` and ``diff --variant`` and the registry comparison all open
+the observer scope through it.  The round-trip is deliberate:
 a freshly-computed result and one loaded from the on-disk cache are
 the *same value*, so callers never need to care which they got.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.analysis import specs
@@ -46,20 +48,12 @@ def spec_for(experiment_id: str) -> ExperimentSpec:
 def execute(
     spec: ExperimentSpec,
     params: Optional[Dict[str, object]] = None,
-    derive: bool = False,
 ) -> ExperimentResult:
     """Run one spec's workload and check its claims.
 
-    No caching: this is the pure path the sanitizer runner and the obs
-    session wrap with their own hooks.  ``derive=True`` runs the
-    workload under the flight recorder and attaches the observatory's
-    ``derived`` block to the result; it is a no-op when a global
-    recorder is already active (the outer caller owns the handles
-    then).  Deriving never changes the measured numbers — the recorder
-    is zero-perturbation.
+    No caching and no observers of its own: this is the pure path
+    :func:`observe` wraps.
     """
-    if derive and not obs.global_obs_active():
-        return _execute_derived(spec, params)
     measurement = spec.workload(spec, **(params or {}))
     # Round-trip through JSON so cached and fresh results are equal as
     # values (and so a claim can never depend on a type that would not
@@ -77,32 +71,42 @@ def execute(
     )
 
 
-def _execute_derived(
-    spec: ExperimentSpec, params: Optional[Dict[str, object]]
-) -> ExperimentResult:
-    """Execute under the flight recorder and attach the derived block.
+#: The recorder ``repro run`` derives under: tracing with monitor
+#: republication off (counter totals come from the monitor snapshots
+#: instead, without paying an event per counted miss), sampling on the
+#: coarse derive grid.
+DERIVE_OPTIONS: Dict[str, Any] = {
+    "trace": True,
+    "profile": True,
+    "sample_every_us": analytics.DERIVE_SAMPLE_US,
+    "trace_config": obs.TraceConfig(monitor_events=frozenset()),
+}
 
-    Tracing is on with monitor republication off (counter totals are
-    derived from the monitor snapshots instead, without paying an event
-    per counted miss), sampling on the coarse derive grid.
+
+def observe(
+    spec: ExperimentSpec,
+    params: Optional[Dict[str, object]] = None,
+    **options: Any,
+) -> Tuple[ExperimentResult, List[obs.Observability]]:
+    """Execute ``spec`` with every simulator it boots watched.
+
+    ``options`` are :func:`repro.obs.enable_global_observability`'s
+    (profile-only by default; a ``sweep_every`` cadence adds the
+    sanitizer).  Returns the result and one :class:`Observability` per
+    simulator, in boot order.  Each sanitizer ends with a stable full
+    sweep.  Observers are zero-perturbation: the result is the one
+    :func:`execute` returns.
     """
-    obs.enable_global_observability(
-        trace=True,
-        profile=True,
-        sample_every_us=analytics.DERIVE_SAMPLE_US,
-        trace_config=obs.TraceConfig(monitor_events=frozenset()),
-    )
+    obs.enable_global_observability(**options)
     try:
         result = execute(spec, params)
-        observed = obs.drain_global_observed()
+        handles = obs.drain_global_observed()
     finally:
         obs.disable_global_observability()
-    # The same round-trip the measured dict gets: a derived block loaded
-    # from the cache must be the same value as a fresh one.
-    result.derived = json.loads(
-        json.dumps(json_safe(analytics.derive(observed)))
-    )
-    return result
+    for handle in handles:
+        if handle.sanitizer is not None:
+            handle.sanitizer.sweep(stable=True)
+    return result, handles
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +120,14 @@ def run_cached(
     cache: Optional[ResultCache] = None,
     use_cache: bool = True,
     rerun: bool = False,
-    derive: bool = True,
 ) -> Tuple[ExperimentResult, bool]:
     """Execute one spec through the cache.
 
     Returns ``(result, cache_hit)``.  ``use_cache=False``
     disables the cache entirely (no read, no write); ``rerun=True``
     forces execution but still refreshes the stored entry.  Results
-    carry the observatory's ``derived`` block by default, so every
-    cached entry and every BENCH record has one.
+    carry the observatory's ``derived`` block, so every cached entry
+    and every BENCH record has one.
     """
     fingerprint = ""
     if use_cache:
@@ -134,7 +137,12 @@ def run_cached(
             cached = cache.load(spec.id, fingerprint)
             if cached is not None:
                 return cached, True
-    result = execute(spec, params, derive=derive)
+    result, handles = observe(spec, params, **DERIVE_OPTIONS)
+    # The same round-trip the measured dict gets: a derived block loaded
+    # from the cache must be the same value as a fresh one.
+    result.derived = json.loads(
+        json.dumps(json_safe(analytics.derive(handles)))
+    )
     if use_cache and cache is not None:
         cache.store(spec.id, fingerprint, result)
     return result, False

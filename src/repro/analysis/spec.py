@@ -196,10 +196,10 @@ class ExperimentResult:
     report: str
     notes: str = ""
     #: Observatory analytics (:func:`repro.obs.analytics.derive`) the
-    #: engine attaches when executing with ``derive=True``.  Always
-    #: JSON-round-tripped before attachment, so a cached result's block
-    #: compares equal to a freshly derived one.  Empty when the run was
-    #: not derived (plain :func:`~repro.analysis.engine.execute`).
+    #: engine attaches in :func:`~repro.analysis.engine.run_cached`.
+    #: Always JSON-round-tripped before attachment, so a cached result's
+    #: block compares equal to a freshly derived one.  Empty when the
+    #: run was not derived (plain :func:`~repro.analysis.engine.execute`).
     derived: Dict[str, object] = field(default_factory=dict)
 
 

@@ -62,7 +62,7 @@ from repro.analysis.capacity import (
     knee_load,
 )
 from repro.perf.histogram import occupancy_histogram
-from repro.sim.simulator import Simulator, boot
+from repro.sim.simulator import Simulator
 from repro.sim.trace import WorkingSetTrace
 from repro.workloads.service import service_run
 from repro.workloads.kbuild import CACHE_RESIDENT, kernel_compile
@@ -149,7 +149,7 @@ def _measure_e1(
     va = make_virtual_address(vsid, ea)
     h1 = primary_hash(vsid, fields.page_index)
     h2 = secondary_hash(vsid, fields.page_index)
-    sim = boot(variant.machine, variant.config)
+    sim = Simulator(variant.machine, variant.config)
     task = sim.kernel.spawn("fig1", data_pages=8)
     sim.kernel.switch_to(task)
     result = sim.machine.translate(0x10000000)
@@ -207,10 +207,12 @@ def _measure_e2(spec: ExperimentSpec, units: int = 6) -> Measurement:
     """§5.1: kernel BAT map vs PTE-mapped kernel on the compile."""
     no_bat, with_bat = spec.variants
     base = kernel_compile(
-        boot(no_bat.machine, no_bat.config), units=units, label=no_bat.label
+        Simulator(no_bat.machine, no_bat.config), units=units,
+        label=no_bat.label,
     )
     bat = kernel_compile(
-        boot(with_bat.machine, with_bat.config), units=units, label=with_bat.label
+        Simulator(with_bat.machine, with_bat.config), units=units,
+        label=with_bat.label,
     )
     tlb_ratio = bat.tlb_misses / max(base.tlb_misses, 1)
     htab_ratio = bat.htab_misses / max(base.htab_misses, 1)
@@ -293,7 +295,7 @@ def _measure_e3(
     rows = []
     occupancies = {}
     for variant in spec.variants:
-        sim = boot(variant.machine, variant.config)
+        sim = Simulator(variant.machine, variant.config)
         _fill_htab(sim, processes, pages_per_process)
         htab = sim.machine.htab
         histogram = occupancy_histogram(htab)
@@ -353,15 +355,15 @@ def _measure_e4(spec: ExperimentSpec) -> Measurement:
     c_variant, asm_variant = spec.variants
     machine = c_variant.machine
     slow, fast = c_variant.config, asm_variant.config
-    ctx_slow = context_switch(boot(machine, slow))
-    ctx_fast = context_switch(boot(machine, fast))
-    lat_slow = pipe_latency(boot(machine, slow))
-    lat_fast = pipe_latency(boot(machine, fast))
+    ctx_slow = context_switch(Simulator(machine, slow))
+    ctx_fast = context_switch(Simulator(machine, fast))
+    lat_slow = pipe_latency(Simulator(machine, slow))
+    lat_fast = pipe_latency(Simulator(machine, fast))
     wall_slow = kernel_compile(
-        boot(machine, slow), units=4, label=c_variant.label
+        Simulator(machine, slow), units=4, label=c_variant.label
     ).wall_ms
     wall_fast = kernel_compile(
-        boot(machine, fast), units=4, label=asm_variant.label
+        Simulator(machine, fast), units=4, label=asm_variant.label
     ).wall_ms
     ctx_ratio = ctx_fast / ctx_slow
     lat_ratio = lat_fast / lat_slow
@@ -409,7 +411,7 @@ def _measure_e5(spec: ExperimentSpec) -> Measurement:
     for variant in spec.variants:
         results.append(
             lmbench_suite(
-                lambda v=variant: boot(v.machine, v.config),
+                lambda v=variant: Simulator(v.machine, v.config),
                 label=variant.label,
                 points=(
                     "ctxsw",
@@ -485,7 +487,7 @@ def _measure_e6(spec: ExperimentSpec) -> Measurement:
     for variant in spec.variants:
         results.append(
             lmbench_suite(
-                lambda v=variant: boot(v.machine, v.config),
+                lambda v=variant: Simulator(v.machine, v.config),
                 label=variant.label,
                 points=("mmap_latency", "ctxsw", "pipe_latency", "pipe_bw",
                         "file_reread"),
@@ -555,12 +557,12 @@ def _measure_e7(
     """§7: zombie PTE reclaim in the idle task."""
     base_variant, reclaim_variant = spec.variants
     no_reclaim = multiprogram_mix(
-        boot(base_variant.machine, base_variant.config),
+        Simulator(base_variant.machine, base_variant.config),
         rounds=rounds, churn_every=churn_every, think_cycles=think_cycles,
         label=base_variant.label,
     )
     reclaim = multiprogram_mix(
-        boot(reclaim_variant.machine, reclaim_variant.config),
+        Simulator(reclaim_variant.machine, reclaim_variant.config),
         rounds=rounds, churn_every=churn_every, think_cycles=think_cycles,
         label=reclaim_variant.label,
     )
@@ -667,12 +669,12 @@ def _measure_e8(spec: ExperimentSpec) -> Measurement:
     for variant in spec.variants:
         # Pure lat_mmap (untouched region: the paper's 80x number) plus
         # a touched variant so the TLB-miss comparison is meaningful.
-        pure_us = mmap_latency(boot(variant.machine, variant.config))
+        pure_us = mmap_latency(Simulator(variant.machine, variant.config))
         large_us, large_misses = _e8_workload(
-            boot(variant.machine, variant.config), large_pages
+            Simulator(variant.machine, variant.config), large_pages
         )
         small_us, _ = _e8_workload(
-            boot(variant.machine, variant.config), small_pages
+            Simulator(variant.machine, variant.config), small_pages
         )
         sweep.append((variant.label, pure_us, large_us, small_us, large_misses))
     lines = [
@@ -727,7 +729,7 @@ def _measure_e9(spec: ExperimentSpec) -> Measurement:
     """§8: memory accesses and cache lines created by the refill path."""
     # Part 1: count the architected worst case on one cold miss.
     cold, cached_variant, uncached_variant = spec.variants
-    sim = boot(cold.machine, cold.config)
+    sim = Simulator(cold.machine, cold.config)
     kernel = sim.kernel
     task = kernel.spawn("e9", data_pages=4)
     kernel.switch_to(task)
@@ -753,7 +755,7 @@ def _measure_e9(spec: ExperimentSpec) -> Measurement:
 
     # Part 2: cached vs uncached page tables on a TLB-heavy workload.
     def storm(variant: ConfigVariant):
-        sim = boot(variant.machine, variant.config)
+        sim = Simulator(variant.machine, variant.config)
         kernel = sim.kernel
         task = kernel.spawn("storm", data_pages=402)
         kernel.switch_to(task)
@@ -816,7 +818,7 @@ def _pollution_busy(
     ablation's harness): warm to steady state, then measure rounds of
     work separated by think-time (idle windows).
     """
-    sim = boot(machine, config)
+    sim = Simulator(machine, config)
     executive = sim.executive
     start_mark = f"{mark_prefix}_start"
     end_mark = f"{mark_prefix}_end"
@@ -857,8 +859,8 @@ def _measure_e10(spec: ExperimentSpec, units: int = 5) -> Measurement:
     for variant in spec.variants:
         config = variant.config.with_changes(idle_zombie_reclaim=True)
         result = kernel_compile(
-            boot(variant.machine, config), units=units, profile=CACHE_RESIDENT,
-            label=variant.label,
+            Simulator(variant.machine, config), units=units,
+            profile=CACHE_RESIDENT, label=variant.label,
         )
         walls[variant.label] = result.wall_ms
     off = IdlePageClearPolicy.OFF.value
@@ -1001,7 +1003,7 @@ def _measure_e12(spec: ExperimentSpec) -> Measurement:
     from repro.kernel.kernel import IO_BASE_EA
 
     def run(variant: ConfigVariant):
-        sim = boot(variant.machine, variant.config)
+        sim = Simulator(variant.machine, variant.config)
         kernel = sim.kernel
         task = kernel.spawn("xserver", data_pages=66)
         kernel.switch_to(task)
@@ -1055,15 +1057,15 @@ def _measure_e13(spec: ExperimentSpec, units: int = 5) -> Measurement:
     """§6.2: the no-htab 603 compile and the 603-vs-604 headline."""
     htab_variant, nohtab_variant, m604_variant = spec.variants
     htab = kernel_compile(
-        boot(htab_variant.machine, htab_variant.config),
+        Simulator(htab_variant.machine, htab_variant.config),
         units=units, label=htab_variant.label,
     )
     nohtab = kernel_compile(
-        boot(nohtab_variant.machine, nohtab_variant.config),
+        Simulator(nohtab_variant.machine, nohtab_variant.config),
         units=units, label=nohtab_variant.label,
     )
     m604 = kernel_compile(
-        boot(m604_variant.machine, m604_variant.config),
+        Simulator(m604_variant.machine, m604_variant.config),
         units=units, label=m604_variant.label,
     )
     ratio = nohtab.wall_ms / htab.wall_ms
@@ -1132,7 +1134,7 @@ def _measure_e15(spec: ExperimentSpec) -> Measurement:
     from repro.params import KERNELBASE
 
     def switch_cost(variant: ConfigVariant) -> float:
-        sim = boot(variant.machine, variant.config)
+        sim = Simulator(variant.machine, variant.config)
         kernel = sim.kernel
         first = kernel.spawn("a")
         second = kernel.spawn("b")
@@ -1186,7 +1188,7 @@ def _measure_e16(spec: ExperimentSpec) -> Measurement:
     """
 
     def latency_profile(variant: ConfigVariant):
-        sim = boot(variant.machine, variant.config)
+        sim = Simulator(variant.machine, variant.config)
         kernel = sim.kernel
         htab = sim.machine.htab
         task = kernel.spawn("churn", data_pages=120)
@@ -1505,7 +1507,7 @@ def _measure_smp(spec: ExperimentSpec, n_cpus: int) -> Measurement:
     processes = min(3 * n_cpus, 12)
     rows: Dict[str, Dict[str, int]] = {}
     for variant in spec.variants:
-        sim = boot(variant.machine, variant.config, n_cpus=n_cpus)
+        sim = Simulator(variant.machine, variant.config, n_cpus=n_cpus)
         for index in range(processes):
             sim.executive.spawn(
                 f"smp{index}", _smp_body(region_pages, rounds)
@@ -1666,7 +1668,7 @@ def _measure_e20(spec: ExperimentSpec) -> Measurement:
     """
     rows: Dict[str, Dict[str, object]] = {}
     for variant in spec.variants:
-        sim = boot(variant.machine, variant.config, n_cpus=_SERVICE_CPUS)
+        sim = Simulator(variant.machine, variant.config, n_cpus=_SERVICE_CPUS)
         run = service_run(
             sim, _SERVICE_REQUESTS, _SERVICE_LOAD, seed=_SERVICE_SEED
         )

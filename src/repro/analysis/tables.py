@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.analysis.spec import REPRODUCED
 
@@ -82,37 +82,3 @@ def _cell(value: object) -> str:
             return f"{value:.1f}"
         return f"{value:.2f}"
     return str(value)
-
-
-def format_lmbench_rows(results, metrics: Optional[List[str]] = None) -> str:
-    """Render LmbenchResult objects as a Table 1/2-style grid.
-
-    ``results`` is a list of :class:`~repro.workloads.lmbench.LmbenchResult`;
-    columns are configurations (like the paper), rows are points.
-    """
-    metrics = metrics or [
-        ("process start (ms)", "process_start_ms"),
-        ("ctxsw (us)", "ctxsw_us"),
-        ("pipe lat. (us)", "pipe_latency_us"),
-        ("pipe bw (MB/s)", "pipe_bw_mb_s"),
-        ("file reread (MB/s)", "file_reread_mb_s"),
-        ("mmap lat. (us)", "mmap_latency_us"),
-        ("null syscall (us)", "null_syscall_us"),
-    ]
-    headers = ["point"] + [result.label for result in results]
-    rows = []
-    for label, attr in metrics:
-        values = [getattr(result, attr) for result in results]
-        if all(value is None for value in values):
-            continue
-        rows.append([label] + values)
-    return format_table(headers, rows)
-
-
-def ratio_line(name: str, measured: float, paper: float, unit: str = "") -> str:
-    """One 'measured vs paper' comparison line for experiment output."""
-    if paper:
-        relation = f"{measured / paper:5.2f}x of paper"
-    else:
-        relation = "n/a"
-    return f"  {name:<34} measured {measured:10.2f}{unit:<6} paper {paper:10.2f}{unit:<6} ({relation})"

@@ -10,16 +10,45 @@ invariant: *no stale translation is ever served*.  Missing cached
 entries are always legal (that is what flushes, evictions and zombie
 reclaim produce); present entries that disagree with the Linux page
 tables, the VSID liveness sets or the allocator bookkeeping are not.
+
+Each check registers itself in the suite where it is defined
+(``@invariant``), with one ``(kernel, shadow, record)`` signature;
+:func:`full_sweep` runs the suite in definition order, stable-only
+checks last.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable, List, Tuple
 
 from repro.kernel.vsid import ContextCounterVsids, kernel_vsids
 from repro.params import PAGE_SHIFT, SEGMENT_SHIFT
 
 Record = Callable[[str, str], object]
+Invariant = Callable[[Any, Any, Record], None]
+
+#: ``(check, stable_only)`` in registration order.
+_SUITE: List[Tuple[Invariant, bool]] = []
+
+
+def invariant(stable_only: bool = False) -> Callable[[Invariant], Invariant]:
+    """Register the decorated check in :func:`full_sweep`'s suite.
+
+    ``stable_only`` checks run after every other one, and only at
+    stable points.
+    """
+    def register(check: Invariant) -> Invariant:
+        _SUITE.append((check, stable_only))
+        return check
+    return register
+
+
+def suite(stable: bool = True) -> List[Invariant]:
+    """The checks a sweep runs, in order."""
+    checks = [check for check, only in _SUITE if not only]
+    if stable:
+        checks += [check for check, only in _SUITE if only]
+    return checks
 
 
 def _owner_pte(mm, segment: int, page_index: int):
@@ -31,6 +60,7 @@ def _owner_pte(mm, segment: int, page_index: int):
     return pte, ea
 
 
+@invariant()
 def check_tlbs(kernel, shadow, record: Record) -> None:
     """Live-VSID TLB entries must agree with the owner's page table.
 
@@ -73,6 +103,7 @@ def check_tlbs(kernel, shadow, record: Record) -> None:
                     )
 
 
+@invariant()
 def check_htab(kernel, shadow, record: Record) -> None:
     """Valid live-VSID hash-table PTEs must agree with the page tables."""
     owners = shadow.ownership()
@@ -105,7 +136,8 @@ def check_htab(kernel, shadow, record: Record) -> None:
             )
 
 
-def check_segments(kernel, record: Record) -> None:
+@invariant()
+def check_segments(kernel, shadow, record: Record) -> None:
     """Every CPU's segment registers carry its current context's VSIDs.
 
     With no current task on a CPU only its kernel segments are checked —
@@ -127,6 +159,7 @@ def check_segments(kernel, record: Record) -> None:
                 )
 
 
+@invariant()
 def check_precleared(kernel, shadow, record: Record) -> None:
     """Pages on the §9 pre-cleared list really are zero and really free."""
     palloc = kernel.palloc
@@ -145,7 +178,8 @@ def check_precleared(kernel, shadow, record: Record) -> None:
             )
 
 
-def check_frame_ownership(kernel, record: Record) -> None:
+@invariant()
+def check_frame_ownership(kernel, shadow, record: Record) -> None:
     """Resident frames are allocated, and private frames have one owner."""
     owners = {}
     for task in kernel.tasks.values():
@@ -170,7 +204,8 @@ def check_frame_ownership(kernel, record: Record) -> None:
             owners[pfn] = (task.pid, base)
 
 
-def check_allocator(kernel, record: Record) -> None:
+@invariant(stable_only=True)
+def check_allocator(kernel, shadow, record: Record) -> None:
     """Allocator bookkeeping agrees with who actually holds VSIDs.
 
     Only valid at stable points: a context being renumbered mid-bump and
@@ -215,6 +250,7 @@ def check_allocator(kernel, record: Record) -> None:
             )
 
 
+@invariant()
 def check_shootdown(kernel, shadow, record: Record) -> None:
     """The deferred shootdown queues are safe and soundly mirrored.
 
@@ -254,11 +290,5 @@ def check_shootdown(kernel, shadow, record: Record) -> None:
 
 def full_sweep(kernel, shadow, record: Record, stable: bool = True) -> None:
     """Run every invariant; ``stable=False`` for mid-operation sweeps."""
-    check_tlbs(kernel, shadow, record)
-    check_htab(kernel, shadow, record)
-    check_segments(kernel, record)
-    check_precleared(kernel, shadow, record)
-    check_frame_ownership(kernel, record)
-    check_shootdown(kernel, shadow, record)
-    if stable:
-        check_allocator(kernel, record)
+    for check in suite(stable):
+        check(kernel, shadow, record)

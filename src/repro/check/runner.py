@@ -1,14 +1,10 @@
 """Drive the experiment registry with the sanitizer enabled.
 
-``run_checked`` wraps each registered experiment in a reporter context,
-lets every Simulator the experiment builds auto-attach a sanitizer via
-the global-check hook, and finishes each experiment with a stable full
-sweep of every machine it created.  This is the engine behind
+``run_checked`` wraps each registered experiment in a reporter context
+and runs it through :func:`repro.analysis.engine.observe` with a sweep
+cadence, so every Simulator the experiment builds attaches a sanitizer
+and ends with a stable full sweep.  This is the engine behind
 ``python -m repro check``.
-
-Kept out of :mod:`repro.check`'s ``__init__`` on purpose: importing the
-experiment registry here would cycle back through the simulator into the
-check package.
 """
 
 from __future__ import annotations
@@ -18,12 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.analysis import engine, specs
-from repro.check import (
-    disable_global_sanitizer,
-    drain_global_sanitizers,
-    enable_global_sanitizer,
-)
 from repro.check.report import ViolationReporter
+from repro.check.sanitizer import check_sweep_every
 
 #: ``repro check``'s periodic sweep cadence, in checked translations.
 DEFAULT_SWEEP_EVERY = 50_000
@@ -103,37 +95,33 @@ def run_checked(
     mid-run sweep cadence (in checked translations); a stable full sweep
     always runs at the end of each experiment.
     """
+    check_sweep_every(sweep_every)
     if ids is None:
         ids = specs.sorted_ids()
-    reporter = enable_global_sanitizer(sweep_every=sweep_every)
+    reporter = ViolationReporter()
     run = CheckRun(reporter)
-    try:
-        for experiment_id in ids:
-            key = experiment_id.upper()
-            if key not in specs.SPECS:
-                raise KeyError(experiment_id)
-            if progress is not None:
-                progress(key)
-            reporter.begin_context(key)
-            before = reporter.total
-            start = time.monotonic()
-            result = engine.execute(specs.SPECS[key])
-            sanitizers = drain_global_sanitizers()
-            translations = 0
-            for sanitizer in sanitizers:
-                sanitizer.sweep(stable=True)
-                translations += sanitizer.translations_checked
-            run.results.append(
-                ExperimentCheck(
-                    experiment=key,
-                    shape_holds=result.shape_holds,
-                    violations=reporter.total - before,
-                    seconds=time.monotonic() - start,
-                    machines=len(sanitizers),
-                    translations=translations,
-                )
+    for experiment_id in ids:
+        spec = engine.spec_for(experiment_id)
+        if progress is not None:
+            progress(spec.id)
+        reporter.begin_context(spec.id)
+        before = reporter.total
+        start = time.monotonic()
+        result, handles = engine.observe(
+            spec, profile=False, sweep_every=sweep_every, reporter=reporter
+        )
+        run.results.append(
+            ExperimentCheck(
+                experiment=spec.id,
+                shape_holds=result.shape_holds,
+                violations=reporter.total - before,
+                seconds=time.monotonic() - start,
+                machines=len(handles),
+                translations=sum(
+                    handle.sanitizer.translations_checked
+                    for handle in handles if handle.sanitizer is not None
+                ),
             )
-            reporter.end_context()
-    finally:
-        disable_global_sanitizer()
+        )
+        reporter.end_context()
     return run

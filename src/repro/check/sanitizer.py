@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.check.invariants import full_sweep
+from repro.check.invariants import check_allocator, full_sweep
 from repro.check.report import ViolationReporter
 from repro.check.shadow import ShadowMMU
 from repro.errors import ConfigError
@@ -202,9 +202,7 @@ class Sanitizer:
                 "global-flush-left-zombies",
                 f"{len(zombies)} zombie VSIDs survived flush_everything",
             )
-        from repro.check.invariants import check_allocator
-
-        check_allocator(self.kernel, self._record)
+        check_allocator(self.kernel, self.shadow, self._record)
 
     def after_reclaim_slot(self, flat: int, pte) -> None:
         """The idle task reclaimed one slot: it must be a dead zombie."""

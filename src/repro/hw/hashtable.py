@@ -452,31 +452,6 @@ class HashedPageTable:
             },
         }
 
-    def live_zombie_histogram(
-        self, vsid_is_live: Callable[[int], bool]
-    ) -> List[tuple]:
-        """Per-bucket ``(live, zombie)`` counts under a VSID predicate.
-
-        Counter-free, like :meth:`peek` — the observability sampler reads
-        this every tick without perturbing the table's statistics.
-        """
-        valid = self._valid
-        keys = self._key
-        ppg = self.ptes_per_group
-        histogram = []
-        for base in range(0, self.slots, ppg):
-            live = zombie = 0
-            end = base + ppg
-            flat = valid.find(1, base, end)
-            while flat != -1:
-                if vsid_is_live(keys[flat] >> _KEY_PAGE_BITS):
-                    live += 1
-                else:
-                    zombie += 1
-                flat = valid.find(1, flat + 1, end)
-            histogram.append((live, zombie))
-        return histogram
-
     def evict_ratio(self) -> float:
         """Evicts per reload — §7's headline metric (>90% before, 30% after)."""
         return self.evicts / self.reloads if self.reloads else 0.0

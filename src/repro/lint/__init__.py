@@ -11,8 +11,7 @@ the local disciplines those guarantees rest on:
   set-iteration order), layering, the zero-perturbation observer
   contract, hook-guard discipline, error discipline, geometry literals;
 * closure passes — ledger categories vs the profiler taxonomy, event
-  names vs the ``obs/events.py`` registry, invariants vs the
-  ``full_sweep`` suite.
+  names vs the ``obs/events.py`` registry.
 
 Run it with ``python -m repro lint`` (``--list-rules`` for the
 catalog).  Silence a finding only with a justified inline pragma:

@@ -1,6 +1,6 @@
 """The cross-file closure rules.
 
-Three registries anchor runtime guarantees; these passes close them
+Two registries anchor runtime guarantees; these passes close them
 statically, so deleting a registry entry (or adding an unregistered
 publisher) fails lint instead of failing — or worse, silently skewing —
 a simulator run:
@@ -11,9 +11,7 @@ a simulator run:
 * every event name published into the tracer or counted by the
   hardware monitor appears in the ``EVENT_NAMES`` registry of
   ``obs/events.py``, and every tracer publication passes one value per
-  key its entry registers;
-* every invariant defined in ``check/invariants.py`` is registered in
-  the ``full_sweep`` suite.
+  key its entry registers.
 
 The observatory's derived tables (analytics, flamegraph) are built
 from those registries at import time, so they need no pass.
@@ -361,62 +359,4 @@ class EventRegistryRule(ProjectRule):
                     registry_ctx, element,
                     f"{self.MONITOR_FILTER} lists {name!r}, which is "
                     f"not in {self.REGISTRY_NAME}",
-                )
-
-
-# -- invariant registration --------------------------------------------------
-
-
-class InvariantRegistrationRule(ProjectRule):
-    id = "invariant-registration"
-    description = (
-        "every check_* invariant defined in check/invariants.py is "
-        "called from the full_sweep suite"
-    )
-
-    REGISTRY = "check/invariants.py"
-    SUITE = "full_sweep"
-    PREFIX = "check_"
-
-    def check_project(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        ctx = _find_context(contexts, self.REGISTRY)
-        if ctx is None:
-            return
-        invariants = [
-            node
-            for node in ctx.tree.body
-            if isinstance(node, ast.FunctionDef)
-            and node.name.startswith(self.PREFIX)
-        ]
-        suite = next(
-            (
-                node
-                for node in ctx.tree.body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == self.SUITE
-            ),
-            None,
-        )
-        if suite is None:
-            if invariants:
-                report(
-                    ctx, invariants[0],
-                    f"invariants are defined but {self.REGISTRY} has no "
-                    f"{self.SUITE}() suite to register them in",
-                )
-            return
-        called = {
-            dotted_name(node.func)
-            for node in ast.walk(suite)
-            if isinstance(node, ast.Call)
-        }
-        for invariant in invariants:
-            if invariant.name not in called:
-                report(
-                    ctx, invariant,
-                    f"invariant {invariant.name}() is defined but never "
-                    f"called from {self.SUITE}(); it would silently "
-                    "not run",
                 )

@@ -33,7 +33,6 @@ ALL_RULES: List[Rule] = [
     rules.GeometryLiteralRule(),
     closure.LedgerTaxonomyRule(),
     closure.EventRegistryRule(),
-    closure.InvariantRegistrationRule(),
 ]
 
 #: Ids a pragma may name: the rules and the engine's pseudo-rules.

@@ -1,6 +1,6 @@
 """The MMU flight recorder (DESIGN.md "obs" subsystem).
 
-Three zero-perturbation layers over a booted simulator:
+Four zero-perturbation observers over a booted simulator:
 
 * :class:`~repro.obs.events.EventTracer` — ring-buffered structured
   events with simulated-cycle timestamps, exported as Chrome
@@ -8,26 +8,30 @@ Three zero-perturbation layers over a booted simulator:
 * :class:`~repro.obs.profiler.CycleProfiler` — folds the cycle ledger
   into a path-category attribution that sums exactly to total cycles;
 * :class:`~repro.obs.sampler.TimeSeriesSampler` — periodic counter and
-  HTAB occupancy/zombie snapshots on a simulated-time grid.
+  HTAB occupancy/zombie snapshots on a simulated-time grid;
+* :class:`~repro.check.sanitizer.Sanitizer` — the shadow-MMU coherence
+  check on every served translation, attached when given a sweep
+  cadence.
 
-Two ways to turn it on, mirroring ``repro.check``:
+Two ways to turn them on:
 
 * per simulator — ``Simulator(spec, config, trace=True, profile=True,
-  sample_every_us=1000)`` or ``attach_observability(kernel)`` directly;
-* globally — ``enable_global_observability()`` makes every Simulator
-  built afterwards attach a recorder, registered for
-  ``drain_global_observed()``.  This is how ``python -m repro trace``
-  and ``profile`` instrument experiment code they do not construct.
-
-This module must not import :mod:`repro.obs.session` — the session
-runner pulls in the experiment registry, which imports the simulator,
-which imports this package.  The CLI imports the session directly.
+  sample_every_us=1000, sanitize=True)``;
+* for every simulator a run builds — :func:`repro.analysis.engine.observe`
+  opens the one process-wide scope (:func:`enable_global_observability`),
+  runs the experiment, hands back the :class:`Observability` of every
+  simulator it booted and closes the scope.  This is how ``repro run``,
+  ``trace``, ``check`` and ``diff --variant`` watch experiment code they
+  do not construct.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.check.report import ViolationReporter
+from repro.check.sanitizer import Sanitizer, check_sweep_every
 from repro.obs.events import (
     EventTracer,
     TraceConfig,
@@ -52,7 +56,6 @@ __all__ = [
     "disable_global_observability",
     "drain_global_observed",
     "enable_global_observability",
-    "global_obs_active",
     "merge_attributions",
     "render_attribution",
     "validate_chrome_trace",
@@ -60,7 +63,12 @@ __all__ = [
 
 
 class Observability:
-    """One machine's flight recorder: tracer + profiler + sampler."""
+    """One machine's observers: tracer, profiler, sampler and sanitizer.
+
+    ``sweep_every`` (periodic sweeps every N checked translations, 0 for
+    none) attaches a sanitizer feeding ``reporter``; ``None`` attaches
+    none.
+    """
 
     def __init__(
         self,
@@ -70,6 +78,8 @@ class Observability:
         sample_every_us: Optional[float] = None,
         trace_config: Optional[TraceConfig] = None,
         label: Optional[str] = None,
+        sweep_every: Optional[int] = None,
+        reporter: Optional[ViolationReporter] = None,
     ) -> None:
         machine = kernel.machine
         self.kernel = kernel
@@ -79,6 +89,15 @@ class Observability:
         self.profiler: Optional[CycleProfiler] = None
         self.profilers: List[CycleProfiler] = []
         self.sampler: Optional[TimeSeriesSampler] = None
+        self.sanitizer: Optional[Sanitizer] = None
+        if sweep_every is not None:
+            self.sanitizer = Sanitizer(
+                kernel, reporter=reporter, sweep_every=sweep_every
+            )
+            # repro-lint: disable=zero-perturbation -- the sanctioned attach
+            # point: installs the sanitizer on the machine's dedicated
+            # observer slot.
+            machine.sanitizer = self.sanitizer
         if trace:
             self.tracer = EventTracer(
                 machine, kernel=kernel, label=self.label, config=trace_config
@@ -121,19 +140,20 @@ class Observability:
         )
 
 
-class _GlobalObs:
-    """Process-wide recorder state, active between enable/disable."""
+@dataclass
+class _Scope:
+    """The process-wide observer options, open between enable/disable."""
 
-    def __init__(self) -> None:
-        self.active = False
-        self.trace = False
-        self.profile = True
-        self.sample_every_us: Optional[float] = None
-        self.trace_config: Optional[TraceConfig] = None
-        self.observed: List[Observability] = []
+    trace: bool
+    profile: bool
+    sample_every_us: Optional[float]
+    trace_config: Optional[TraceConfig]
+    sweep_every: Optional[int]
+    reporter: Optional[ViolationReporter]
+    observed: List[Observability] = field(default_factory=list)
 
 
-_GLOBAL = _GlobalObs()
+_SCOPE: Optional[_Scope] = None
 
 
 def enable_global_observability(
@@ -141,67 +161,75 @@ def enable_global_observability(
     profile: bool = True,
     sample_every_us: Optional[float] = None,
     trace_config: Optional[TraceConfig] = None,
+    sweep_every: Optional[int] = None,
+    reporter: Optional[ViolationReporter] = None,
 ) -> None:
-    """Attach a recorder to every subsequently-built Simulator."""
-    _GLOBAL.active = True
-    _GLOBAL.trace = trace
-    _GLOBAL.profile = profile
-    _GLOBAL.sample_every_us = sample_every_us
-    _GLOBAL.trace_config = trace_config
-    _GLOBAL.observed = []
+    """Attach these observers to every subsequently-built Simulator.
+
+    A ``sweep_every`` cadence adds a sanitizer to each, all feeding one
+    ``reporter`` (a fresh one unless given).  A negative cadence raises
+    :class:`~repro.errors.ConfigError` here, before any simulator boots.
+    """
+    global _SCOPE
+    if sweep_every is not None:
+        check_sweep_every(sweep_every)
+        if reporter is None:
+            reporter = ViolationReporter()
+    _SCOPE = _Scope(
+        trace, profile, sample_every_us, trace_config, sweep_every, reporter
+    )
 
 
 def disable_global_observability() -> None:
-    _GLOBAL.active = False
-    _GLOBAL.trace = False
-    _GLOBAL.profile = True
-    _GLOBAL.sample_every_us = None
-    _GLOBAL.trace_config = None
-    _GLOBAL.observed = []
-
-
-def global_obs_active() -> bool:
-    return _GLOBAL.active
+    global _SCOPE
+    _SCOPE = None
 
 
 def drain_global_observed() -> List[Observability]:
-    """Hand over (and forget) the recorders attached since enable."""
-    observed = _GLOBAL.observed
-    _GLOBAL.observed = []
+    """Hand over (and forget) the observers attached since enable."""
+    if _SCOPE is None:
+        return []
+    observed = _SCOPE.observed
+    _SCOPE.observed = []
     return observed
 
 
 def attach_observability(
     kernel: Any,
-    trace: Optional[bool] = None,
-    profile: Optional[bool] = None,
+    trace: bool = False,
+    profile: bool = False,
     sample_every_us: Optional[float] = None,
-    trace_config: Optional[TraceConfig] = None,
-    label: Optional[str] = None,
-) -> Observability:
-    """Build an :class:`Observability` for ``kernel`` and hook the machine.
+    sanitize: bool = False,
+) -> Optional[Observability]:
+    """The observers one simulator asked for, joined with the scope's.
 
-    While the global recorder is active, unspecified options inherit the
-    global configuration and the recorder is registered for
+    Outside a scope an :class:`Observability` exists only if one was
+    asked for; ``sanitize`` attaches a sanitizer with its own reporter
+    and no periodic sweeps.  Inside one, every simulator gets the
+    scope's observers plus the ones it asked for, and is registered for
     :func:`drain_global_observed`.
     """
-    if _GLOBAL.active:
-        if trace is None:
-            trace = _GLOBAL.trace
-        if profile is None:
-            profile = _GLOBAL.profile
-        if sample_every_us is None:
-            sample_every_us = _GLOBAL.sample_every_us
-        if trace_config is None:
-            trace_config = _GLOBAL.trace_config
+    scope = _SCOPE
+    if scope is None:
+        if not (trace or profile or sanitize
+                or sample_every_us is not None):
+            return None
+        # Nothing to inherit, and nobody drains it.
+        scope = _Scope(False, False, None, None, None, None)
+    sweep_every = scope.sweep_every
+    if sweep_every is None and sanitize:
+        sweep_every = 0
     observability = Observability(
         kernel,
-        trace=bool(trace),
-        profile=True if profile is None else bool(profile),
-        sample_every_us=sample_every_us,
-        trace_config=trace_config,
-        label=label,
+        trace=trace or scope.trace,
+        profile=profile or scope.profile,
+        sample_every_us=(
+            scope.sample_every_us if sample_every_us is None
+            else sample_every_us
+        ),
+        trace_config=scope.trace_config,
+        sweep_every=sweep_every,
+        reporter=scope.reporter,
     )
-    if _GLOBAL.active:
-        _GLOBAL.observed.append(observability)
+    scope.observed.append(observability)
     return observability

@@ -8,9 +8,6 @@ experiment) into dotted-path leaves, then report what changed, by how
 much, and what exists on only one side.  The regression sentinel
 (``repro bench compare``) is the same per-leaf comparison held to
 exactness: bench docs carry no host time, so any differing leaf fails.
-
-Like :mod:`repro.obs.session`, this module imports the experiment
-registry and therefore stays out of ``repro.obs.__init__``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ those curves become first-class, plottable artifacts.
 
 Sampling rides the cycle ledger's observer hook: whenever charged
 cycles cross the next sample boundary, a snapshot is taken.  Every read
-is counter-free (``snapshot``, ``live_zombie_histogram``), so sampled
-runs stay bit-identical to unsampled ones.
+is counter-free (``monitor_totals``, ``live_and_zombie_counts``), so
+sampled runs stay bit-identical to unsampled ones.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Simulation engine: cycle ledger, traces, processes, and the simulator.
 
-``Executive``, ``Simulator`` and ``boot`` are provided lazily: they
-pull in the experiment-facing machinery, which is heavy and unneeded
-for callers that only want the ledger or a trace.
+``Executive`` and ``Simulator`` are provided lazily: they pull in the
+experiment-facing machinery, which is heavy and unneeded for callers
+that only want the ledger or a trace.
 """
 
 from repro.hw.clock import CycleLedger
@@ -19,7 +19,6 @@ __all__ = [
     "PageVisit",
     "Simulator",
     "WorkingSetTrace",
-    "boot",
     "sequential_trace",
     "strided_trace",
 ]
@@ -30,8 +29,8 @@ def __getattr__(name):
         from repro.sim.process import Executive
 
         return Executive
-    if name in ("Simulator", "boot"):
-        from repro.sim import simulator
+    if name == "Simulator":
+        from repro.sim.simulator import Simulator
 
-        return getattr(simulator, name)
+        return Simulator
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

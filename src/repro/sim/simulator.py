@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro import check, obs
+from repro import obs
 from repro.hw.machine import MachineModel
 from repro.kernel.config import KernelConfig
 from repro.kernel.kernel import Kernel
@@ -46,19 +46,14 @@ class Simulator:
         )
         self.kernel = Kernel(self.machine, self.config)
         self.executive = Executive(self.kernel)
-        self.sanitizer = None
-        if sanitize or check.global_check_active():
-            self.sanitizer = check.attach_sanitizer(self.kernel)
-        self.obs = None
-        if trace or profile or sample_every_us is not None:
-            self.obs = obs.attach_observability(
-                self.kernel,
-                trace=trace,
-                profile=profile,
-                sample_every_us=sample_every_us,
-            )
-        elif obs.global_obs_active():
-            self.obs = obs.attach_observability(self.kernel)
+        self.obs = obs.attach_observability(
+            self.kernel,
+            trace=trace,
+            profile=profile,
+            sample_every_us=sample_every_us,
+            sanitize=sanitize,
+        )
+        self.sanitizer = self.obs.sanitizer if self.obs is not None else None
 
     # -- measurement ------------------------------------------------------------
 
@@ -100,28 +95,3 @@ class Simulator:
         seconds = cycles / (self.spec.clock_mhz * 1e6)
         return total_bytes / 1e6 / seconds
 
-
-def boot(
-    spec: MachineSpec,
-    config: Optional[KernelConfig] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    profile: bool = False,
-    sample_every_us: Optional[float] = None,
-    n_cpus: int = 1,
-) -> Simulator:
-    """Convenience constructor used throughout tests and benchmarks.
-
-    Forwards the observability/checking options to :class:`Simulator`,
-    so ``boot(spec, config, trace=True)`` behaves exactly like the full
-    constructor (these kwargs used to be dropped silently).
-    """
-    return Simulator(
-        spec,
-        config,
-        sanitize=sanitize,
-        trace=trace,
-        profile=profile,
-        sample_every_us=sample_every_us,
-        n_cpus=n_cpus,
-    )

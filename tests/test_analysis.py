@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import engine, specs
 from repro.analysis.spec import experiment_sort_key
-from repro.analysis.tables import format_table, ratio_line
+from repro.analysis.tables import format_table
 
 
 class TestFormatTable:
@@ -21,10 +21,6 @@ class TestFormatTable:
     def test_none_renders_dash(self):
         text = format_table(["x"], [[None]])
         assert "-" in text.splitlines()[-1]
-
-    def test_ratio_line(self):
-        line = ratio_line("metric", 50.0, 100.0, "us")
-        assert "0.50x" in line
 
 
 class TestRegistry:

@@ -9,8 +9,8 @@ are also pinned against the live taxonomies.
 
 from __future__ import annotations
 
+from repro.analysis import engine
 from repro.obs import analytics
-from repro.obs import session as obs_session
 from repro.obs.events import (
     DEFAULT_MONITOR_EVENTS,
     EVENT_NAMES,
@@ -169,13 +169,13 @@ class TestDerive:
         assert analytics.derive([]) == {}
 
     def test_full_block_from_observed_run(self):
-        run = obs_session.run_observed(
-            "E1", trace=True, sample_every_us=10.0
+        _result, observed = engine.observe(
+            engine.spec_for("E1"), trace=True, sample_every_us=10.0
         )
-        derived = analytics.derive(run.observed)
+        derived = analytics.derive(observed)
 
         assert derived["total_cycles"] > 0
-        assert derived["simulators"] == len(run.observed)
+        assert derived["simulators"] == len(observed)
         assert derived["machines"]
 
         attribution = derived["attribution"]
@@ -203,6 +203,7 @@ class TestDerive:
             assert sum(summary["bars"]) == summary["total"]
 
     def test_derive_is_deterministic_over_handles(self):
-        run = obs_session.run_observed("E1", trace=True)
-        assert (analytics.derive(run.observed)
-                == analytics.derive(run.observed))
+        _result, observed = engine.observe(
+            engine.spec_for("E1"), trace=True
+        )
+        assert analytics.derive(observed) == analytics.derive(observed)

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import check
+from repro import check, obs
+from repro.check import invariants
 from repro.check.sanitizer import Sanitizer
 from repro.errors import ConfigError
 from repro.hw.tlb import TlbEntry
@@ -143,14 +144,19 @@ class TestDetection:
 
 class TestGlobalAttach:
     def test_global_enable_attaches_to_new_simulators(self):
-        reporter = check.enable_global_sanitizer(sweep_every=1000)
+        reporter = check.ViolationReporter()
+        obs.enable_global_observability(
+            profile=False, sweep_every=1000, reporter=reporter
+        )
         try:
             sim = Simulator(M604_185, lazy_config())
             assert sim.sanitizer is not None
             assert sim.sanitizer.reporter is reporter
-            assert check.drain_global_sanitizers() == [sim.sanitizer]
+            assert sim.sanitizer.sweep_every == 1000
+            assert sim.obs.profiler is None and sim.obs.tracer is None
+            assert obs.drain_global_observed() == [sim.obs]
         finally:
-            check.disable_global_sanitizer()
+            obs.disable_global_observability()
         assert Simulator(M604_185, lazy_config()).sanitizer is None
 
     def test_reporter_contexts(self):
@@ -175,8 +181,8 @@ class TestSweepCadence:
 
     def test_global_enable_rejects_negative_cadence(self):
         with pytest.raises(ConfigError, match="sweep_every"):
-            check.enable_global_sanitizer(sweep_every=-1)
-        assert Simulator(M604_185, lazy_config()).sanitizer is None
+            obs.enable_global_observability(sweep_every=-1)
+        assert Simulator(M604_185, lazy_config()).obs is None
 
     def test_run_checked_fails_before_running(self):
         from repro.check.runner import run_checked
@@ -185,7 +191,18 @@ class TestSweepCadence:
         with pytest.raises(ConfigError, match="sweep_every"):
             run_checked(ids=["E1"], sweep_every=-1, progress=started.append)
         assert started == []
-        assert Simulator(M604_185, lazy_config()).sanitizer is None
+        assert Simulator(M604_185, lazy_config()).obs is None
+
+
+class TestInvariantSuite:
+    def test_sweep_order(self):
+        assert [fn.__name__ for fn in invariants.suite()] == [
+            "check_tlbs", "check_htab", "check_segments",
+            "check_precleared", "check_frame_ownership", "check_shootdown",
+            "check_allocator",
+        ]
+        # A mid-operation sweep skips the stable-only allocator check.
+        assert invariants.suite(stable=False) == invariants.suite()[:-1]
 
 
 # -- the property test: random lifecycle interleavings stay coherent -------

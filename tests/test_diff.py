@@ -14,7 +14,6 @@ import pytest
 from repro import __main__ as cli
 from repro.analysis import engine
 from repro.obs import diff as obs_diff
-from repro.obs import session as obs_session
 
 
 class TestFlatten:
@@ -94,22 +93,20 @@ class TestDiffDocs:
 class TestVariantSplit:
     def test_observed_handles_group_under_labels(self):
         spec = engine.spec_for("E12")
-        run = obs_session.run_observed("E12")
-        groups, unmatched = obs_diff.variant_observations(
-            spec, run.observed
-        )
+        _result, observed = engine.observe(spec)
+        groups, unmatched = obs_diff.variant_observations(spec, observed)
         assert set(groups) == {v.label for v in spec.variants}
         assert all(handles for handles in groups.values())
         assert len(unmatched) + sum(
             len(h) for h in groups.values()
-        ) == len(run.observed)
+        ) == len(observed)
 
     def test_variant_diff_ranks_counter_movement(self):
         spec = engine.spec_for("E12")
-        run = obs_session.run_observed("E12")
+        _result, observed = engine.observe(spec)
         labels = [v.label for v in spec.variants]
         diff = obs_diff.diff_variant_labels(
-            spec, run.observed, labels[0], labels[1]
+            spec, observed, labels[0], labels[1]
         )
         assert diff["equal"] > 0
         changed_keys = {entry["key"] for entry in diff["changed"]}
@@ -118,10 +115,10 @@ class TestVariantSplit:
 
     def test_unknown_label_raises_with_known_labels(self):
         spec = engine.spec_for("E12")
-        run = obs_session.run_observed("E12")
+        _result, observed = engine.observe(spec)
         with pytest.raises(KeyError, match="no recorder handles"):
             obs_diff.diff_variant_labels(
-                spec, run.observed, "nope", spec.variants[0].label
+                spec, observed, "nope", spec.variants[0].label
             )
 
 
@@ -158,4 +155,16 @@ class TestDiffCli:
         doc.write_text(json.dumps({"experiments": []}))
         record.write_text(json.dumps({"id": "E1"}))
         assert cli.main(["diff", str(doc), str(record)]) == 2
-        assert "one is a bench doc" in capsys.readouterr().err
+        assert "repro bench compare" in capsys.readouterr().err
+
+    def test_two_bench_docs_exit_two_and_name_bench_compare(self, tmp_path,
+                                                           capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"experiments": []}))
+        assert cli.main(["diff", str(doc), str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"diff: {doc}: a bench doc; compare bench docs with "
+            "'repro bench compare'\n"
+        )

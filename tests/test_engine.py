@@ -25,14 +25,13 @@ import json
 import pytest
 
 from repro import __main__ as cli
-from repro import obs
 from repro.analysis import cache as cache_mod
 from repro.analysis import engine, specs
 from repro.analysis.cache import ResultCache, spec_fingerprint
 from repro.kernel.config import KernelConfig
 from repro.obs import metrics
 from repro.params import M604_185
-from repro.sim.simulator import boot
+from repro.sim.simulator import Simulator
 
 FAST_IDS = ["E1", "E12", "E15"]
 
@@ -172,20 +171,22 @@ class TestDerive:
     def test_derive_does_not_perturb_measured(self):
         spec = engine.spec_for("E1")
         bare = engine.execute(spec)
-        derived = engine.execute(spec, derive=True)
+        derived, _hit = engine.run_cached(spec, use_cache=False)
         assert derived.measured == bare.measured
         assert derived.shape_holds == bare.shape_holds
         assert bare.derived == {}
         assert derived.derived
 
     def test_derived_block_sections(self):
-        result = engine.execute(engine.spec_for("E1"), derive=True)
+        result, _hit = engine.run_cached(
+            engine.spec_for("E1"), use_cache=False
+        )
         block = result.derived
         assert block["total_cycles"] > 0
         assert "attribution" in block
         assert "counters" in block
         assert "histograms" in block
-        # The derive wrapper traces, so span sections are present too.
+        # The derive recorder traces, so span sections are present too.
         assert "events" in block
         # The block must already be JSON-round-tripped (cache-identical).
         assert block == json.loads(json.dumps(block))
@@ -198,16 +199,40 @@ class TestDerive:
         assert cold.derived
         assert warm.derived == cold.derived
 
-    def test_derive_defers_to_active_global_observability(self):
-        obs.enable_global_observability(profile=True)
-        try:
-            result = engine.execute(engine.spec_for("E1"), derive=True)
-            observed = obs.drain_global_observed()
-        finally:
-            obs.disable_global_observability()
-        # The outer caller owns the handles; derive must not steal them.
-        assert result.derived == {}
-        assert observed
+
+class TestObserve:
+    def test_one_handle_per_simulator_then_the_scope_closes(self):
+        spec = engine.spec_for("E12")
+        result, handles = engine.observe(spec, trace=True)
+        assert result == engine.execute(spec)
+        assert [h.machine.spec.name for h in handles] == [
+            variant.machine.name for variant in spec.variants
+        ]
+        assert all(h.tracer is not None and h.profiler is not None
+                   and h.sanitizer is None for h in handles)
+        assert Simulator(M604_185, KernelConfig.optimized()).obs is None
+
+    def test_sanitizers_share_one_reporter_and_end_swept(self):
+        _result, handles = engine.observe(
+            engine.spec_for("E12"), profile=False, sweep_every=0
+        )
+        sanitizers = [h.sanitizer for h in handles]
+        assert all(h.profiler is None for h in handles)
+        assert {id(s.reporter) for s in sanitizers} == {
+            id(sanitizers[0].reporter)
+        }
+        assert [s.sweeps for s in sanitizers] == [1] * len(handles)
+        assert sanitizers[0].reporter.total == 0
+
+    def test_the_scope_closes_when_the_workload_raises(self):
+        def broken(spec):
+            Simulator(M604_185, KernelConfig.optimized())
+            raise RuntimeError("workload failed")
+
+        spec = dataclasses.replace(engine.spec_for("E1"), workload=broken)
+        with pytest.raises(RuntimeError, match="workload failed"):
+            engine.observe(spec, sweep_every=0)
+        assert Simulator(M604_185, KernelConfig.optimized()).obs is None
 
 
 class TestFingerprint:
@@ -248,7 +273,7 @@ class TestFingerprint:
 class TestResultRecord:
     def test_record_is_derivable_from_cached_result(self):
         spec = engine.spec_for("E1")
-        fresh = engine.execute(spec, derive=True)
+        fresh, _hit = engine.run_cached(spec, use_cache=False)
         engine.run_cached(spec)  # populate
         cached, hit = engine.run_cached(spec)
         assert hit
@@ -262,16 +287,22 @@ class TestResultRecord:
 
 
 class TestBootForwarding:
+    """The constructor hands its observer options to the observers."""
+
     def test_boot_forwards_observability_kwargs(self):
-        sim = boot(M604_185, KernelConfig.optimized(), profile=True)
+        sim = Simulator(M604_185, KernelConfig.optimized(), profile=True)
         assert sim.obs is not None
         assert sim.obs.profiler is not None
+        assert sim.sanitizer is None
 
     def test_boot_forwards_sanitize(self):
-        sim = boot(M604_185, KernelConfig.optimized(), sanitize=True)
+        sim = Simulator(M604_185, KernelConfig.optimized(), sanitize=True)
         assert sim.sanitizer is not None
+        assert sim.sanitizer is sim.obs.sanitizer
+        assert sim.machine.sanitizer is sim.sanitizer
+        assert sim.sanitizer.sweep_every == 0
 
     def test_boot_defaults_stay_bare(self):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         assert sim.obs is None
         assert sim.sanitizer is None

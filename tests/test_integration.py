@@ -9,7 +9,7 @@ import pytest
 
 from repro.kernel.config import IdlePageClearPolicy, KernelConfig, VsidPolicy
 from repro.params import M603_180, M604_185, PAGE_SIZE
-from repro.sim.simulator import Simulator, boot
+from repro.sim.simulator import Simulator
 from repro.sim.trace import WorkingSetTrace
 
 
@@ -43,7 +43,7 @@ def mixed_workload(sim, seed=5, rounds=8):
 
 
 def wall_us(config, spec=M604_185):
-    sim = mixed_workload(boot(spec, config))
+    sim = mixed_workload(Simulator(spec, config))
     return sim.elapsed_us(), sim
 
 
@@ -71,7 +71,7 @@ class TestEachOptimizationDirection:
         the working set that has to refault — the paper's §7 regime."""
 
         def big_flush_run(config):
-            sim = boot(M604_185, config)
+            sim = Simulator(M604_185, config)
             kernel = sim.kernel
             task = kernel.spawn("t", data_pages=20)
             kernel.switch_to(task)
@@ -147,7 +147,7 @@ class TestCrossConfigConsistency:
     def test_workload_completes_and_balances(self, config):
         """Every configuration runs the workload to completion with a
         balanced ledger and no leaked tasks."""
-        sim = mixed_workload(boot(M604_185, config))
+        sim = mixed_workload(Simulator(M604_185, config))
         assert not sim.kernel.tasks  # everything exited
         assert sim.cycles == sum(sim.breakdown().values())
         counters = sim.counters()

@@ -495,33 +495,6 @@ class TestEventRegistry:
         assert "'ghost'" in finding.message
 
 
-class TestInvariantRegistration:
-    def test_registered_suite_clean(self, tmp_path):
-        result = run_lint(tmp_path, {"check/invariants.py": """\
-            def check_tlbs(kernel, record):
-                pass
-
-            def full_sweep(kernel, record):
-                check_tlbs(kernel, record)
-        """}, rules=single_rule("invariant-registration"))
-        assert result.findings == []
-
-    def test_unregistered_invariant_flagged(self, tmp_path):
-        result = run_lint(tmp_path, {"check/invariants.py": """\
-            def check_tlbs(kernel, record):
-                pass
-
-            def check_htab(kernel, record):
-                pass
-
-            def full_sweep(kernel, record):
-                check_tlbs(kernel, record)
-        """}, rules=single_rule("invariant-registration"))
-        (finding,) = result.findings
-        assert (finding.rule, finding.line) == ("invariant-registration", 4)
-        assert "check_htab" in finding.message
-
-
 # -- pragmas -----------------------------------------------------------------
 
 
@@ -658,22 +631,6 @@ class TestMutations:
         rules = {f.rule for f in result.findings}
         assert rules == {"ledger-taxonomy"}
         assert any("'ghost-raw'" in f.message for f in result.findings)
-
-    def test_deleting_suite_registration_fires(self, tmp_path):
-        def mutate(root):
-            path = root / "check/invariants.py"
-            source = path.read_text()
-            mutated = re.sub(
-                r"\n\s*check_segments\(kernel, record\)\n", "\n",
-                source, count=1,
-            )
-            assert mutated != source
-            path.write_text(mutated)
-
-        result = LintEngine(mutated_package(tmp_path, mutate)).run()
-        rules = {f.rule for f in result.findings}
-        assert rules == {"invariant-registration"}
-        assert any("check_segments" in f.message for f in result.findings)
 
 
 class TestGeometryLiteral:

@@ -1,16 +1,15 @@
-"""The lmbench_suite runner and table rendering around it."""
+"""The lmbench_suite runner."""
 
 import pytest
 
-from repro.analysis.tables import format_lmbench_rows
 from repro.kernel.config import KernelConfig
 from repro.params import M604_185
-from repro.sim.simulator import boot
-from repro.workloads.lmbench import LmbenchResult, lmbench_suite
+from repro.sim.simulator import Simulator
+from repro.workloads.lmbench import lmbench_suite
 
 
 def mk():
-    return boot(M604_185, KernelConfig.optimized())
+    return Simulator(M604_185, KernelConfig.optimized())
 
 
 class TestSuiteRunner:
@@ -39,31 +38,3 @@ class TestSuiteRunner:
     def test_machine_name_recorded(self):
         result = lmbench_suite(mk, label="x", points=())
         assert result.machine == "604 185MHz"
-
-
-class TestRendering:
-    def test_format_lmbench_rows(self):
-        results = [
-            LmbenchResult(
-                machine="604 185MHz",
-                label="A",
-                ctxsw_us=4.0,
-                pipe_bw_mb_s=88.0,
-            ),
-            LmbenchResult(
-                machine="604 185MHz",
-                label="B",
-                ctxsw_us=6.0,
-                pipe_bw_mb_s=52.0,
-            ),
-        ]
-        text = format_lmbench_rows(results)
-        assert "A" in text and "B" in text
-        assert "ctxsw (us)" in text
-        # Rows with no data anywhere are dropped.
-        assert "mmap" not in text
-
-    def test_format_skips_all_none_metrics(self):
-        results = [LmbenchResult(machine="m", label="only")]
-        text = format_lmbench_rows(results)
-        assert "only" in text

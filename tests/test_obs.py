@@ -23,7 +23,6 @@ from repro.analysis import engine, specs
 from repro.check import parity
 from repro.kernel.config import KernelConfig
 from repro.obs import metrics
-from repro.obs import session as obs_session
 from repro.obs.events import (
     DEFAULT_MONITOR_EVENTS,
     EventTracer,
@@ -38,7 +37,7 @@ from repro.obs.profiler import (
     render_attribution,
 )
 from repro.params import M603_133, M604_185
-from repro.sim.simulator import Simulator, boot
+from repro.sim.simulator import Simulator
 
 
 def drive(sim: Simulator, pages: int = 48) -> Simulator:
@@ -83,7 +82,7 @@ class TestZeroPerturbation:
         assert watched.breakdown() == bare.breakdown()
 
     def test_untraced_simulator_has_no_recorder(self):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         assert sim.obs is None
         assert sim.machine.tracer is None
         assert sim.machine.monitor.tracer is None
@@ -92,7 +91,7 @@ class TestZeroPerturbation:
 
 class TestEventTracer:
     def test_ring_capacity_drops_oldest(self):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         tracer = EventTracer(sim.machine, config=TraceConfig(capacity=4))
         for index in range(10):
             tracer.instant(f"e{index}", "test")
@@ -107,7 +106,7 @@ class TestEventTracer:
             TraceConfig(capacity=capacity)
 
     def test_complete_span_backdates_start(self):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         tracer = EventTracer(sim.machine)
         sim.machine.clock.add(1000, "user_compute")
         now = sim.machine.clock.total
@@ -121,7 +120,7 @@ class TestEventTracer:
         assert dur == 400
 
     def test_monitor_events_filtered(self):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         tracer = EventTracer(sim.machine)
         sim.machine.monitor.tracer = tracer
         sim.machine.monitor.count("vsid_bump")
@@ -178,7 +177,7 @@ class TestCycleProfiler:
             )
 
     def test_unknown_category_lands_in_other(self):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         profiler = CycleProfiler(sim.machine.clock)
         sim.machine.clock.add(123, "never-seen-before")
         attribution = profiler.attribution()
@@ -218,13 +217,13 @@ class TestTimeSeriesSampler:
         assert set(first["htab"]["vsids"]) == {"top", "rest"}
 
     def test_rejects_nonpositive_interval(self):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         with pytest.raises(ValueError):
             obs.TimeSeriesSampler(sim.kernel, 0)
 
     @pytest.mark.parametrize("every_us", [float("nan"), float("inf")])
     def test_rejects_non_finite_interval(self, every_us):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         with pytest.raises(ValueError, match="finite"):
             obs.TimeSeriesSampler(sim.kernel, every_us)
 
@@ -233,8 +232,8 @@ class TestGlobalObservability:
     def test_attach_and_drain(self):
         obs.enable_global_observability(profile=True)
         try:
-            first = boot(M604_185, KernelConfig.optimized())
-            second = boot(M603_133, KernelConfig.optimized())
+            first = Simulator(M604_185, KernelConfig.optimized())
+            second = Simulator(M603_133, KernelConfig.optimized())
             assert first.obs is not None and second.obs is not None
             drained = obs.drain_global_observed()
             assert [o.machine for o in drained] == [
@@ -243,7 +242,7 @@ class TestGlobalObservability:
             assert obs.drain_global_observed() == []
         finally:
             obs.disable_global_observability()
-        assert boot(M604_185, KernelConfig.optimized()).obs is None
+        assert Simulator(M604_185, KernelConfig.optimized()).obs is None
 
 
 class TestObservedExperiments:
@@ -261,24 +260,19 @@ class TestObservedExperiments:
             mode: [] for mode in parity.MODES
         }
 
-    def test_run_observed_record(self):
+    def test_observed_run_record(self):
         """The engine's record counts every cycle the recorder saw."""
-        observed = obs_session.run_observed("E1")
+        _result, observed = engine.observe(engine.spec_for("E1"))
         (result,) = engine.run_ids(["E1"], use_cache=False).results
         record = engine.result_record(result)
         assert record["id"] == "E1"
         assert record["total_cycles"] == sum(
-            handle.machine.total_cycles_all_cpus()
-            for handle in observed.observed
+            handle.machine.total_cycles_all_cpus() for handle in observed
         ) > 0
         assert record["machines"]
         assert sum(record["attribution"].values()) == record["total_cycles"]
         assert isinstance(record["shape_holds"], bool)
         json.loads(metrics.dumps(record))
-
-    def test_run_observed_rejects_unknown(self):
-        with pytest.raises(KeyError):
-            obs_session.run_observed("E99")
 
 
 class TestMetrics:
@@ -333,12 +327,12 @@ class TestCli:
         assert sum(parsed[:-1]) == parsed[-1] > 0
 
     def test_smp_profile_and_record_count_every_cpu(self, capsys):
-        observed = obs_session.run_observed("E17")
+        _result, observed = engine.observe(engine.spec_for("E17"))
         every_cpu = sum(handle.machine.total_cycles_all_cpus()
-                        for handle in observed.observed)
+                        for handle in observed)
         # The current CPU's ledger alone would under-count this run.
         assert every_cpu > sum(handle.machine.clock.total
-                               for handle in observed.observed)
+                               for handle in observed)
         assert cli.main(["profile", "E17"]) == 0
         total_row = capsys.readouterr().out.splitlines()[-2]
         assert total_row.split()[:2] == ["total", f"{every_cpu:,}"]
@@ -375,6 +369,12 @@ class TestCli:
         records = json.loads(capsys.readouterr().out)
         assert [record["id"] for record in records] == ["E1", "E12"]
         assert json.loads(out.read_text())["experiments"] == records
+
+    def test_check_rejects_every_id_before_running(self, capsys):
+        assert cli.main(["check", "E1", "E99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'E99'" in captured.err
 
     def test_check_json(self, capsys):
         assert cli.main(["check", "e1", "--json"]) == 0

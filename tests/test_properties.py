@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.errors import SyscallError, TranslationError
 from repro.hw.hashtable import primary_hash, secondary_hash
 from repro.kernel.config import KernelConfig, ShootdownStrategy, VsidPolicy
-from repro.params import KERNELBASE, M604_185, PAGE_SIZE
+from repro.params import IPI_DELIVER_CYCLES, KERNELBASE, M604_185, PAGE_SIZE
 from repro.sim.simulator import Simulator
 
 CONFIGS = {
@@ -392,6 +392,35 @@ class TestSmpShootdownCoherence:
         assert totals.get("ipi_sent", 0) == 1
         assert totals.get("ipi_received", 0) == 1
         assert totals.get("shootdown_deferred", 0) == 0
+        assert sim.sanitizer.violations == 0, sim.sanitizer.reporter
+
+    def test_bump_reloads_the_context_a_remote_cpu_runs(self):
+        # flush_mm renumbers the mm while CPU 1 runs it: CPU 0 must IPI
+        # CPU 1, which pays the delivery and reloads its segment
+        # registers with the new VSIDs (ShootdownEngine.context_bumped).
+        sim = Simulator(M604_185, KernelConfig.optimized(), n_cpus=2,
+                        sanitize=True, profile=True)
+        kernel, machine = sim.kernel, sim.machine
+        task = kernel.spawn("remote", data_pages=2)
+        machine.set_current_cpu(1)
+        kernel.switch_to(task)
+        kernel.user_access(task, 0x10000000, 1, True)
+        old_vsids = list(task.mm.user_vsids)
+        local, remote = machine.cpus
+        shootdown = remote.clock.breakdown().get("shootdown", 0)
+        sent = local.monitor.get("ipi_sent")
+        received = remote.monitor.get("ipi_received")
+        machine.set_current_cpu(0)
+        kernel.flush.flush_mm(task.mm)
+        assert task.mm.user_vsids != old_vsids
+        assert list(remote.segments.snapshot()) == task.mm.segment_vsids()
+        assert remote.clock.breakdown().get("shootdown", 0) == (
+            shootdown + IPI_DELIVER_CYCLES
+        )
+        assert local.monitor.get("ipi_sent") == sent + 1
+        assert remote.monitor.get("ipi_received") == received + 1
+        assert sum(sim.obs.attribution().values()) == sim.total_cycles
+        assert sim.sanitizer.sweep(stable=True) == 0, sim.sanitizer.reporter
         assert sim.sanitizer.violations == 0, sim.sanitizer.reporter
 
 

@@ -20,7 +20,6 @@ import random
 
 import pytest
 
-from repro import obs
 from repro.analysis import engine, specs
 from repro.analysis.capacity import (
     CAPACITY_POINT_FIELDS,
@@ -35,7 +34,7 @@ from repro.hw.pte import HashPte
 from repro.kernel.config import KernelConfig, ShootdownStrategy
 from repro.obs.sampler import VSID_TOP_K
 from repro.params import M604_185
-from repro.sim.simulator import boot
+from repro.sim.simulator import Simulator
 from repro.workloads.service import (
     SCHEDULE_KINDS,
     arrival_gaps,
@@ -81,7 +80,7 @@ class TestArrivalGenerator:
 
 
 def _boot_service():
-    return boot(
+    return Simulator(
         M604_185,
         KernelConfig.optimized().with_changes(
             shootdown_strategy=ShootdownStrategy.MMAP_REUSE
@@ -136,7 +135,7 @@ class TestServiceRun:
 
 class TestSleepUntil:
     def test_past_deadline_runs_through(self):
-        sim = boot(M604_185, KernelConfig.optimized())
+        sim = Simulator(M604_185, KernelConfig.optimized())
         trail = []
 
         def gen(task):
@@ -227,25 +226,17 @@ class TestCapacitySweep:
 class TestServiceParity:
     def test_e20_traced_bit_identical(self):
         spec = specs.SPECS["E20"]
-        obs.enable_global_observability(profile=True)
-        try:
-            bare = engine.execute(spec)
-            baseline = [
-                (o.machine.spec.name, o.machine.clock.total, o.counters())
-                for o in obs.drain_global_observed()
-            ]
-        finally:
-            obs.disable_global_observability()
-        obs.enable_global_observability(profile=True, trace=True,
-                                        sample_every_us=500)
-        try:
-            traced = engine.execute(spec)
-            watched = [
-                (o.machine.spec.name, o.machine.clock.total, o.counters())
-                for o in obs.drain_global_observed()
-            ]
-        finally:
-            obs.disable_global_observability()
+        bare, handles = engine.observe(spec)
+        baseline = [
+            (o.machine.spec.name, o.machine.clock.total, o.counters())
+            for o in handles
+        ]
+        traced, handles = engine.observe(spec, trace=True,
+                                         sample_every_us=500)
+        watched = [
+            (o.machine.spec.name, o.machine.clock.total, o.counters())
+            for o in handles
+        ]
         assert bare.measured == traced.measured
         assert baseline == watched
 
@@ -317,7 +308,7 @@ class TestSamplerScale:
         assert [entry["vsid"] for entry in detail["top"]] == [1, 3]
 
     def test_sampled_service_run_keeps_ticks_bounded(self):
-        sim = boot(
+        sim = Simulator(
             M604_185,
             KernelConfig.optimized().with_changes(
                 shootdown_strategy=ShootdownStrategy.MMAP_REUSE

@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel.config import KernelConfig
 from repro.params import M603_180, M604_185
-from repro.sim.simulator import Simulator, boot
+from repro.sim.simulator import Simulator
 
 
 class TestConstruction:
@@ -13,7 +13,7 @@ class TestConstruction:
         assert not sim.config.bat_kernel_map
 
     def test_boot_helper(self):
-        sim = boot(M603_180, KernelConfig.optimized())
+        sim = Simulator(M603_180, KernelConfig.optimized())
         assert sim.spec is M603_180
         assert sim.config.bat_kernel_map
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.kernel.config import KernelConfig
 from repro.params import M604_185
-from repro.sim.simulator import boot
+from repro.sim.simulator import Simulator
 from repro.workloads.kbuild import (
     CACHE_RESIDENT,
     KbuildProfile,
@@ -30,7 +30,7 @@ from repro.workloads.mixes import multiprogram_mix
 
 
 def mk():
-    return boot(M604_185, KernelConfig.optimized())
+    return Simulator(M604_185, KernelConfig.optimized())
 
 
 class TestLmbenchPoints:
