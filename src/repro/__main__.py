@@ -46,6 +46,7 @@ import sys
 from typing import Optional
 
 from repro.analysis import specs
+from repro.check.sanitizer import DEFAULT_SWEEP_EVERY
 from repro.params import ALL_MACHINES
 
 
@@ -92,16 +93,24 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _experiment_id(text: str) -> "Optional[str]":
+    """The registry key for ``text``; None, said on stderr, if unknown."""
+    key = text.upper()
+    if key in specs.SPECS:
+        return key
+    print(f"unknown experiment {text!r} (try: python -m repro list)",
+          file=sys.stderr)
+    return None
+
+
 def _resolve_ids(args) -> "Optional[list]":
     """Upper-cased, validated experiment ids; None on a bad id."""
     if getattr(args, "all", False):
         return specs.sorted_ids()
     ids = []
     for experiment_id in args.ids:
-        key = experiment_id.upper()
-        if key not in specs.SPECS:
-            print(f"unknown experiment {experiment_id!r} "
-                  f"(try: python -m repro list)", file=sys.stderr)
+        key = _experiment_id(experiment_id)
+        if key is None:
             return None
         ids.append(key)
     return ids
@@ -189,10 +198,8 @@ def _cmd_trace(args) -> int:
     from repro.analysis import engine
     from repro.obs.events import chrome_trace
 
-    key = args.id.upper()
-    if key not in specs.SPECS:
-        print(f"unknown experiment {args.id!r} "
-              f"(try: python -m repro list)", file=sys.stderr)
+    key = _experiment_id(args.id)
+    if key is None:
         return 2
     if args.out is None:
         args.out = f"{key}.trace.json"
@@ -302,10 +309,8 @@ def _cmd_diff_variants(args) -> int:
         print(f"--variant needs exactly two comma-separated labels, got "
               f"{args.variant!r}", file=sys.stderr)
         return 2
-    key = args.a.upper()
-    if key not in specs.SPECS:
-        print(f"unknown experiment {args.a!r} "
-              f"(try: python -m repro list)", file=sys.stderr)
+    key = _experiment_id(args.a)
+    if key is None:
         return 2
     spec = specs.SPECS[key]
     spec_labels = [variant.label for variant in spec.variants]
@@ -451,10 +456,10 @@ def main(argv=None) -> int:
         help="check the full registry (default when no ids given)",
     )
     chk.add_argument(
-        "--sweep-every", type=_positive_int_or_zero, default=50_000,
-        metavar="N",
+        "--sweep-every", type=_positive_int_or_zero,
+        default=DEFAULT_SWEEP_EVERY, metavar="N",
         help="full invariant sweep every N checked translations "
-             "(default 50000, 0 disables periodic sweeps)",
+             "(default %(default)s, 0 disables periodic sweeps)",
     )
     chk.add_argument(
         "--json", action="store_true",

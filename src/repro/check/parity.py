@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis import engine
 from repro.analysis.spec import ExperimentResult
-from repro.check.runner import DEFAULT_SWEEP_EVERY
+from repro.check.sanitizer import DEFAULT_SWEEP_EVERY
 from repro.obs import Observability, analytics
 from repro.obs.metrics import json_safe
 

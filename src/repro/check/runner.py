@@ -15,10 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.analysis import engine, specs
 from repro.check.report import ViolationReporter
-from repro.check.sanitizer import check_sweep_every
-
-#: ``repro check``'s periodic sweep cadence, in checked translations.
-DEFAULT_SWEEP_EVERY = 50_000
+from repro.check.sanitizer import DEFAULT_SWEEP_EVERY, check_sweep_every
 
 
 @dataclass

@@ -26,6 +26,9 @@ from repro.errors import ConfigError
 from repro.hw.access import AccessKind
 from repro.params import PAGE_INDEX_MASK, PAGE_SHIFT
 
+#: ``repro check``'s periodic sweep cadence, in checked translations.
+DEFAULT_SWEEP_EVERY = 50_000
+
 
 def check_sweep_every(sweep_every: int) -> int:
     """The periodic-sweep cadence, or ConfigError if it is negative.

@@ -13,10 +13,13 @@ clear pages without polluting the cache.
 Representation: each set is a plain list of integer tags ordered
 most-recent-first, and dirtiness lives in one set of line addresses
 shared by the whole array.  The scalar :meth:`Cache.access` and the
-batched :meth:`Cache.access_page_lines` both operate on those flat
-structures directly — there is no per-line object, which is what makes
-the 10⁷-access experiment runs affordable.  The behaviour (LRU order,
-writeback charging, statistics) is identical to the earlier
+batched :meth:`Cache.access_page_lines` and :meth:`Cache.stream_lines`
+all operate on those flat structures directly — there is no per-line
+object, which is what makes the 10⁷-access experiment runs affordable.
+Both batched entry points charge each run of consecutive lines through
+one private two-level kernel, :meth:`Cache._run`, and scalar
+:meth:`Cache.access` stays the reference it must equal.  The behaviour
+(LRU order, writeback charging, statistics) is identical to the earlier
 object-per-line model; the white-box tests index ``_sets`` and see the
 same shape, with tags instead of line objects.
 """
@@ -97,6 +100,19 @@ class Cache:
         self._lines_per_page = PAGE_SIZE // line_size
         #: What a one-line visit that hits returns: ``(cycles, misses)``.
         self._one_line_hit = (hit_cycles, 1 if hit_cycles > 1 else 0)
+        #: Whether runs of lines take :meth:`_run`'s two-level kernel:
+        #: the next level is the last, with this level's line size, a
+        #: multiple of its set count, and hit and fill costs above one
+        #: cycle (so every miss here is a miss event).  Every machine
+        #: :class:`~repro.hw.cpu.CpuState` boots satisfies it.
+        self._two_level = (
+            next_level is not None
+            and next_level.next_level is None
+            and next_level.line_size == line_size
+            and next_level.num_sets % self.num_sets == 0
+            and next_level.hit_cycles > 1
+            and next_level.mem_cycles > 1
+        )
 
     # -- address mapping ---------------------------------------------------
 
@@ -189,11 +205,12 @@ class Cache:
         Returns ``(cycles, misses)`` where ``misses`` counts accesses
         whose cost exceeded one hit (the condition the machine layer
         uses for its ``dcache_miss``/``icache_miss`` monitor events).
-        A one-line visit takes a scalar route of its own.
+        A one-line visit takes a scalar route of its own; longer visits
+        charge each run of consecutive lines through :meth:`_run`.
         """
         if lines == 1 and not inhibited:
             # One line is one scalar access: the memo key and the run
-            # walk below would cost more than the line itself.
+            # kernel would cost more than the line itself.
             line_addr = (
                 page_base // self.line_size + first_line % self._lines_per_page
             )
@@ -216,7 +233,6 @@ class Cache:
         if inhibited:
             stats.bypasses += lines
             return self.word_cycles * lines, 0
-        line_size = self.line_size
         hit_cycles = self.hit_cycles
         memo = self._pure_visits
         visit_key = (page_base << 32) | (first_line << 16) | (lines << 1) | write
@@ -230,15 +246,9 @@ class Cache:
                 hit_cycles * lines,
                 lines if hit_cycles > 1 else 0,
             )
-        num_sets = self.num_sets
-        sets = self._sets
-        dirty = self._dirty
-        next_level = self.next_level
         lines_per_page = self._lines_per_page
-        base_line = page_base // line_size
+        base_line = page_base // self.line_size
         cycles = 0
-        misses = 0
-        evictions = 0
         miss_events = 0
         pure = True
         index = first_line
@@ -248,140 +258,12 @@ class Cache:
             # to the page start when a staggered window crosses the end).
             offset = index % lines_per_page
             run = min(remaining, lines_per_page - offset)
-            start_line = base_line + offset
-            # Set index and tag advance incrementally along the run —
-            # consecutive line addresses walk consecutive sets — so the
-            # two per-line divisions disappear from the loop body.
-            set_index = start_line % num_sets
-            tag = start_line // num_sets
-            for line_addr in range(start_line, start_line + run):
-                tags = sets[set_index]
-                if tag in tags:
-                    if tags[0] != tag:
-                        tags.remove(tag)
-                        tags.insert(0, tag)
-                        pure = False
-                    if write and line_addr not in dirty:
-                        dirty.add(line_addr)
-                        pure = False
-                    set_index += 1
-                    if set_index == num_sets:
-                        set_index = 0
-                        tag += 1
-                    continue
-                if not misses:
-                    # The visit's first miss: copy the miss path's state
-                    # into locals now, so an all-hit visit never loads
-                    # it.  The next level runs inline; a further level
-                    # below it (never configured in practice) still
-                    # goes through the generic call.
-                    assoc = self.assoc
-                    mem_cycles = self.mem_cycles
-                    pure = False
-                    if next_level is not None:
-                        nl_sets = next_level._sets
-                        nl_num_sets = next_level.num_sets
-                        nl_line_size = next_level.line_size
-                        nl_dirty = next_level._dirty
-                        nl_stats = next_level.stats
-                        nl_hit_cycles = next_level.hit_cycles
-                        nl_assoc = next_level.assoc
-                        nl_mem_cycles = next_level.mem_cycles
-                        nl_last = next_level.next_level is None
-                        nl_miss = next_level._miss
-                        nl_misses = 0
-                        nl_evictions = 0
-                        # Same line size at both levels (true for every
-                        # configured machine): L1 and L2 line addresses
-                        # coincide, so the per-miss address conversion
-                        # disappears.
-                        nl_same_line = nl_line_size == line_size
-                misses += 1
-                if next_level is None:
-                    cost = mem_cycles
-                else:
-                    nl_line = (
-                        line_addr
-                        if nl_same_line
-                        else (line_addr * line_size) // nl_line_size
-                    )
-                    nl_tags = nl_sets[nl_line % nl_num_sets]
-                    nl_tag = nl_line // nl_num_sets
-                    if nl_tag in nl_tags:
-                        if nl_tags[0] != nl_tag:
-                            nl_tags.remove(nl_tag)
-                            nl_tags.insert(0, nl_tag)
-                        nl_stats.hits += 1
-                        cost = nl_hit_cycles
-                    elif nl_last:
-                        nl_misses += 1
-                        cost = nl_mem_cycles
-                        if len(nl_tags) >= nl_assoc:
-                            nl_victim = nl_tags.pop()
-                            nl_evictions += 1
-                            nl_victim_line = (
-                                nl_victim * nl_num_sets + nl_line % nl_num_sets
-                            )
-                            if nl_victim_line in nl_dirty:
-                                nl_dirty.discard(nl_victim_line)
-                                nl_stats.writebacks += 1
-                                cost += nl_mem_cycles // 2
-                        nl_tags.insert(0, nl_tag)
-                    else:
-                        cost = nl_miss(nl_line, nl_tags, nl_tag, False)
-                if len(tags) >= assoc:
-                    victim_tag = tags.pop()
-                    evictions += 1
-                    victim_line = victim_tag * num_sets + set_index
-                    if victim_line in dirty:
-                        dirty.discard(victim_line)
-                        stats.writebacks += 1
-                        if next_level is None:
-                            cost += mem_cycles // 2
-                        else:
-                            nl_line = (
-                                victim_line
-                                if nl_same_line
-                                else (victim_line * line_size) // nl_line_size
-                            )
-                            nl_tags = nl_sets[nl_line % nl_num_sets]
-                            nl_tag = nl_line // nl_num_sets
-                            if nl_tag in nl_tags:
-                                if nl_tags[0] != nl_tag:
-                                    nl_tags.remove(nl_tag)
-                                    nl_tags.insert(0, nl_tag)
-                                nl_dirty.add(nl_line)
-                                nl_stats.hits += 1
-                                cost += nl_hit_cycles
-                            elif nl_last:
-                                nl_misses += 1
-                                wb_cost = nl_mem_cycles
-                                if len(nl_tags) >= nl_assoc:
-                                    nl_victim = nl_tags.pop()
-                                    nl_evictions += 1
-                                    nl_victim_line = (
-                                        nl_victim * nl_num_sets
-                                        + nl_line % nl_num_sets
-                                    )
-                                    if nl_victim_line in nl_dirty:
-                                        nl_dirty.discard(nl_victim_line)
-                                        nl_stats.writebacks += 1
-                                        wb_cost += nl_mem_cycles // 2
-                                nl_tags.insert(0, nl_tag)
-                                nl_dirty.add(nl_line)
-                                cost += wb_cost
-                            else:
-                                cost += nl_miss(nl_line, nl_tags, nl_tag, True)
-                tags.insert(0, tag)
-                if write:
-                    dirty.add(line_addr)
-                if cost > 1:
-                    miss_events += 1
-                cycles += cost
-                set_index += 1
-                if set_index == num_sets:
-                    set_index = 0
-                    tag += 1
+            run_cycles, run_events, run_pure = self._run(
+                base_line + offset, run, write
+            )
+            cycles += run_cycles
+            miss_events += run_events
+            pure = pure and run_pure
             index += run
             remaining -= run
         if pure:
@@ -393,21 +275,6 @@ class Cache:
             memo.add(visit_key)
         else:
             memo.clear()
-        hits = lines - misses
-        stats.hits += hits
-        cycles += hits * hit_cycles
-        if misses:
-            stats.misses += misses
-            stats.evictions += evictions
-            if next_level is not None:
-                nl_stats.misses += nl_misses
-                nl_stats.evictions += nl_evictions
-                # The inlined next-level paths mutate its state directly.
-                next_level._pure_visits.clear()
-        if hit_cycles > 1:
-            # The machine layer's miss-event condition is ``cost > 1``,
-            # which a non-unit hit cost also satisfies.
-            miss_events += hits
         return cycles, miss_events
 
     def stream_lines(
@@ -418,111 +285,174 @@ class Cache:
         The §7 hash-table scan's charge.  Equivalent to ``count`` scalar
         :meth:`access` reads at consecutive line addresses — same LRU
         transitions, statistics and writeback charges — and returns
-        their total cycles.  Hits, next-level hits and clean evictions
-        run inline, with both levels' set index and tag advanced line by
-        line (the next level may use any line size).  A next-level miss
-        goes through that level's :meth:`_miss`, and a dirty victim's
-        writeback through its :meth:`access`: both are rare next to the
-        hits, so the fill code keeps one copy.
+        their total cycles: one :meth:`_run`.
         """
-        stats = self.stats
         if inhibited:
-            stats.bypasses += count
+            self.stats.bypasses += count
             return self.word_cycles * count
+        cycles, _, pure = self._run(first_line, count, False)
+        if not pure:
+            self._pure_visits.clear()
+        return cycles
+
+    def _run(self, first_line: int, count: int, write: bool) -> tuple:
+        """Charge ``count`` consecutive line addresses from ``first_line``.
+
+        Equivalent to ``count`` scalar :meth:`access` calls in order.
+        Returns ``(cycles, miss_events, pure)``: ``miss_events`` counts
+        the lines that cost more than one cycle, and ``pure`` says no
+        line missed, moved in its set's LRU order or turned dirty.  It
+        leaves this level's visit memo to the caller.
+
+        On a :attr:`_two_level` hierarchy the run splits into segments
+        of constant tag, at the points where the set index wraps.  The
+        next level's lines are the same size and its set count is a
+        multiple of this level's, so within a segment a line's
+        next-level set is a fixed offset plus its set here, and its
+        next-level tag is constant: no line pays a division.  The fill,
+        the next level's eviction and a dirty victim's writeback into it
+        all run inline, counted in local ints; the statistics and the
+        cycles are derived once per run.  Every other geometry charges
+        line by line through :meth:`access`, the reference.
+        """
         num_sets = self.num_sets
         sets = self._sets
         dirty = self._dirty
+        if not self._two_level:
+            line_size = self.line_size
+            cycles = 0
+            miss_events = 0
+            pure = True
+            for line_addr in range(first_line, first_line + count):
+                if pure:
+                    tags = sets[line_addr % num_sets]
+                    pure = (
+                        bool(tags)
+                        and tags[0] == line_addr // num_sets
+                        and (not write or line_addr in dirty)
+                    )
+                cost = self.access(line_addr * line_size, write)
+                cycles += cost
+                if cost > 1:
+                    miss_events += 1
+            return cycles, miss_events, pure
         assoc = self.assoc
-        line_size = self.line_size
         next_level = self.next_level
-        set_index = first_line % num_sets
-        tag = first_line // num_sets
-        if next_level is None:
-            mem_cycles = self.mem_cycles
-        else:
-            nl_sets = next_level._sets
-            nl_num_sets = next_level.num_sets
-            nl_line_size = next_level.line_size
-            nl_hit_cycles = next_level.hit_cycles
-            nl_miss = next_level._miss
-            nl_access = next_level.access
-            # The next-level line holding the current line's first byte,
-            # and that byte's offset within it.
-            nl_line, nl_offset = divmod(first_line * line_size, nl_line_size)
-            nl_set = nl_line % nl_num_sets
-            nl_tag = nl_line // nl_num_sets
-            nl_hits = 0
-        cycles = 0
+        nl_sets = next_level._sets
+        nl_dirty = next_level._dirty
+        nl_assoc = next_level.assoc
+        nl_num_sets = next_level.num_sets
         misses = 0
         evictions = 0
-        moved = False
-        for line_addr in range(first_line, first_line + count):
-            tags = sets[set_index]
-            if tag in tags:
-                if tags[0] != tag:
-                    tags.remove(tag)
-                    tags.insert(0, tag)
-                    moved = True
-            else:
+        writebacks = 0
+        nl_misses = 0
+        nl_evictions = 0
+        nl_writebacks = 0
+        changed = False
+        tag, set_index = divmod(first_line, num_sets)
+        remaining = count
+        while remaining > 0:
+            stop = min(num_sets, set_index + remaining)
+            remaining -= stop - set_index
+            # Line address ``base + index``; next-level set
+            # ``nl_base + index``, next-level tag ``nl_tag``.
+            base = tag * num_sets
+            nl_tag, nl_base = divmod(base, nl_num_sets)
+            for index in range(set_index, stop):
+                tags = sets[index]
+                if tag in tags:
+                    if tags[0] != tag:
+                        tags.remove(tag)
+                        tags.insert(0, tag)
+                        changed = True
+                    if write and base + index not in dirty:
+                        dirty.add(base + index)
+                        changed = True
+                    continue
                 misses += 1
-                if next_level is None:
-                    cycles += mem_cycles
-                else:
-                    nl_tags = nl_sets[nl_set]
-                    if nl_tag in nl_tags:
-                        mru = nl_tags[0]
-                        if mru != nl_tag:
-                            # Most scan lines sit one step below MRU in
-                            # the next level: swap instead of shifting.
-                            if nl_tags[1] == nl_tag:
-                                nl_tags[0] = nl_tag
-                                nl_tags[1] = mru
-                            else:
-                                nl_tags.remove(nl_tag)
-                                nl_tags.insert(0, nl_tag)
-                        nl_hits += 1
-                    else:
-                        cycles += nl_miss(
-                            nl_tag * nl_num_sets + nl_set, nl_tags, nl_tag,
-                            False,
-                        )
-                if len(tags) >= assoc:
-                    victim_tag = tags.pop()
-                    evictions += 1
-                    victim_line = victim_tag * num_sets + set_index
-                    if victim_line in dirty:
-                        dirty.discard(victim_line)
-                        stats.writebacks += 1
-                        if next_level is None:
-                            cycles += mem_cycles // 2
+                # The fill: a read of the line at the next level.
+                nl_index = nl_base + index
+                nl_tags = nl_sets[nl_index]
+                if nl_tag in nl_tags:
+                    mru = nl_tags[0]
+                    if mru != nl_tag:
+                        # Most scan lines sit one step below MRU in the
+                        # next level: swap instead of shifting.
+                        if nl_tags[1] == nl_tag:
+                            nl_tags[0] = nl_tag
+                            nl_tags[1] = mru
                         else:
-                            cycles += nl_access(victim_line * line_size, True)
+                            nl_tags.remove(nl_tag)
+                            nl_tags.insert(0, nl_tag)
+                else:
+                    nl_misses += 1
+                    if len(nl_tags) >= nl_assoc:
+                        nl_evictions += 1
+                        nl_victim = nl_tags.pop() * nl_num_sets + nl_index
+                        if nl_victim in nl_dirty:
+                            nl_dirty.discard(nl_victim)
+                            nl_writebacks += 1
+                    nl_tags.insert(0, nl_tag)
+                if len(tags) >= assoc:
+                    evictions += 1
+                    victim = tags.pop() * num_sets + index
+                    if victim in dirty:
+                        # The writeback: a write of the victim at the
+                        # next level, after the fill (both may share a
+                        # next-level set).
+                        dirty.discard(victim)
+                        writebacks += 1
+                        wb_index = victim % nl_num_sets
+                        wb_tag = victim // nl_num_sets
+                        nl_tags = nl_sets[wb_index]
+                        if wb_tag in nl_tags:
+                            if nl_tags[0] != wb_tag:
+                                nl_tags.remove(wb_tag)
+                                nl_tags.insert(0, wb_tag)
+                        else:
+                            nl_misses += 1
+                            if len(nl_tags) >= nl_assoc:
+                                nl_evictions += 1
+                                nl_victim = (
+                                    nl_tags.pop() * nl_num_sets + wb_index
+                                )
+                                if nl_victim in nl_dirty:
+                                    nl_dirty.discard(nl_victim)
+                                    nl_writebacks += 1
+                            nl_tags.insert(0, wb_tag)
+                        nl_dirty.add(victim)
                 tags.insert(0, tag)
-            set_index += 1
-            if set_index == num_sets:
-                set_index = 0
-                tag += 1
-            if next_level is not None:
-                nl_offset += line_size
-                while nl_offset >= nl_line_size:
-                    nl_offset -= nl_line_size
-                    nl_set += 1
-                    if nl_set == nl_num_sets:
-                        nl_set = 0
-                        nl_tag += 1
+                if write:
+                    dirty.add(base + index)
+            tag += 1
+            set_index = 0
+        stats = self.stats
         hits = count - misses
         stats.hits += hits
-        cycles += hits * self.hit_cycles
+        cycles = hits * self.hit_cycles
+        # Every miss costs a next-level hit or fill, both above one
+        # cycle, so every miss is a miss event.
+        miss_events = misses + hits if self.hit_cycles > 1 else misses
         if misses:
             stats.misses += misses
             stats.evictions += evictions
-            if next_level is not None:
-                next_level.stats.hits += nl_hits
-                cycles += nl_hits * nl_hit_cycles
-                next_level._pure_visits.clear()
-        if misses or moved:
-            self._pure_visits.clear()
-        return cycles
+            stats.writebacks += writebacks
+            nl_stats = next_level.stats
+            # Each miss fills from the next level and each writeback
+            # writes to it; whatever did not miss there hit.
+            nl_hits = misses + writebacks - nl_misses
+            nl_stats.hits += nl_hits
+            nl_stats.misses += nl_misses
+            nl_stats.evictions += nl_evictions
+            nl_stats.writebacks += nl_writebacks
+            nl_mem_cycles = next_level.mem_cycles
+            cycles += (
+                nl_hits * next_level.hit_cycles
+                + nl_misses * nl_mem_cycles
+                + nl_writebacks * (nl_mem_cycles // 2)
+            )
+            next_level._pure_visits.clear()
+        return cycles, miss_events, not (misses or changed)
 
     # -- maintenance operations --------------------------------------------
 

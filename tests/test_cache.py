@@ -7,7 +7,13 @@ from repro.errors import ConfigError
 from repro.hw.cache import Cache
 from repro.hw.cpu import CpuState
 from repro.hw.hashtable import HashedPageTable
-from repro.params import L1_HIT_CYCLES, LINES_PER_PAGE, M604_185, PAGE_SIZE
+from repro.params import (
+    ALL_MACHINES,
+    L1_HIT_CYCLES,
+    LINES_PER_PAGE,
+    M604_185,
+    PAGE_SIZE,
+)
 
 
 def l1(mem=50, word=10, next_level=None):
@@ -160,18 +166,22 @@ def hierarchy_604():
     return CpuState(0, M604_185, htab, htab_base_pa=0x100000).dcache
 
 
-def hierarchy_small(l2_line=32):
-    """A tiny L1 over a tiny L2: visits evict at both levels."""
-    l2 = Cache(4096, 4, mem_cycles=60, line_size=l2_line, word_cycles=9,
+def hierarchy_small(l2_line=32, l2_bytes=4096):
+    """A tiny 16-set L1 over a tiny L2: visits evict at both levels."""
+    l2 = Cache(l2_bytes, 4, mem_cycles=60, line_size=l2_line, word_cycles=9,
                hit_cycles=12)
     return Cache(1024, 2, mem_cycles=50, line_size=32, word_cycles=10,
                  next_level=l2)
 
 
+#: "604" and "small" take the two-level run kernel; the other two fall
+#: back to scalar ``access`` (an L2 line twice the L1's, and an L2 whose
+#: 24 sets are not a multiple of the L1's 16).
 HIERARCHIES = {
     "604": hierarchy_604,
     "small": hierarchy_small,
     "small-l2-64B-lines": lambda: hierarchy_small(l2_line=64),
+    "small-l2-24-sets": lambda: hierarchy_small(l2_bytes=3072),
 }
 
 
@@ -223,6 +233,12 @@ _operations = st.lists(
 
 class TestPageKernelDifferential:
     """``access_page_lines`` equals the scalar ``access`` loop exactly."""
+
+    def test_hierarchies_cover_both_sides_of_the_geometry_rule(self):
+        takes_kernel = {
+            name for name, build in HIERARCHIES.items() if build()._two_level
+        }
+        assert takes_kernel == {"604", "small"}
 
     @pytest.mark.parametrize("geometry", sorted(HIERARCHIES))
     @settings(max_examples=60, deadline=None)
@@ -281,3 +297,30 @@ class TestPageKernelDifferential:
         assert batched.stats.writebacks == 16
         assert batched.next_level._dirty
         assert cache_state(batched) == cache_state(scalar)
+
+
+class TestMachineGeometry:
+    """Every modelled machine's L1s take the two-level run kernel.
+
+    A geometry that broke the rule would send every experiment down the
+    per-line fallback with no simulated number moving.
+    """
+
+    @pytest.mark.parametrize("spec", ALL_MACHINES, ids=lambda spec: spec.name)
+    def test_booted_l1s_take_the_run_kernel(self, spec, monkeypatch):
+        cpu = CpuState(0, spec, HashedPageTable(groups=64),
+                       htab_base_pa=0x100000)
+
+        def per_line(*_args):
+            raise AssertionError("a run fell back to scalar access")
+
+        monkeypatch.setattr(Cache, "access", per_line)
+        for cache in (cpu.icache, cpu.dcache):
+            assert cache._two_level
+            # Written pages over twice the L1: the runs fill, evict and
+            # write dirty victims back into the L2.
+            for page in range(2 * cache.size_bytes // PAGE_SIZE + 1):
+                cache.access_page_lines(page * PAGE_SIZE, 0, LINES_PER_PAGE,
+                                        True)
+            cache.stream_lines(0, 2 * cache.num_sets + 3)
+            assert cache.stats.writebacks > 0

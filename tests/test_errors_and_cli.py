@@ -63,6 +63,22 @@ class TestCli:
     def test_run_unknown_experiment(self, capsys):
         assert cli.main(["run", "E99"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "E99"],
+        ["diff", "E99", "--variant", "a,b"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_experiment_is_rejected_before_running(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "unknown experiment 'E99' (try: python -m repro list)\n"
+        )
+        assert list(tmp_path.iterdir()) == []  # no trace file
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             cli.main([])
