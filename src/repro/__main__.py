@@ -47,6 +47,7 @@ from typing import Optional
 
 from repro.analysis import specs
 from repro.check.sanitizer import DEFAULT_SWEEP_EVERY
+from repro.obs import TRACE_SAMPLE_US
 from repro.params import ALL_MACHINES
 
 
@@ -474,9 +475,10 @@ def main(argv=None) -> int:
         help="output Chrome trace path (default <id>.trace.json)",
     )
     trc.add_argument(
-        "--sample-us", type=_positive_number, default=1000.0, metavar="US",
+        "--sample-us", type=_positive_number, default=TRACE_SAMPLE_US,
+        metavar="US",
         help="time-series sample interval in simulated microseconds "
-             "(default 1000)",
+             "(default %(default)s)",
     )
     trc.add_argument(
         "--folded", default=None, metavar="FILE",
@@ -507,9 +509,10 @@ def main(argv=None) -> int:
              '(e.g. E7 --variant "no reclaim,idle reclaim")',
     )
     dff.add_argument(
-        "--sample-us", type=_positive_number, default=1000.0, metavar="US",
+        "--sample-us", type=_positive_number, default=TRACE_SAMPLE_US,
+        metavar="US",
         help="time-series sample interval for --variant runs "
-             "(default 1000)",
+             "(default %(default)s)",
     )
     dff.add_argument(
         "--json", action="store_true",

@@ -53,15 +53,6 @@ DEFAULT_LOADS = (2_000, 6_000, 12_000)
 DEFAULT_STRATEGIES = ("broadcast", "mmap_reuse")
 
 
-def strategy_variant(name: str) -> ShootdownStrategy:
-    """Resolve a strategy by its config value name (e.g. ``broadcast``)."""
-    for strategy in ShootdownStrategy:
-        if strategy.value == name:
-            return strategy
-    known = ", ".join(s.value for s in ShootdownStrategy)
-    raise ValueError(f"unknown strategy {name!r}; expected one of {known}")
-
-
 def capacity_point(summary: Dict[str, Any]) -> Dict[str, Any]:
     """One sweep point from a service-run summary (fields pinned)."""
     slo = summary["slo"]
@@ -97,9 +88,8 @@ def capacity_sweep(
         raise ValueError(f"loads must be distinct: {loads}")
     curves: List[Dict[str, Any]] = []
     for name in strategies:
-        strategy = strategy_variant(name)
         config = KernelConfig.optimized().with_changes(
-            shootdown_strategy=strategy
+            shootdown_strategy=ShootdownStrategy(name)
         )
         points: List[Dict[str, Any]] = []
         for load in ordered_loads:

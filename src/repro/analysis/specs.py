@@ -1649,13 +1649,10 @@ def _service_variants() -> Tuple[ConfigVariant, ...]:
         ConfigVariant(
             name, M604_185,
             KernelConfig.optimized().with_changes(
-                shootdown_strategy=strategy
+                shootdown_strategy=ShootdownStrategy(name)
             ),
         )
-        for name, strategy in (
-            (name, next(s for s in ShootdownStrategy if s.value == name))
-            for name in _SERVICE_STRATEGIES
-        )
+        for name in _SERVICE_STRATEGIES
     )
 
 

@@ -29,11 +29,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis import engine
 from repro.analysis.spec import ExperimentResult
 from repro.check.sanitizer import DEFAULT_SWEEP_EVERY
-from repro.obs import Observability, analytics
+from repro.obs import TRACE_SAMPLE_US, Observability, analytics
 from repro.obs.metrics import json_safe
-
-#: ``repro trace``'s default ``--sample-us``.
-TRACE_SAMPLE_US = 1000.0
 
 #: The observed modes, in the order :func:`compare` runs them, with the
 #: observer options each runs under.

@@ -33,7 +33,7 @@ class CycleLedger:
         #: must not charge cycles themselves).
         self.observer: Optional[Callable[[int], None]] = None
 
-    def add(self, cycles: int, category: str = "other") -> int:
+    def add(self, cycles: int, category: str) -> int:
         """Charge ``cycles`` to ``category``; returns the amount charged."""
         if cycles < 0:
             raise ValueError(f"negative cycle charge: {cycles}")

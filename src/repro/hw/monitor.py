@@ -18,8 +18,11 @@ class HardwareMonitor:
     """Named event counters with snapshot/delta accounting.
 
     The counter names are the monitor-kind entries of the
-    ``EVENT_NAMES`` registry in :mod:`repro.obs.events`.  The store is
-    a ``defaultdict(int)``, not a ``Counter``: an increment costs a
+    ``EVENT_NAMES`` registry in :mod:`repro.obs.events`.  ``hw`` imports
+    no higher layer, so the monitor counts any name, and
+    :func:`repro.obs.analytics.derive` rejects a counter outside the
+    registry when it derives a run's block.  The store is a
+    ``defaultdict(int)``, not a ``Counter``: an increment costs a
     quarter as much.  Every read goes through ``.get``, so a read adds
     no key, and ``count(event, 0)`` records the key, as ``Counter`` did.
     """

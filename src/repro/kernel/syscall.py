@@ -123,11 +123,3 @@ class PipeTable:
         if pipe is None:
             raise SyscallError("pipe", f"no such pipe: {ident}")
         return pipe
-
-    def close(self, ident: int) -> None:
-        pipe = self._pipes.pop(ident, None)
-        if pipe is not None:
-            self.kernel.palloc.free_page(pipe.buffer_pfn)
-            tracer = self.kernel.machine.tracer
-            if tracer is not None:
-                tracer.instant("pipe-close", "ipc", ident)

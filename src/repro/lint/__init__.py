@@ -4,14 +4,13 @@ The repo stakes hard guarantees on *disciplines*: traced runs are
 bit-identical to untraced ones, the profiler's attribution sums exactly
 to the ledger, the lazy-flush protocol never serves a stale
 translation.  Runs check them on the paths they execute (DESIGN.md
-§12).  This package checks, at the line that introduces a violation,
-the local disciplines those guarantees rest on:
-
-* per-file rules — determinism (unseeded randomness, wall-clock reads,
-  set-iteration order), layering, the zero-perturbation observer
-  contract, hook-guard discipline, error discipline, geometry literals;
-* closure passes — ledger categories vs the profiler taxonomy, event
-  names vs the ``obs/events.py`` registry.
+§12), and so do the name registries: the profiler, the tracer and
+``derive`` each reject a name their registry lacks.  This package
+checks, one file at a time and at the line that introduces a
+violation, the local disciplines those guarantees rest on:
+determinism (unseeded randomness, wall-clock reads, set-iteration
+order), layering, the zero-perturbation observer contract, hook-guard
+discipline, error discipline and geometry literals.
 
 Run it with ``python -m repro lint`` (``--list-rules`` for the
 catalog).  Silence a finding only with a justified inline pragma:

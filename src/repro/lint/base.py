@@ -1,10 +1,8 @@
-"""Rule plumbing: file contexts, the rule base classes, AST helpers.
+"""Rule plumbing: file contexts, the rule base class, AST helpers.
 
 Every rule sees a :class:`FileContext` — the parsed AST plus the
 file's place in the package (its *layer*: ``hw``, ``kernel``, ``sim``,
-``obs``, ``check``, ...).  Per-file rules subclass :class:`Rule`;
-whole-program rules (the closure passes) subclass :class:`ProjectRule`
-and receive every context at once.
+``obs``, ``check``, ...) — one file at a time.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ class FileContext:
 
 
 class Rule:
-    """A per-file rule; subclasses override :meth:`check_file`."""
+    """A rule; subclasses override :meth:`check_file`."""
 
     #: Stable rule identifier used in findings, pragmas and baselines.
     id: str = ""
@@ -71,20 +69,6 @@ class Rule:
     severity: str = "error"
 
     def check_file(self, ctx: FileContext, report: Report) -> None:
-        raise NotImplementedError
-
-
-class ProjectRule(Rule):
-    """A whole-program rule; sees every file context at once."""
-
-    def check_file(self, ctx: FileContext, report: Report) -> None:
-        """Project rules run from :meth:`check_project` only."""
-
-    def check_project(
-        self,
-        contexts: List[FileContext],
-        report: Callable[[FileContext, ast.AST, str], None],
-    ) -> None:
         raise NotImplementedError
 
 
@@ -121,13 +105,6 @@ def attr_root(node: ast.AST) -> Optional[ast.AST]:
     while isinstance(node, ast.Attribute):
         node = node.value
     return node
-
-
-def str_const(node: ast.AST) -> Optional[str]:
-    """The value of a plain string constant, else ``None``."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
 
 
 def not_none_exprs(test: ast.AST) -> Set[str]:

@@ -27,9 +27,9 @@ def _resolve_paths(
 ) -> Optional[List[Path]]:
     """Map CLI path arguments onto the scanned tree (None on error).
 
-    A path must name the scanned root or lie inside it: the engine
-    reports findings only under the root, so any other path would
-    filter every finding away and pass vacuously.
+    A path must name the scanned root or lie inside it: a file's
+    layer, and so the rules that apply to it, is its place under the
+    root.
     """
     resolved: List[Path] = []
     for raw in raw_paths:

@@ -1,9 +1,8 @@
-"""The lint engine: scan a package tree, run every rule, filter.
+"""The lint engine: parse the requested files, run every rule on each.
 
-The engine always parses the *whole* package (the closure rules need
-every charge site and publish site), then filters the reported
-findings to the requested sub-paths.  Inline pragmas are the one way
-to silence a finding, at its exact line.
+Every rule is per-file, so the engine parses only the paths it is
+given (the whole package when given none).  Inline pragmas are the one
+way to silence a finding, at its exact line.
 """
 
 from __future__ import annotations
@@ -11,10 +10,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.lint import closure, rules
-from repro.lint.base import FileContext, ProjectRule, Report, Rule
+from repro.lint import rules
+from repro.lint.base import FileContext, Report, Rule
 from repro.lint.findings import Finding
 from repro.lint.pragmas import PRAGMA_RULE, FilePragmas, parse_pragmas
 
@@ -31,8 +30,6 @@ ALL_RULES: List[Rule] = [
     rules.HookGuardRule(),
     rules.ErrorDisciplineRule(),
     rules.GeometryLiteralRule(),
-    closure.LedgerTaxonomyRule(),
-    closure.EventRegistryRule(),
 ]
 
 #: Ids a pragma may name: the rules and the engine's pseudo-rules.
@@ -45,9 +42,7 @@ def rule_catalog() -> List[Dict[str, str]]:
         {
             "id": rule.id,
             "description": rule.description,
-            "kind": (
-                "project" if isinstance(rule, ProjectRule) else "file"
-            ),
+            "kind": "file",
             "severity": rule.severity,
         }
         for rule in ALL_RULES
@@ -131,13 +126,28 @@ class LintEngine:
             parts[-1] = parts[-1][: -len(".py")]
         return ".".join(parts)
 
-    def _load(self) -> "tuple[List[FileContext], List[Finding]]":
+    def _files(self, paths: Optional[Sequence[Path]]) -> List[Path]:
+        """The ``.py`` files under ``paths`` (the whole root if none)."""
+        found: Set[Path] = set()
+        for scope in paths or [self.root]:
+            scope = Path(scope).resolve()
+            if scope.is_file():
+                found.add(scope)
+            else:
+                found.update(
+                    path for path in scope.rglob("*.py")
+                    if "__pycache__" not in path.parts
+                )
+        return sorted(found)
+
+    def _load(
+        self, paths: Optional[Sequence[Path]]
+    ) -> "tuple[List[FileContext], List[Finding]]":
+        root = self.root.resolve()
         contexts: List[FileContext] = []
         broken: List[Finding] = []
-        for path in sorted(self.root.rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            rel = path.relative_to(self.root)
+        for path in self._files(paths):
+            rel = path.relative_to(root)
             source = path.read_text()
             try:
                 tree = ast.parse(source, filename=str(path))
@@ -168,52 +178,16 @@ class LintEngine:
     # -- running -------------------------------------------------------------
 
     def run(self, paths: Optional[Sequence[Path]] = None) -> LintResult:
-        """Run every rule; ``paths`` restricts *reported* locations.
+        """Run every rule over the files under ``paths``.
 
-        The whole package is always scanned so the closure rules see
-        every callsite; path scoping only filters which findings are
-        reported.
+        Each path is a file or directory inside the root; with none,
+        the whole root is scanned.
         """
-        contexts, raw = self._load()
+        contexts, raw = self._load(paths)
 
-        def file_report(ctx: FileContext) -> Report:
-            def report(node: ast.AST, message: str) -> None:
-                raw.append(
-                    Finding(
-                        rule=current_rule.id,
-                        path=ctx.rel,
-                        line=getattr(node, "lineno", 1),
-                        col=getattr(node, "col_offset", 0),
-                        message=message,
-                        severity=current_rule.severity,
-                    )
-                )
-            return report
-
-        current_rule: Rule
-        for current_rule in self.rules:
-            if isinstance(current_rule, ProjectRule):
-                rule = current_rule
-
-                def project_report(
-                    ctx: FileContext, node: ast.AST, message: str,
-                    rule: ProjectRule = rule,
-                ) -> None:
-                    raw.append(
-                        Finding(
-                            rule=rule.id,
-                            path=ctx.rel,
-                            line=getattr(node, "lineno", 1),
-                            col=getattr(node, "col_offset", 0),
-                            message=message,
-                            severity=rule.severity,
-                        )
-                    )
-
-                current_rule.check_project(contexts, project_report)
-            else:
-                for ctx in contexts:
-                    current_rule.check_file(ctx, file_report(ctx))
+        for ctx in contexts:
+            for rule in self.rules:
+                rule.check_file(ctx, _reporter(raw, rule, ctx.rel))
 
         # Pragmas: line-exact suppression plus hygiene findings.
         pragmas_by_rel: Dict[str, FilePragmas] = {}
@@ -232,7 +206,6 @@ class LintEngine:
                 )
 
         result = LintResult(files_scanned=len(contexts))
-        scoped = self._scope_filter(paths)
         for finding in sorted(set(raw), key=Finding.sort_key):
             pragmas = pragmas_by_rel.get(finding.path)
             if pragmas is not None and pragmas.suppresses(
@@ -240,22 +213,21 @@ class LintEngine:
             ):
                 result.pragma_suppressed += 1
                 continue
-            if scoped(finding):
-                result.findings.append(finding)
+            result.findings.append(finding)
         return result
 
-    def _scope_filter(
-        self, paths: Optional[Sequence[Path]]
-    ) -> "Callable[[Finding], bool]":
-        if not paths:
-            return lambda finding: True
-        resolved = [Path(p).resolve() for p in paths]
 
-        def scoped(finding: Finding) -> bool:
-            absolute = (self.root / finding.path).resolve()
-            for scope in resolved:
-                if absolute == scope or scope in absolute.parents:
-                    return True
-            return False
-
-        return scoped
+def _reporter(raw: List[Finding], rule: Rule, rel: str) -> Report:
+    """The ``report(node, message)`` callback ``rule`` gets for ``rel``."""
+    def report(node: ast.AST, message: str) -> None:
+        raw.append(
+            Finding(
+                rule=rule.id,
+                path=rel,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0),
+                message=message,
+                severity=rule.severity,
+            )
+        )
+    return report

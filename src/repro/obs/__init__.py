@@ -49,6 +49,7 @@ __all__ = [
     "CycleProfiler",
     "EventTracer",
     "Observability",
+    "TRACE_SAMPLE_US",
     "TimeSeriesSampler",
     "TraceConfig",
     "attach_observability",
@@ -60,6 +61,11 @@ __all__ = [
     "render_attribution",
     "validate_chrome_trace",
 ]
+
+#: ``repro trace``'s and ``repro diff --variant``'s default
+#: ``--sample-us``: the time-series sample interval, in simulated
+#: microseconds, of a full-recorder run.
+TRACE_SAMPLE_US = 1000.0
 
 
 class Observability:

@@ -36,6 +36,7 @@ from repro.obs.events import (
     SPAN,
     SPAN_CATEGORY,
     TRACK,
+    EventRegistryError,
     names_of,
 )
 from repro.obs.profiler import DISPLAY_ORDER, merge_attributions
@@ -62,7 +63,7 @@ COUNTER_TRACKS = names_of(TRACK)
 
 #: Hardware-monitor counters whose end-of-run totals feed the
 #: ``counters`` drift section (the numbers ``repro diff`` and the
-#: regression sentinel compare).
+#: regression sentinel compare).  :func:`derive` rejects any other.
 DRIFT_COUNTERS = names_of(MONITOR)
 
 #: Path category -> the tracer spans that time it, over the full
@@ -445,6 +446,11 @@ def derive(observed: Sequence[Any]) -> Dict[str, object]:
     counters = {name: 0 for name in DRIFT_COUNTERS}
     for obs in observed:
         snapshot = obs.machine.monitor_totals()
+        unregistered = sorted(snapshot.keys() - counters.keys())
+        if unregistered:
+            raise EventRegistryError(
+                f"monitor counters {unregistered} are not in EVENT_NAMES"
+            )
         for name in DRIFT_COUNTERS:
             counters[name] += snapshot.get(name, 0)
     out["counters"] = counters

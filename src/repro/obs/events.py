@@ -49,12 +49,12 @@ class Event(NamedTuple):
 
 #: The closed registry of every event name this repo may publish, and
 #: the single source the observatory's derived tables are built from
-#: (in this order).  ``repro lint``'s event-registry closure pass
-#: statically checks that every ``tracer.instant/complete/counter`` and
-#: ``monitor.count`` callsite uses a name listed here (entries ending in
-#: ``*`` match by prefix, for names carrying a dynamic suffix), so the
-#: keys stay string literals, and that every tracer callsite passes one
-#: value per key its entry registers in ``args``.
+#: (in this order).  Entries ending in ``*`` match by prefix, for names
+#: carrying a dynamic suffix.  Runs hold every name to it: the
+#: :class:`EventTracer` rejects a name outside it, or a publish whose
+#: value count differs from its entry's ``args``, the first time the
+#: name is published; :func:`repro.obs.analytics.derive` rejects a
+#: monitor counter outside it.
 EVENT_NAMES: Dict[str, Event] = {
     # -- tracer spans (Chrome "X" events) -------------------------------
     "hw-walk": Event(SPAN, "604 hardware hash walk resolved a TLB miss",
@@ -106,7 +106,6 @@ EVENT_NAMES: Dict[str, Event] = {
     "sleep": Event(INSTANT, "task put to sleep until a simulated deadline",
                    args=("pid", "until_cycle")),
     "pipe-create": Event(INSTANT, "pipe created", args=("pipe",)),
-    "pipe-close": Event(INSTANT, "pipe endpoint closed", args=("pipe",)),
     "preclear-page": Event(
         INSTANT, "idle task pre-cleared one free page (section 9)",
         args=("pfn",)),
@@ -186,15 +185,25 @@ EVENT_NAMES: Dict[str, Event] = {
 MONITOR_ARGS: Tuple[str, ...] = ("count",)
 
 
+class EventRegistryError(AssertionError):
+    """A name outside ``EVENT_NAMES``, or a publish whose value count
+    differs from its entry's keys (a bug)."""
+
+
 def arg_keys(name: str) -> Tuple[str, ...]:
     """The keys an event's values are exported under, in order.
 
-    Names outside the registry (a ``syscall:*`` suffix, a test's ad-hoc
-    event) register none.
+    A name is registered under its own entry or under the ``*`` entry
+    whose prefix it extends; any other name raises
+    :class:`EventRegistryError`.
     """
-    event = EVENT_NAMES.get(name)
+    event = EVENT_NAMES.get(name) or next(
+        (event for key, event in EVENT_NAMES.items()
+         if key.endswith("*") and name.startswith(key[:-1])),
+        None,
+    )
     if event is None:
-        return ()
+        raise EventRegistryError(f"event {name!r} is not in EVENT_NAMES")
     return MONITOR_ARGS if event.kind == MONITOR else event.args
 
 
@@ -210,37 +219,15 @@ SPAN_CATEGORY: Dict[str, str] = {
     name: EVENT_NAMES[name].category for name in names_of(SPAN)
 }
 
-#: Monitor events republished as trace instants by default.  The cache
-#: miss counters are excluded — they fire per cache *line* touched and
-#: would drown every other event (they are still visible as counters in
-#: the time-series samples); everything translation-shaped is kept.
-DEFAULT_MONITOR_EVENTS: FrozenSet[str] = frozenset({
-    "itlb_miss",
-    "dtlb_miss",
-    "htab_search",
-    "htab_hit",
-    "htab_miss",
-    "htab_reload",
-    "htab_evict",
-    "hash_miss_interrupt",
-    "sw_tlb_miss_interrupt",
-    "bat_translation",
-    "page_fault_major",
-    "page_fault_minor",
-    "flush_range_search",
-    "flush_range_lazy",
-    "vsid_bump",
-    "zombie_reclaimed",
-    "pages_precleared",
-    "precleared_page_used",
-    "scavenge_burst",
-    "ipi_sent",
-    "ipi_received",
-    "shootdown_deferred",
-    "shootdown_drained",
-    "flush_skipped_reuse",
-    "reuse_pool_hit",
-})
+#: Monitor events republished as trace instants by default: every
+#: monitor counter but five.  The cache-miss counters fire per cache
+#: *line* touched and would drown every other event (the time-series
+#: samples still show them); ``tlb_miss`` repeats the itlb/dtlb split;
+#: context switches and syscall entries publish their own ``ctxsw`` and
+#: ``syscall:*`` instants.
+DEFAULT_MONITOR_EVENTS: FrozenSet[str] = frozenset(names_of(MONITOR)) - {
+    "icache_miss", "dcache_miss", "tlb_miss", "context_switch", "syscall",
+}
 
 #: Default ring capacity, in events.  A full E7 run emits a few million
 #: raw events; the ring keeps the most recent window bounded.
@@ -309,6 +296,12 @@ class EventTracer:
     a one-key event, the tuple of values otherwise.  A ``None`` value
     is left out of the exported args.  The columns grow to
     ``config.capacity`` and then overwrite the oldest event in place.
+
+    A kind is interned under its value count too, so a publish whose
+    name is unregistered, or whose count differs from its registered
+    keys, misses the table and raises :class:`EventRegistryError`
+    while interning.  A warm publish still finds its code with one
+    dictionary lookup and makes no extra comparison.
     """
 
     def __init__(self, machine: Any, kernel: Any = None,
@@ -323,7 +316,7 @@ class EventTracer:
         self.emitted = 0
         #: Code -> the interned kind it stands for.
         self.kinds: List[Kind] = []
-        self._codes: Dict[Tuple[str, str, str], int] = {}
+        self._codes: Dict[Tuple[str, str, str, int], int] = {}
         self._ts = array("q")
         self._dur = array("q")
         self._tid = array("q")
@@ -339,15 +332,27 @@ class EventTracer:
         task = kernel.current_task
         return 0 if task is None else task.pid
 
+    def _intern(self, ph: str, category: str, name: str,
+                count: int) -> int:
+        keys = arg_keys(name)
+        if count != len(keys):
+            raise EventRegistryError(
+                f"event {name!r} passes {count} value(s) but registers "
+                f"{len(keys)} key(s) {keys}"
+            )
+        code = self._codes[ph, category, name, count] = len(self.kinds)
+        self.kinds.append(Kind(ph, category, name, keys))
+        return code
+
     def _push(self, ph: str, category: str, name: str, ts: int, dur: int,
               tid: int, values: Tuple[Any, ...]) -> None:
-        code = self._codes.get((ph, category, name))
+        count = len(values)
+        code = self._codes.get((ph, category, name, count))
         if code is None:
-            code = self._codes[ph, category, name] = len(self.kinds)
-            self.kinds.append(Kind(ph, category, name, arg_keys(name)))
+            code = self._intern(ph, category, name, count)
         slot = self.emitted
         self.emitted = slot + 1
-        stored = values[0] if len(values) == 1 else values
+        stored = values[0] if count == 1 else values
         if slot < self._capacity:
             self._ts.append(ts)
             self._dur.append(dur)

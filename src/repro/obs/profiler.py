@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Optional
 
-#: Raw ledger category -> path category.  Anything unlisted lands in
-#: "other", so the attribution is total by construction.
+#: Raw ledger category -> path category.  The registry of every
+#: category a charge may name: :meth:`CycleProfiler.attribution` raises
+#: on any other.
 PATH_CATEGORIES: Dict[str, str] = {
     "user_compute": "user-compute",
     # Memory-system traffic: the cache-modelled line touches and copies.
@@ -52,13 +53,14 @@ PATH_CATEGORIES: Dict[str, str] = {
 }
 
 #: Every path category in stable display order: first appearance in
-#: ``PATH_CATEGORIES`` (largest concerns of the paper first), then the
-#: "other" fallback.  Categories absent from a run are skipped.
-DISPLAY_ORDER = tuple(dict.fromkeys(PATH_CATEGORIES.values())) + ("other",)
+#: ``PATH_CATEGORIES`` (largest concerns of the paper first).
+#: Categories absent from a run are skipped.
+DISPLAY_ORDER = tuple(dict.fromkeys(PATH_CATEGORIES.values()))
 
 
 class AttributionError(AssertionError):
-    """The attribution failed to cover the ledger exactly (a bug)."""
+    """The attribution failed to cover the ledger exactly, or the ledger
+    holds a category outside ``PATH_CATEGORIES`` (a bug)."""
 
 
 class CycleProfiler:
@@ -75,7 +77,11 @@ class CycleProfiler:
         """Path-category cycle totals; always sums to ``clock.total``."""
         out: Dict[str, int] = {}
         for raw, cycles in self.clock.breakdown().items():
-            category = PATH_CATEGORIES.get(raw, "other")
+            category = PATH_CATEGORIES.get(raw)
+            if category is None:
+                raise AttributionError(
+                    f"ledger category {raw!r} is not in PATH_CATEGORIES"
+                )
             out[category] = out.get(category, 0) + cycles
         attributed = sum(out.values())
         if attributed != self.clock.total:

@@ -45,7 +45,6 @@ CATEGORY_COLORS = {
     "kernel-mm": "#bab0ac",
     "shootdown": "#d37295",
     "service": "#86bcb6",
-    "other": "#d4d4d4",
 }
 
 #: Capacity-curve table columns in display order: recorded

@@ -9,16 +9,22 @@ are also pinned against the live taxonomies.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import engine
+from repro.kernel.config import KernelConfig
 from repro.obs import analytics
 from repro.obs.events import (
     DEFAULT_MONITOR_EVENTS,
     EVENT_NAMES,
     MONITOR,
     SPAN_CATEGORY,
+    EventRegistryError,
 )
 from repro.obs.profiler import DISPLAY_ORDER, PATH_CATEGORIES
+from repro.params import M604_185
 from repro.perf.histogram import Histogram
+from repro.sim.simulator import Simulator
 
 
 class TestPercentile:
@@ -128,7 +134,7 @@ class TestRegistryMirrors:
     """The derived tables must track the live taxonomies."""
 
     def test_category_spans_cover_the_full_taxonomy(self):
-        expected = set(PATH_CATEGORIES.values()) | {"other"}
+        expected = set(PATH_CATEGORIES.values())
         assert set(analytics.CATEGORY_SPANS) == expected
         assert set(analytics.CATEGORY_SPANS) == set(DISPLAY_ORDER)
 
@@ -167,6 +173,12 @@ class TestRegistryMirrors:
 class TestDerive:
     def test_empty_handles(self):
         assert analytics.derive([]) == {}
+
+    def test_unregistered_monitor_counter_raises(self):
+        sim = Simulator(M604_185, KernelConfig.optimized(), profile=True)
+        sim.machine.monitor.count("mystery_counter")
+        with pytest.raises(EventRegistryError, match="'mystery_counter'"):
+            analytics.derive([sim.obs])
 
     def test_full_block_from_observed_run(self):
         _result, observed = engine.observe(

@@ -14,7 +14,7 @@ class TestLedger:
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
-            CycleLedger().add(-1)
+            CycleLedger().add(-1, "mem")
 
     def test_zero_charge_allowed(self):
         clock = CycleLedger()
@@ -38,9 +38,9 @@ class TestLedger:
 
     def test_snapshot_since(self):
         clock = CycleLedger()
-        clock.add(10)
+        clock.add(10, "mem")
         mark = clock.snapshot()
-        clock.add(7)
+        clock.add(7, "mem")
         assert clock.since(mark) == 7
 
     def test_reset(self):

@@ -15,7 +15,7 @@ import pytest
 from repro import __main__ as cli
 from repro.kernel.config import KernelConfig
 from repro.obs import flame
-from repro.obs.events import EventTracer
+from repro.obs.events import EventTracer, arg_keys
 from repro.params import M604_185
 from repro.sim.simulator import Simulator
 
@@ -32,20 +32,23 @@ def publish_at(tracer, cycle, tid):
 def span_ring(spans, label="fake"):
     """A ring holding exactly ``spans`` ((name, category, start, end,
     tid) each, in that completion order), published over a stub
-    machine whose clock the test sets."""
+    machine whose clock the test sets, with a ``None`` for each value
+    the span registers."""
     machine = SimpleNamespace(clock=SimpleNamespace(total=0), spec=M604_185)
     tracer = EventTracer(machine, kernel=SimpleNamespace(current_task=None),
                          label=label)
     for name, category, start, end, tid in spans:
-        publish_at(tracer, end, tid).complete(name, category, end - start)
+        publish_at(tracer, end, tid).complete(
+            name, category, end - start, *(None,) * len(arg_keys(name))
+        )
     return tracer
 
 
 NESTED = [
     ("hw-walk", "mmu", 10, 30, 1),
-    ("outer", "kernel", 0, 100, 1),
-    ("inner", "kernel", 40, 90, 1),
-    ("leaf", "kernel", 45, 50, 1),
+    ("req-run", "service", 0, 100, 1),
+    ("page-fault", "fault", 40, 90, 1),
+    ("flush-page", "flush", 45, 50, 1),
 ]
 
 
@@ -53,53 +56,54 @@ class TestSpanForest:
     def test_containment_nests(self):
         forest = flame.span_forest(span_ring(NESTED))
         (root,) = forest[1]
-        assert root.name == "outer"
+        assert root.name == "req-run"
         assert [child.name for child in root.children] == \
-            ["hw-walk", "inner"]
+            ["hw-walk", "page-fault"]
         (leaf,) = root.children[1].children
-        assert leaf.name == "leaf"
+        assert leaf.name == "flush-page"
         assert root.self_cycles == 100 - 20 - 50
         assert root.children[1].self_cycles == 50 - 5
 
     def test_partial_overlap_becomes_sibling(self):
         forest = flame.span_forest(span_ring([
-            ("a", "k", 0, 100, 1),
-            ("b", "k", 50, 150, 1),
+            ("flush-mm", "flush", 0, 100, 1),
+            ("flush-range", "flush", 50, 150, 1),
         ]))
-        assert [span.name for span in forest[1]] == ["a", "b"]
+        assert [span.name for span in forest[1]] == ["flush-mm", "flush-range"]
         assert all(not span.children for span in forest[1])
 
     def test_lanes_are_independent(self):
         forest = flame.span_forest(span_ring([
-            ("a", "k", 0, 100, 1),
-            ("b", "k", 10, 20, 2),
+            ("flush-mm", "flush", 0, 100, 1),
+            ("flush-range", "flush", 10, 20, 2),
         ]))
-        assert [span.name for span in forest[1]] == ["a"]
-        assert [span.name for span in forest[2]] == ["b"]
+        assert [span.name for span in forest[1]] == ["flush-mm"]
+        assert [span.name for span in forest[2]] == ["flush-range"]
 
     def test_non_span_events_ignored(self):
-        tracer = span_ring([("a", "k", 0, 10, 1)])
-        publish_at(tracer, 5, 1).instant("tick", "monitor")
+        tracer = span_ring([("flush-mm", "flush", 0, 10, 1)])
+        publish_at(tracer, 5, 1).on_monitor_event("vsid_bump")
         forest = flame.span_forest(tracer)
-        assert [span.name for span in forest[1]] == ["a"]
+        assert [span.name for span in forest[1]] == ["flush-mm"]
 
 
 class TestFolded:
     def test_weights_are_self_cycles(self):
         lines = flame.folded([span_ring(NESTED)])
         assert lines == [
-            "fake/task1;outer [kernel] 30",
-            "fake/task1;outer [kernel];hw-walk [tlb-reload] 20",
-            "fake/task1;outer [kernel];inner [kernel] 45",
-            "fake/task1;outer [kernel];inner [kernel];leaf [kernel] 5",
+            "fake/task1;req-run [service] 30",
+            "fake/task1;req-run [service];hw-walk [tlb-reload] 20",
+            "fake/task1;req-run [service];page-fault [fault] 45",
+            "fake/task1;req-run [service];page-fault [fault];"
+            "flush-page [flush] 5",
         ]
 
     def test_identical_stacks_merge(self):
         lines = flame.folded([span_ring([
-            ("a", "k", 0, 10, 1),
-            ("a", "k", 20, 35, 1),
+            ("flush-mm", "flush", 0, 10, 1),
+            ("flush-mm", "flush", 20, 35, 1),
         ])])
-        assert lines == ["fake/task1;a [k] 25"]
+        assert lines == ["fake/task1;flush-mm [flush] 25"]
 
     def test_span_category_tags_frames(self):
         (line,) = flame.folded([span_ring([("sw-refill", "mmu", 0, 7, 1)])])
@@ -119,8 +123,8 @@ class TestSpeedscope:
 
     def test_overlapping_siblings_stay_monotonic(self):
         doc = flame.speedscope([span_ring([
-            ("a", "k", 0, 100, 1),
-            ("b", "k", 90, 150, 1),
+            ("flush-mm", "flush", 0, 100, 1),
+            ("flush-range", "flush", 90, 150, 1),
         ])])
         counts = flame.validate_speedscope(doc)
         assert counts["events"] == 4
@@ -147,7 +151,7 @@ class TestCriticalPath:
     def test_follows_heaviest_chain(self):
         path = flame.critical_path([span_ring(NESTED)])
         assert [record["name"] for record in path] == \
-            ["outer", "inner", "leaf"]
+            ["req-run", "page-fault", "flush-page"]
         assert path[0]["share_of_parent"] == 1.0
         assert path[1]["share_of_parent"] == 0.5
         assert path[1]["self_cycles"] == 45
@@ -160,7 +164,7 @@ class TestCriticalPath:
         text = flame.render_critical_path(
             flame.critical_path([span_ring(NESTED)])
         )
-        for name in ("outer", "inner", "leaf"):
+        for name in ("req-run", "page-fault", "flush-page"):
             assert name in text
 
 

@@ -398,8 +398,10 @@ class TestSmpShootdownCoherence:
         # flush_mm renumbers the mm while CPU 1 runs it: CPU 0 must IPI
         # CPU 1, which pays the delivery and reloads its segment
         # registers with the new VSIDs (ShootdownEngine.context_bumped).
+        # The run is traced, so the round's ``ipi`` instant goes through
+        # the event registry's check and into the export.
         sim = Simulator(M604_185, KernelConfig.optimized(), n_cpus=2,
-                        sanitize=True, profile=True)
+                        sanitize=True, profile=True, trace=True)
         kernel, machine = sim.kernel, sim.machine
         task = kernel.spawn("remote", data_pages=2)
         machine.set_current_cpu(1)
@@ -419,6 +421,9 @@ class TestSmpShootdownCoherence:
         )
         assert local.monitor.get("ipi_sent") == sent + 1
         assert remote.monitor.get("ipi_received") == received + 1
+        ipis = [event["args"] for event in sim.obs.tracer.chrome_events()
+                if event["name"] == "ipi"]
+        assert ipis == [{"targets": [1], "bump": True}]
         assert sum(sim.obs.attribution().values()) == sim.total_cycles
         assert sim.sanitizer.sweep(stable=True) == 0, sim.sanitizer.reporter
         assert sim.sanitizer.violations == 0, sim.sanitizer.reporter

@@ -26,7 +26,6 @@ from repro.analysis.capacity import (
     capacity_sweep,
     knee_load,
     render_capacity,
-    strategy_variant,
     validate_capacity_doc,
 )
 from repro.hw.hashtable import HashedPageTable
@@ -192,8 +191,8 @@ class TestCapacitySweep:
             capacity_sweep(loads=(2_000, 2_000), requests=8)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            strategy_variant("carrier-pigeon")
+        with pytest.raises(ValueError, match="'carrier-pigeon' is not a valid"):
+            capacity_sweep(strategies=("carrier-pigeon",), requests=8)
 
     def test_validation_rejects_mutations(self, doc):
         import copy

@@ -90,12 +90,6 @@ class TestPipes:
         with pytest.raises(SyscallError):
             sim.kernel.sys_pipe_read(task, 999, 1)
 
-    def test_close_frees_buffer(self, sim, task):
-        ident = sim.kernel.sys_pipe(task)
-        pfn = sim.kernel.pipes.get(ident).buffer_pfn
-        sim.kernel.pipes.close(ident)
-        assert not sim.kernel.palloc.is_allocated(pfn)
-
     def test_charge_entry_false_skips_syscall_cost(self, sim, task):
         kernel = sim.kernel
         ident = kernel.sys_pipe(task)

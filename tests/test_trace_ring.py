@@ -148,10 +148,10 @@ def stub_machine():
     return machine, kernel
 
 
-SPANS = names_of(SPAN) + ("test-span",)
+SPANS = names_of(SPAN)
 INSTANTS = tuple(
     name for name in names_of(INSTANT) if name != "syscall:*"
-) + ("syscall:exec", "test-instant")
+) + ("syscall:exec",)
 TRACKS = names_of(TRACK)
 MONITORS = names_of(MONITOR)
 
